@@ -47,6 +47,16 @@
 #                against the committed BENCH_4.json (non-blocking CI
 #                job; exits non-zero on allocation growth or a large
 #                time regression)
+#   make endbench  the repository's benchmark (BENCHMARK.json): one
+#                workload of benchmark/ through its own entry point,
+#                `make endbench WORKLOAD=sim_gups_4k SEED=42` (add
+#                TRACE=1 for the per-layer pass, JSON=a.jsonl to append
+#                the record); `make endbench-compare A=a.jsonl B=b.jsonl`
+#                judges two record files against the bounds. Named
+#                endbench because `bench` is the root `go test -bench`
+#   make benchcheck builds, vets and tests the nested benchmark module,
+#                so a signature change it depends on fails here (CI runs
+#                it) and not in the benchmark driver
 #   make servesmoke short multi-VM throughput gate: nestedserve must
 #                sustain a modest translations/sec floor (CI runs it
 #                race-clean alongside)
@@ -56,7 +66,7 @@
 
 GO ?= go
 
-.PHONY: check vet build test lint prove escapes race cover bench fuzz profile benchjson benchdrift servesmoke serveaudit
+.PHONY: check vet build test lint prove escapes race cover bench fuzz profile benchjson benchdrift endbench endbench-compare benchcheck servesmoke serveaudit
 
 check: lint build test prove
 
@@ -159,6 +169,27 @@ benchjson:
 
 benchdrift:
 	$(GO) run ./cmd/benchjson -drift BENCH_4.json
+
+# The end-to-end benchmark BENCHMARK.json declares, through its own
+# entry point (which builds benchmark/ into .bench_build/).
+WORKLOAD ?= all
+SEED ?= 42
+TRACE ?= 0
+
+endbench:
+	bash benchmark/run.sh -workload $(WORKLOAD) -seed $(SEED) -trace $(TRACE) $(if $(JSON),-json $(JSON))
+
+endbench-compare:
+	@test -n "$(A)" -a -n "$(B)" || { echo "usage: make endbench-compare A=parent.jsonl B=change.jsonl"; exit 2; }
+	bash benchmark/run.sh -compare $(A) $(B)
+
+# benchmark/ is its own module (replace nestedecpt => ../), outside
+# `go build ./... && go test ./...`; this is the gate that keeps it
+# compiling against internal/.
+benchcheck:
+	$(GO) -C benchmark build ./...
+	$(GO) -C benchmark vet ./...
+	$(GO) -C benchmark test ./...
 
 # Throughput smoke: a short serve run must clear a deliberately modest
 # floor (shared CI runners are slow and single-core; the committed

@@ -10,6 +10,7 @@
 //	nestedserve -ops 10000 -churn 0      # deterministic fixed-op run, frozen tables
 //	nestedserve -minrate 1000000         # exit non-zero under 1M translations/sec
 //	nestedserve -shards 4 -audit         # sharded writers, audited serve lane
+//	nestedserve -cpuprofile cpu.pprof    # profile the run (also -memprofile)
 //
 // The -minrate gate is what CI's throughput smoke job uses: a short
 // run must sustain the floor or the job fails. The -audit gate is the
@@ -33,10 +34,12 @@ import (
 	"log"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"strings"
 	"syscall"
 	"time"
 
+	"nestedecpt/internal/profiling"
 	"nestedecpt/internal/report"
 	"nestedecpt/internal/serve"
 	"nestedecpt/internal/trace"
@@ -51,6 +54,9 @@ type options struct {
 	minRate   float64
 	tracePath string
 	audit     bool
+	// cpuProfile / memProfile are pprof output paths ("" = off).
+	cpuProfile string
+	memProfile string
 }
 
 // tracing reports whether the run records the serve lane at all.
@@ -78,6 +84,8 @@ func parseOptions(args []string) (*options, error) {
 	traceSample := fs.Int("trace-sample", 0, "also trace one in N workload translations per worker (0 = churn probes only)")
 	audit := fs.Bool("audit", false, "replay the serve lane through the conformance auditor; findings fail the run")
 	minRate := fs.Float64("minrate", 0, "fail (exit 1) if aggregate translations/sec falls below this floor")
+	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
+	memprofile := fs.String("memprofile", "", "write a heap profile to this file on exit")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
@@ -137,6 +145,16 @@ func parseOptions(args []string) (*options, error) {
 	if *minRate < 0 {
 		return nil, fmt.Errorf("-minrate %v: cannot be negative", *minRate)
 	}
+	// A profile that cannot be written should not cost a guest build
+	// first (the heap profile is only created at exit).
+	for _, prof := range []struct{ flag, path string }{{"-cpuprofile", *cpuprofile}, {"-memprofile", *memprofile}} {
+		if prof.path == "" {
+			continue
+		}
+		if st, err := os.Stat(filepath.Dir(prof.path)); err != nil || !st.IsDir() {
+			return nil, fmt.Errorf("%s %q: %s is not an existing directory", prof.flag, prof.path, filepath.Dir(prof.path))
+		}
+	}
 
 	o := &options{
 		cfg: serve.Config{
@@ -154,9 +172,11 @@ func parseOptions(args []string) (*options, error) {
 			ProbeEvery:         *probeEvery,
 			TraceSample:        *traceSample,
 		},
-		minRate:   *minRate,
-		tracePath: *tracePath,
-		audit:     *audit,
+		minRate:    *minRate,
+		tracePath:  *tracePath,
+		audit:      *audit,
+		cpuProfile: *cpuprofile,
+		memProfile: *memprofile,
 	}
 	if o.audit && o.cfg.ProbeEvery == 0 {
 		// The audit's staleness witnesses are the churn probes; an
@@ -188,8 +208,17 @@ func main() {
 	ctx, cancel := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer cancel()
 
+	stopProf, err := profiling.Start(o.cpuProfile, o.memProfile)
+	if err != nil {
+		log.Fatal(err)
+	}
 	start := time.Now()
 	sum, err := serve.Run(ctx, o.cfg)
+	// Flush profiles before reporting so a failed run still yields a
+	// readable CPU profile of what preceded the failure.
+	if perr := stopProf(); perr != nil {
+		log.Print(perr)
+	}
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -19,7 +20,7 @@ func TestParseOptionsDefaults(t *testing.T) {
 	if o.cfg.Shards != 1 {
 		t.Errorf("default Shards = %d, want 1", o.cfg.Shards)
 	}
-	if o.audit || o.tracePath != "" || o.minRate != 0 {
+	if o.audit || o.tracePath != "" || o.minRate != 0 || o.cpuProfile != "" || o.memProfile != "" {
 		t.Errorf("gates armed by default: %+v", o)
 	}
 	if o.tracing() {
@@ -77,6 +78,7 @@ func TestParseOptionsRejects(t *testing.T) {
 		{"sample-no-sink", []string{"-trace-sample", "16"}, "would go nowhere"},
 		{"audit-no-churn", []string{"-audit", "-churn", "0"}, "-audit"},
 		{"negative-minrate", []string{"-minrate", "-5"}, "-minrate"},
+		{"unwritable-profile", []string{"-cpuprofile", "no-such-dir/cpu.pprof"}, "-cpuprofile"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -103,5 +105,19 @@ func TestParseOptionsTraceSampleSinks(t *testing.T) {
 	}
 	if o.cfg.TraceSample != 16 {
 		t.Errorf("TraceSample = %d, want 16", o.cfg.TraceSample)
+	}
+}
+
+// TestParseOptionsProfiles checks the profiling flags reach the
+// options when their directory exists.
+func TestParseOptionsProfiles(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	o, err := parseOptions([]string{"-cpuprofile", cpu, "-memprofile", mem})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if o.cpuProfile != cpu || o.memProfile != mem {
+		t.Errorf("profiles = %q / %q, want %q / %q", o.cpuProfile, o.memProfile, cpu, mem)
 	}
 }

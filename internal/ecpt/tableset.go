@@ -137,14 +137,20 @@ func (s *Set[V, P]) Unmap(va V, size addr.PageSize) bool {
 }
 
 // Lookup resolves va functionally across all page sizes. It consults
-// staged state, so in concurrent mode it belongs to the writer;
-// readers go through the tables' SnapshotLookup.
+// staged state — including each table's writer-private entry count, by
+// which a table holding nothing is skipped before any hashing — so in
+// concurrent mode it belongs to the writer; readers go through the
+// tables' SnapshotLookup. This is the untimed lookup only: the probe
+// set a walker is charged for (AppendProbes) is not narrowed by it.
 //
 //nestedlint:writer reads staged, unpublished state
 func (s *Set[V, P]) Lookup(va V) (frame P, size addr.PageSize, ok bool) {
 	// Probe largest first: at most one size can map a given address.
 	for i := addr.NumPageSizes - 1; i >= 0; i-- {
 		sz := addr.Sizes()[i]
+		if s.tables[sz].entries == 0 {
+			continue
+		}
 		if f, hit := s.tables[sz].Lookup(addr.VPN(va, sz)); hit {
 			return f, sz, true
 		}

@@ -1,10 +1,12 @@
 package ecpt
 
 import (
+	"fmt"
 	"testing"
 
 	"nestedecpt/internal/addr"
 	"nestedecpt/internal/memsim"
+	"nestedecpt/internal/vhash"
 )
 
 func newTestSet(t *testing.T, host bool) *Set[uint64, uint64] {
@@ -136,4 +138,164 @@ func TestScaledSetConfigFloors(t *testing.T) {
 	if full.PerSize[addr.Page4K].InitialLinesPerWay != 16384 {
 		t.Errorf("Table 2 PTE initial size = %d", full.PerSize[addr.Page4K].InitialLinesPerWay)
 	}
+}
+
+// TestSetLookupOracle checks Set.Lookup against a plain map across the
+// transitions its empty-table skip depends on: random Map/Unmap/Lookup
+// over all three sizes, with cycles that drain one table to zero
+// entries — while an elastic resize is still migrating it — and refill
+// it. In concurrent mode the same sequence runs between Publish calls,
+// where the writer must see its own staged maps and unmaps while the
+// published view still answers readers with the old state.
+func TestSetLookupOracle(t *testing.T) {
+	for _, concurrent := range []bool{false, true} {
+		for _, seed := range []uint64{1, 7} {
+			t.Run(fmt.Sprintf("concurrent=%v/seed=%d", concurrent, seed), func(t *testing.T) {
+				testSetLookupOracle(t, concurrent, seed)
+			})
+		}
+	}
+}
+
+func testSetLookupOracle(t *testing.T, concurrent bool, seed uint64) {
+	// Small tables that migrate one bucket per insert, so a resize
+	// stays in flight long enough to be drained under.
+	var cfg SetConfig
+	for _, size := range addr.Sizes() {
+		cfg.PerSize[size] = Config{Ways: 3, InitialLinesPerWay: 8, MaxKicks: 32, LoadFactorLimit: 0.6, MigratePerInsert: 1}
+		cfg.WithCWT[size] = true
+	}
+	alloc := memsim.NewAllocator[uint64](1<<30, seed)
+	set, err := NewSet[uint64](cfg, alloc, 1, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if concurrent {
+		set.EnterConcurrent(&EpochDomain{})
+	}
+
+	// Each size maps pages of its own disjoint VA range, every fifth
+	// page of it, so at most one size maps an address and lines hold a
+	// mix of one and two translations.
+	bases := [addr.NumPageSizes]uint64{addr.Page4K: 0, addr.Page2M: 1 << 36, addr.Page1G: 1 << 41}
+	universe := [addr.NumPageSizes]int{addr.Page4K: 2048, addr.Page2M: 512, addr.Page1G: 256}
+	pageVA := func(size addr.PageSize, idx int) uint64 {
+		return bases[size] + uint64(idx)*5*size.Bytes()
+	}
+
+	type key struct {
+		size addr.PageSize
+		vpn  uint64
+	}
+	model := make(map[key]uint64)
+	rng := vhash.NewRNG(seed)
+
+	check := func(when string, va uint64) {
+		t.Helper()
+		var wantFrame uint64
+		wantSize, want := addr.Page4K, false
+		for _, size := range addr.Sizes() {
+			if f, ok := model[key{size, addr.VPN(va, size)}]; ok {
+				wantFrame, wantSize, want = f, size, true
+			}
+		}
+		if f, size, ok := set.Lookup(va); ok != want || f != wantFrame || size != wantSize {
+			t.Fatalf("%s: Lookup(%#x) = %#x,%v,%v; model has %#x,%v,%v", when, va, f, size, ok, wantFrame, wantSize, want)
+		}
+	}
+	mapPage := func(size addr.PageSize, idx int) {
+		va := pageVA(size, idx)
+		frame := rng.Uint64() &^ size.OffsetMask()
+		set.Map(va, size, frame)
+		model[key{size, addr.VPN(va, size)}] = frame
+	}
+	unmapPage := func(when string, size addr.PageSize, idx int) {
+		t.Helper()
+		va := pageVA(size, idx)
+		k := key{size, addr.VPN(va, size)}
+		_, live := model[k]
+		if set.Unmap(va, size) != live {
+			t.Fatalf("%s: Unmap(%#x, %v) disagrees with the model (live=%v)", when, va, size, live)
+		}
+		delete(model, k)
+	}
+	sweep := func(when string) {
+		t.Helper()
+		for _, size := range addr.Sizes() {
+			for idx := 0; idx < universe[size]; idx++ {
+				check(when, pageVA(size, idx)+rng.Uint64n(size.Bytes()))
+			}
+		}
+	}
+
+	drainedResizing := 0
+	const ops = 6000
+	for i := 0; i < ops; i++ {
+		size := addr.Sizes()[rng.Intn(addr.NumPageSizes)]
+		idx := rng.Intn(universe[size])
+		when := fmt.Sprintf("op %d", i)
+		switch op := rng.Intn(10); {
+		case op < 5:
+			mapPage(size, idx)
+		case op < 8:
+			unmapPage(when, size, idx)
+		}
+		check(when, pageVA(size, idx)+rng.Uint64n(size.Bytes()))
+		other := addr.Sizes()[rng.Intn(addr.NumPageSizes)]
+		check(when, pageVA(other, rng.Intn(universe[other]))+rng.Uint64n(other.Bytes()))
+		if concurrent && i%97 == 0 {
+			set.Publish()
+		}
+		if i%500 != 499 {
+			continue
+		}
+
+		// Drain cycle: grow one table until a resize is in flight,
+		// publish, unmap everything it holds, and refill part of it.
+		size = addr.Sizes()[(i/500)%addr.NumPageSizes]
+		tb := set.Table(size)
+		when = fmt.Sprintf("drain at op %d of the %v table", i, size)
+		for idx := 0; idx < universe[size] && !tb.Resizing(); idx++ {
+			mapPage(size, idx)
+		}
+		if concurrent {
+			set.Publish()
+		}
+		witness := -1
+		for idx := 0; idx < universe[size]; idx++ {
+			if _, live := model[key{size, addr.VPN(pageVA(size, idx), size)}]; live {
+				witness = idx
+			}
+			unmapPage(when, size, idx)
+		}
+		if tb.Entries() != 0 {
+			t.Fatalf("%s: %d entries left", when, tb.Entries())
+		}
+		if tb.Resizing() {
+			drainedResizing++
+		}
+		sweep(when)
+		if concurrent && witness >= 0 {
+			// The unmaps are staged: readers still resolve the page.
+			if _, ok := tb.SnapshotLookup(addr.VPN(pageVA(size, witness), size)); !ok {
+				t.Fatalf("%s: published view lost page %d before Publish", when, witness)
+			}
+			set.Publish()
+			if _, ok := tb.SnapshotLookup(addr.VPN(pageVA(size, witness), size)); ok {
+				t.Fatalf("%s: published view still maps page %d after Publish", when, witness)
+			}
+		}
+		// Refill from empty: the first map is staged onto an empty
+		// published table, and the writer must see it at once.
+		for idx := 0; idx < universe[size]; idx += 2 {
+			mapPage(size, idx)
+			check(when+", refill", pageVA(size, idx))
+		}
+		sweep(when + ", refilled")
+	}
+	sweep("final")
+	if drainedResizing == 0 {
+		t.Fatal("no table was ever drained during a resize; property not exercised")
+	}
+	t.Logf("%d of %d drains happened during a resize", drainedResizing, ops/500)
 }

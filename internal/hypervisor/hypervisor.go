@@ -113,13 +113,18 @@ func (h *Hypervisor) Allocator() *memsim.Allocator[addr.HPA] { return h.alloc }
 // Stats returns a copy of the mapping statistics.
 func (h *Hypervisor) Stats() Stats { return h.stats }
 
-// EnsureMapped guarantees the guest physical page containing gpa has a
-// host mapping, demand-mapping it on a nested fault. isPageTable marks
-// gPAs that hold guest page tables or CWTs, which KVM backs only with
-// 4KB pages (§4.3). It reports whether a nested fault occurred.
-func (h *Hypervisor) EnsureMapped(gpa addr.GPA, isPageTable bool) (faulted bool, err error) {
-	if _, _, ok := h.Translate(gpa); ok {
-		return false, nil
+// Resolve is the functional (untimed) side of one host translation: it
+// returns the host-physical address backing gpa, demand-mapping the
+// guest physical page on a nested fault, and reports whether it
+// faulted. isPageTable marks gPAs that hold guest page tables or CWTs,
+// which KVM backs only with 4KB pages (§4.3). The mapped path costs one
+// Translate; the fault path returns the frame it just mapped without
+// looking it up again.
+//
+//nestedlint:writer reads and mutates the staged host tables
+func (h *Hypervisor) Resolve(gpa addr.GPA, isPageTable bool) (hpa addr.HPA, faulted bool, err error) {
+	if hpa, _, ok := h.Translate(gpa); ok {
+		return hpa, false, nil
 	}
 	h.stats.NestedFaults++
 
@@ -128,17 +133,24 @@ func (h *Hypervisor) EnsureMapped(gpa addr.GPA, isPageTable bool) (faulted bool,
 		if frame, ok := h.alloc.Alloc(addr.Page2M, memsim.PurposeData); ok {
 			h.mapPage(region, addr.Page2M, frame)
 			h.stats.HugeMaps++
-			return true, nil
+			return addr.Translate(frame, gpa, addr.Page2M), true, nil
 		}
 		h.stats.HugeFallback++
 	}
 	frame, ok := h.alloc.Alloc(addr.Page4K, memsim.PurposeData)
 	if !ok {
-		return false, fmt.Errorf("hypervisor: host out of memory mapping gPA %#x", gpa)
+		return 0, false, fmt.Errorf("hypervisor: host out of memory mapping gPA %#x", gpa)
 	}
 	h.mapPage(addr.PageBase(gpa, addr.Page4K), addr.Page4K, frame)
 	h.small2m[region] = true
-	return true, nil
+	return addr.Translate(frame, gpa, addr.Page4K), true, nil
+}
+
+// EnsureMapped is Resolve for callers that only need the page mapped:
+// it reports whether a nested fault occurred.
+func (h *Hypervisor) EnsureMapped(gpa addr.GPA, isPageTable bool) (faulted bool, err error) {
+	_, faulted, err = h.Resolve(gpa, isPageTable)
+	return faulted, err
 }
 
 func (h *Hypervisor) mapPage(base addr.GPA, size addr.PageSize, frame addr.HPA) {

@@ -1,10 +1,12 @@
 package hypervisor
 
 import (
+	"strings"
 	"testing"
 
 	"nestedecpt/internal/addr"
 	"nestedecpt/internal/ecpt"
+	"nestedecpt/internal/memsim"
 )
 
 func newHyp(t *testing.T, thp bool, both bool) *Hypervisor {
@@ -129,5 +131,107 @@ func TestPageTableMemoryAccounting(t *testing.T) {
 func TestConfigRequiresSomeTables(t *testing.T) {
 	if _, err := New(Config{HostMemBytes: 1 << 20}); err == nil {
 		t.Error("config with no tables accepted")
+	}
+}
+
+// hypState is everything Resolve and the EnsureMapped+Translate pair it
+// replaces must leave identical.
+type hypState struct {
+	stats   Stats
+	used    [3]uint64
+	entries uint64
+}
+
+func stateOf(h *Hypervisor) hypState {
+	s := hypState{stats: h.Stats(), entries: h.ECPTs().Entries()}
+	for p := range s.used {
+		s.used[p] = h.Allocator().Used(memsim.Purpose(p))
+	}
+	return s
+}
+
+// TestResolveMatchesEnsureMappedTranslate drives two identically seeded
+// hypervisors through the same guest-physical addresses, one with
+// Resolve and one with the EnsureMapped-then-Translate pair, and
+// requires the same answers and the same state after every step.
+func TestResolveMatchesEnsureMappedTranslate(t *testing.T) {
+	type access struct {
+		gpa       addr.GPA
+		pageTable bool
+	}
+	consecutive := func(base addr.GPA, n int) []access {
+		as := make([]access, n)
+		for i := range as {
+			as[i].gpa = addr.Add(base, uint64(i)*addr.Page4K.Bytes())
+		}
+		return as
+	}
+	cases := []struct {
+		name     string
+		thp      bool
+		hugeFail float64
+		memBytes uint64
+		accesses []access
+		// wantErr, when set, is the error some access must end the
+		// sequence with.
+		wantErr string
+	}{
+		{name: "first-touch", accesses: []access{{gpa: 0x1234_5678}}},
+		{name: "re-touch", accesses: []access{{gpa: 0x1234_5678}, {gpa: 0x1234_5000}, {gpa: 0x1234_5678}}},
+		{name: "thp-hit", thp: true, accesses: []access{{gpa: 0x4020_1234}, {gpa: 0x403F_FFFF}}},
+		{name: "thp-fallback", thp: true, hugeFail: 1, accesses: []access{{gpa: 0x7000_0000}, {gpa: 0x7000_1000}, {gpa: 0x7000_0040}}},
+		{name: "page-table-gpa", thp: true, accesses: []access{{gpa: 0x6000_0000, pageTable: true}, {gpa: 0x6000_5000}, {gpa: 0x6020_0000}}},
+		{name: "out-of-memory", memBytes: 512 << 10, accesses: consecutive(0x1000_0000, 128), wantErr: "out of memory"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			build := func() *Hypervisor {
+				cfg := Config{
+					HostMemBytes:        1 << 30,
+					THP:                 tc.thp,
+					BuildECPT:           true,
+					ECPT:                ecpt.ScaledSetConfig(true, 64),
+					Seed:                9,
+					HugePageFailureRate: tc.hugeFail,
+				}
+				if tc.memBytes != 0 {
+					cfg.HostMemBytes = tc.memBytes
+				}
+				return MustNew(cfg)
+			}
+			one, pair := build(), build()
+			for i, a := range tc.accesses {
+				before := stateOf(one)
+				hpa, faulted, err := one.Resolve(a.gpa, a.pageTable)
+				pFaulted, pErr := pair.EnsureMapped(a.gpa, a.pageTable)
+				pHPA, _, pOK := pair.Translate(a.gpa)
+
+				if (err == nil) != (pErr == nil) || (err != nil && err.Error() != pErr.Error()) {
+					t.Fatalf("step %d gpa %#x: Resolve err %v, EnsureMapped err %v", i, a.gpa, err, pErr)
+				}
+				if hpa != pHPA || faulted != pFaulted || pOK != (err == nil) {
+					t.Fatalf("step %d gpa %#x: Resolve (%#x,%v) vs pair (%#x,%v,ok=%v)",
+						i, a.gpa, hpa, faulted, pHPA, pFaulted, pOK)
+				}
+				if got, want := stateOf(one), stateOf(pair); got != want {
+					t.Fatalf("step %d gpa %#x: state diverged: Resolve %+v, pair %+v", i, a.gpa, got, want)
+				}
+				if err == nil {
+					continue
+				}
+				if tc.wantErr == "" || !strings.Contains(err.Error(), tc.wantErr) {
+					t.Fatalf("step %d gpa %#x: error %v, want %q", i, a.gpa, err, tc.wantErr)
+				}
+				// A failed resolve maps nothing: no entry, no frame.
+				after := stateOf(one)
+				if after.entries != before.entries || after.used != before.used {
+					t.Fatalf("step %d gpa %#x: failed Resolve left state behind: %+v -> %+v", i, a.gpa, before, after)
+				}
+				return
+			}
+			if tc.wantErr != "" {
+				t.Fatalf("no step failed, want %q", tc.wantErr)
+			}
+		})
 	}
 }

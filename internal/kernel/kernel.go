@@ -149,16 +149,20 @@ func (k *Kernel) vmaFor(va addr.GVA) *VMA {
 	return nil
 }
 
-// Touch ensures the page containing va is mapped, performing a minor
-// fault (demand allocation) if needed. It reports whether a fault
-// occurred and the page size now backing va.
-func (k *Kernel) Touch(va addr.GVA) (faulted bool, size addr.PageSize, err error) {
-	if _, sz, ok := k.Translate(va); ok {
-		return false, sz, nil
+// Resolve is the functional (untimed) side of one guest translation:
+// it returns the guest-physical address and page size backing va,
+// demand-allocating the page on a minor fault, and reports whether it
+// faulted. The mapped path costs one Translate; the fault path returns
+// the frame it just mapped without looking it up again.
+//
+//nestedlint:writer reads and mutates the staged guest tables
+func (k *Kernel) Resolve(va addr.GVA) (gpa addr.GPA, size addr.PageSize, faulted bool, err error) {
+	if gpa, size, ok := k.Translate(va); ok {
+		return gpa, size, false, nil
 	}
 	v := k.vmaFor(va)
 	if v == nil {
-		return false, 0, fmt.Errorf("kernel: segfault at %#x (no VMA)", va)
+		return 0, 0, false, fmt.Errorf("kernel: segfault at %#x (no VMA)", va)
 	}
 	k.stats.MinorFaults++
 
@@ -173,18 +177,26 @@ func (k *Kernel) Touch(va addr.GVA) (faulted bool, size addr.PageSize, err error
 			k.mapPage(region, addr.Page2M, frame)
 			k.regions[region] = regionHuge
 			k.stats.HugeMaps++
-			return true, addr.Page2M, nil
+			return addr.Translate(frame, va, addr.Page2M), addr.Page2M, true, nil
 		}
 		k.stats.HugeFallback++
 	}
 	frame, ok := k.alloc.Alloc(addr.Page4K, memsim.PurposeData)
 	if !ok {
-		return false, 0, fmt.Errorf("kernel: guest out of memory at %#x", va)
+		return 0, 0, false, fmt.Errorf("kernel: guest out of memory at %#x", va)
 	}
 	k.mapPage(addr.PageBase(va, addr.Page4K), addr.Page4K, frame)
 	k.regions[region] = regionSmall
 	k.stats.SmallMaps++
-	return true, addr.Page4K, nil
+	return addr.Translate(frame, va, addr.Page4K), addr.Page4K, true, nil
+}
+
+// Touch is Resolve for callers that only need the page mapped: it
+// reports whether a minor fault occurred and the page size now backing
+// va.
+func (k *Kernel) Touch(va addr.GVA) (faulted bool, size addr.PageSize, err error) {
+	_, size, faulted, err = k.Resolve(va)
+	return faulted, size, err
 }
 
 func (k *Kernel) mapPage(base addr.GVA, size addr.PageSize, frame addr.GPA) {
@@ -199,7 +211,10 @@ func (k *Kernel) mapPage(base addr.GVA, size addr.PageSize, frame addr.GPA) {
 }
 
 // Unmap removes the mapping for the page containing va, if any,
-// from every maintained structure.
+// from every maintained structure. Unmapping a 2MB page forgets the
+// region's THP decision; a region backed by 4KB pages stays small (as
+// hypervisor.small2m does), since its other pages may still be live
+// and a 2MB page mapped over them would shadow every one.
 func (k *Kernel) Unmap(va addr.GVA) bool {
 	_, size, ok := k.Translate(va)
 	if !ok {
@@ -214,7 +229,9 @@ func (k *Kernel) Unmap(va addr.GVA) bool {
 	if k.ecpts != nil {
 		k.ecpts.Unmap(base, size)
 	}
-	delete(k.regions, addr.PageBase(va, addr.Page2M))
+	if size == addr.Page2M {
+		delete(k.regions, base)
+	}
 	return true
 }
 

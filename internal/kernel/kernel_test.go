@@ -6,6 +6,7 @@ import (
 
 	"nestedecpt/internal/addr"
 	"nestedecpt/internal/ecpt"
+	"nestedecpt/internal/memsim"
 )
 
 func newKernel(t *testing.T, thp bool, both bool) *Kernel {
@@ -165,5 +166,142 @@ func TestConfigRequiresSomeTables(t *testing.T) {
 	_, err := New(Config{GuestMemBytes: 1 << 20})
 	if err == nil {
 		t.Error("config with no tables accepted")
+	}
+}
+
+// TestUnmapKeepsSmallRegionSmall is the witness for the region-state
+// bug: unmapping one 4KB page of a THP-eligible region that fell back
+// to 4KB pages must not let the next touch map a 2MB page over the
+// region's other, still-live 4KB pages.
+func TestUnmapKeepsSmallRegionSmall(t *testing.T) {
+	k := newKernel(t, true, false)
+	k.Allocator().SetHugePageFailureRate(1)
+	const a, b addr.GVA = 0x1020_0000, 0x1020_1000
+	for _, va := range []addr.GVA{a, b} {
+		if _, size, err := k.Touch(va); err != nil || size != addr.Page4K {
+			t.Fatalf("fragmented touch of %#x: size=%v err=%v", va, size, err)
+		}
+	}
+	sibling, _, _ := k.Translate(b)
+	k.Allocator().SetHugePageFailureRate(0)
+	if !k.Unmap(a) {
+		t.Fatal("Unmap failed")
+	}
+	if _, size, err := k.Touch(a); err != nil || size != addr.Page4K {
+		t.Fatalf("re-touch in a small region: size=%v err=%v, want 4KB", size, err)
+	}
+	if got, size, ok := k.Translate(b); !ok || size != addr.Page4K || got != sibling {
+		t.Errorf("sibling page moved: %#x/%v/%v, was %#x/4KB", got, size, ok, sibling)
+	}
+	// Unmapping the 2MB page itself does forget the decision.
+	const huge addr.GVA = 0x1040_0000
+	if _, size, _ := k.Touch(huge); size != addr.Page2M {
+		t.Fatalf("THP touch mapped %v", size)
+	}
+	k.Unmap(huge)
+	k.Allocator().SetHugePageFailureRate(1)
+	if _, size, _ := k.Touch(huge); size != addr.Page4K {
+		t.Errorf("region stayed huge-only after its 2MB page was unmapped: %v", size)
+	}
+}
+
+// kernelState is everything Resolve and the Touch+Translate pair it
+// replaces must leave identical.
+type kernelState struct {
+	stats   Stats
+	used    [3]uint64
+	entries uint64
+}
+
+func stateOf(k *Kernel) kernelState {
+	s := kernelState{stats: k.Stats(), entries: k.ECPTs().Entries()}
+	for p := range s.used {
+		s.used[p] = k.Allocator().Used(memsim.Purpose(p))
+	}
+	return s
+}
+
+// TestResolveMatchesTouchTranslate drives two identically seeded
+// kernels through the same addresses, one with Resolve and one with the
+// Touch-then-Translate pair, and requires the same answers and the same
+// state after every step.
+func TestResolveMatchesTouchTranslate(t *testing.T) {
+	consecutive := func(base addr.GVA, n int) []addr.GVA {
+		vas := make([]addr.GVA, n)
+		for i := range vas {
+			vas[i] = addr.Add(base, uint64(i)*addr.Page4K.Bytes())
+		}
+		return vas
+	}
+	cases := []struct {
+		name     string
+		thp      bool
+		hugeFail float64
+		memBytes uint64
+		vas      []addr.GVA
+		// wantErr, when set, is the error some address must end the
+		// sequence with.
+		wantErr string
+	}{
+		{name: "first-touch", vas: []addr.GVA{0x1000_0123}},
+		{name: "re-touch", vas: []addr.GVA{0x1000_0123, 0x1000_0FFF, 0x1000_0123}},
+		{name: "thp-hit", thp: true, vas: []addr.GVA{0x1020_0123, 0x103F_F000, 0x4000_0123}},
+		{name: "thp-fallback", thp: true, hugeFail: 1, vas: []addr.GVA{0x1020_0123, 0x1020_1000, 0x1020_0456}},
+		{name: "out-of-vma", thp: true, vas: []addr.GVA{0x1000_0000, 0xDEAD_0000_0000}, wantErr: "segfault"},
+		{name: "out-of-memory", memBytes: 512 << 10, vas: consecutive(0x1000_0000, 128), wantErr: "out of memory"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			build := func() *Kernel {
+				cfg := Config{
+					GuestMemBytes:       1 << 30,
+					THP:                 tc.thp,
+					BuildECPT:           true,
+					ECPT:                ecpt.ScaledSetConfig(false, 64),
+					Seed:                5,
+					HugePageFailureRate: tc.hugeFail,
+				}
+				if tc.memBytes != 0 {
+					cfg.GuestMemBytes = tc.memBytes
+				}
+				k := MustNew(cfg)
+				k.DefineVMA(VMA{Base: 0x1000_0000, Size: 64 << 20, THPEligible: true})
+				k.DefineVMA(VMA{Base: 0x4000_0000, Size: 64 << 20})
+				return k
+			}
+			one, pair := build(), build()
+			for i, va := range tc.vas {
+				before := stateOf(one)
+				gpa, size, faulted, err := one.Resolve(va)
+				pFaulted, pSize, pErr := pair.Touch(va)
+				pGPA, _, pOK := pair.Translate(va)
+
+				if (err == nil) != (pErr == nil) || (err != nil && err.Error() != pErr.Error()) {
+					t.Fatalf("step %d va %#x: Resolve err %v, Touch err %v", i, va, err, pErr)
+				}
+				if gpa != pGPA || size != pSize || faulted != pFaulted || pOK != (err == nil) {
+					t.Fatalf("step %d va %#x: Resolve (%#x,%v,%v) vs pair (%#x,%v,%v,ok=%v)",
+						i, va, gpa, size, faulted, pGPA, pSize, pFaulted, pOK)
+				}
+				if got, want := stateOf(one), stateOf(pair); got != want {
+					t.Fatalf("step %d va %#x: state diverged: Resolve %+v, pair %+v", i, va, got, want)
+				}
+				if err == nil {
+					continue
+				}
+				if tc.wantErr == "" || !strings.Contains(err.Error(), tc.wantErr) {
+					t.Fatalf("step %d va %#x: error %v, want %q", i, va, err, tc.wantErr)
+				}
+				// A failed resolve maps nothing: no entry, no frame.
+				after := stateOf(one)
+				if after.entries != before.entries || after.used != before.used {
+					t.Fatalf("step %d va %#x: failed Resolve left state behind: %+v -> %+v", i, va, before, after)
+				}
+				return
+			}
+			if tc.wantErr != "" {
+				t.Fatalf("no step failed, want %q", tc.wantErr)
+			}
+		})
 	}
 }

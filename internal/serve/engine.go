@@ -213,15 +213,12 @@ func (e *engine) prepopulate(vmas []kernel.VMA) error {
 		for _, v := range vmas {
 			limit := addr.Add(v.Base, v.Size)
 			for va := v.Base; va < limit; {
-				_, size, err := k.Touch(va)
+				gpa, size, _, err := k.Resolve(va)
 				if err != nil {
 					return fmt.Errorf("serve: vm %d prepopulate %#x: %w", i, va, err)
 				}
 				base := addr.PageBase(va, size)
-				gpa, _, ok := k.Translate(base)
-				if !ok {
-					return fmt.Errorf("serve: vm %d translate %#x after touch", i, va)
-				}
+				gpa = addr.PageBase(gpa, size)
 				// Host-map every 4KB granule of the guest page: a host
 				// huge-page fallback covers only one granule per call,
 				// and a later walk may ask for any of them.
@@ -351,12 +348,9 @@ func (e *engine) hostWriter() {
 //nestedlint:writer the host half of a churn round; called only from the host writer (or inline in single-goroutine replay)
 func (e *engine) hostApply(req *hostRequest) error {
 	for i, gpa := range req.data {
-		if _, err := e.hyp.EnsureMapped(gpa, false); err != nil {
+		hpa, _, err := e.hyp.Resolve(gpa, false)
+		if err != nil {
 			return fmt.Errorf("serve: host map %#x: %w", gpa, err)
-		}
-		hpa, _, ok := e.hyp.Translate(gpa)
-		if !ok {
-			return fmt.Errorf("serve: host translate %#x after map", gpa)
 		}
 		req.hpas[i] = hpa
 	}
@@ -421,17 +415,14 @@ func (e *engine) churnRound(shard, vm int) error {
 			ops = append(ops, churnOp{va: va, data: -1})
 		}
 		va := addr.Add(churnBase, (e.churnNext[vm]%e.span)*pageBytes)
-		if _, _, err := k.Touch(va); err != nil {
+		// Keep the gPA resolved here: a tight replay window can unmap
+		// this same address later in the round.
+		gpa, _, _, err := k.Resolve(va)
+		if err != nil {
 			return fmt.Errorf("serve: churn vm %d touch %#x: %w", vm, va, err)
 		}
 		e.churnNext[vm]++
 		e.churnLive[vm]++
-		// Resolve the gPA right away: a tight replay window can unmap
-		// this same address later in the round.
-		gpa, _, ok := k.Translate(va)
-		if !ok {
-			return fmt.Errorf("serve: churn vm %d translate %#x", vm, va)
-		}
 		ops = append(ops, churnOp{va: va, data: len(req.data)})
 		req.data = append(req.data, gpa)
 	}

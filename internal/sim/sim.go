@@ -37,6 +37,9 @@ type Machine struct {
 	// division does not lose time.
 	cycles float64
 
+	// populated records that Prepopulate completed.
+	populated bool
+
 	// rec, when set, receives walk-trace events for the measured phase.
 	rec *trace.Recorder
 
@@ -207,7 +210,7 @@ func (m *Machine) now() uint64 { return uint64(m.cycles) }
 // fault costs. Page-table and CWT pages are demand-mapped through the
 // walker's nested-fault path instead.
 func (m *Machine) prefault(va addr.GVA) error {
-	faulted, _, err := m.kern.Touch(va)
+	gpa, _, faulted, err := m.kern.Resolve(va)
 	if err != nil {
 		return err
 	}
@@ -216,10 +219,6 @@ func (m *Machine) prefault(va addr.GVA) error {
 		m.cycles += float64(m.cfg.Timing.PageFaultCycles)
 	}
 	if m.hyp != nil {
-		gpa, _, ok := m.kern.Translate(va)
-		if !ok {
-			return fmt.Errorf("sim: translate failed after touch of %#x", va)
-		}
 		hf, err := m.hyp.EnsureMapped(gpa, false)
 		if err != nil {
 			return err
@@ -471,20 +470,22 @@ func (m *Machine) stepBatch(measure bool, n int) error {
 // VMA before simulation, mirroring the paper's methodology: the region
 // of interest runs in steady state with mappings already established
 // (§7: faults are rare; §9.4 uses "the complete mappings of the
-// applications").
+// applications"). It populates once: a call after one that completed
+// returns at once, so Run on an already-populated machine does not
+// re-walk its VMAs. A page the caller unmaps afterwards is repaired by
+// step's demand paging, timed as the fault it is.
 func (m *Machine) Prepopulate() error {
+	if m.populated {
+		return nil
+	}
 	for _, v := range m.gen.VMAs() {
 		limit := addr.Add(v.Base, v.Size)
 		for va := v.Base; va < limit; {
-			_, size, err := m.kern.Touch(va)
+			gpa, size, _, err := m.kern.Resolve(va)
 			if err != nil {
 				return fmt.Errorf("sim: prepopulate %#x: %w", va, err)
 			}
 			if m.hyp != nil {
-				gpa, _, ok := m.kern.Translate(va)
-				if !ok {
-					return fmt.Errorf("sim: prepopulate translate %#x", va)
-				}
 				if _, err := m.hyp.EnsureMapped(gpa, false); err != nil {
 					return err
 				}
@@ -492,31 +493,24 @@ func (m *Machine) Prepopulate() error {
 			va = addr.Add(va, size.Bytes())
 		}
 	}
+	m.populated = true
 	return nil
 }
 
 // injectRemote charges one co-runner access at va to the shared cache
 // level, demand-mapping it (untimed) if needed.
 func (m *Machine) injectRemote(va addr.GVA) error {
-	if _, _, err := m.kern.Touch(va); err != nil {
+	gpa, _, _, err := m.kern.Resolve(va)
+	if err != nil {
 		return err
 	}
-	gpa, _, ok := m.kern.Translate(va)
-	if !ok {
-		return fmt.Errorf("sim: remote translate failed for %#x", va)
-	}
+	hpa := addr.IdentityHPA(gpa)
 	if m.hyp != nil {
-		if _, err := m.hyp.EnsureMapped(gpa, false); err != nil {
+		if hpa, _, err = m.hyp.Resolve(gpa, false); err != nil {
 			return err
 		}
-		h, _, ok := m.hyp.Translate(gpa)
-		if !ok {
-			return fmt.Errorf("sim: remote host translate failed for %#x", gpa)
-		}
-		m.mem.AccessRemote(m.now(), h)
-		return nil
 	}
-	m.mem.AccessRemote(m.now(), addr.IdentityHPA(gpa))
+	m.mem.AccessRemote(m.now(), hpa)
 	return nil
 }
 
