@@ -1,6 +1,7 @@
 # Tier-1 checks: everything `make check` runs must pass on every commit.
 #
-#   make check   lint + build + full test suite
+#   make check   lint + build + full test suite + proof + escape-hatch
+#                audit (every gate CI's lint matrix runs)
 #   make lint    static analysis gate: go vet, staticcheck (when
 #                installed), and cmd/nestedlint — the custom analyzer
 #                suite enforcing the hot-path, determinism,
@@ -68,7 +69,7 @@ GO ?= go
 
 .PHONY: check vet build test lint prove escapes race cover bench fuzz profile benchjson benchdrift endbench endbench-compare benchcheck servesmoke serveaudit
 
-check: lint build test prove
+check: lint build test prove escapes
 
 vet:
 	$(GO) vet ./...
@@ -140,6 +141,7 @@ FUZZ_TARGETS = \
 	FuzzCanonicalGVA:./internal/addr \
 	FuzzHashStability:./internal/vhash \
 	FuzzRNGStreams:./internal/vhash \
+	FuzzHierarchyAgainstReference:./internal/cachesim \
 	FuzzTraceAudit:./internal/traceaudit \
 	FuzzWalkBatch:./internal/sim \
 	FuzzServeAudit:./internal/serve

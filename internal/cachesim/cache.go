@@ -13,6 +13,7 @@ package cachesim
 
 import (
 	"fmt"
+	"math/bits"
 
 	"nestedecpt/internal/addr"
 	"nestedecpt/internal/stats"
@@ -61,13 +62,17 @@ type LevelStats struct {
 	MSHRMax       int
 }
 
-// cacheLevel is one set-associative, LRU, write-allocate cache.
+// way is one cache way. key is the line number plus one, so the zero
+// value is an empty way; use is the level's clock at the last touch, 0
+// while empty and at least 1 afterwards.
+type way struct{ key, use uint64 }
+
+// cacheLevel is one set-associative, LRU, write-allocate cache: each
+// set is a contiguous run of cfg.Ways ways.
 type cacheLevel struct {
 	cfg      LevelConfig
-	sets     int
-	tags     []uint64
-	valid    []bool
-	lastUse  []uint64
+	setMask  uint64
+	ways     []way
 	useClock uint64
 	stats    LevelStats
 }
@@ -81,66 +86,44 @@ func newCacheLevel(cfg LevelConfig) *cacheLevel {
 	if sets&(sets-1) != 0 {
 		panic(fmt.Sprintf("cachesim: %s set count %d is not a power of two", cfg.Name, sets))
 	}
-	return &cacheLevel{
-		cfg:     cfg,
-		sets:    sets,
-		tags:    make([]uint64, lines),
-		valid:   make([]bool, lines),
-		lastUse: make([]uint64, lines),
-	}
+	return &cacheLevel{cfg: cfg, setMask: uint64(sets - 1), ways: make([]way, lines)}
 }
 
-func (c *cacheLevel) setFor(line uint64) int { return int(line) & (c.sets - 1) }
+// probe scans line's set once, changing nothing. It returns the way
+// holding the line, or on a miss the way a fill replaces: the first
+// with the least recency, which is the first empty way (recency 0) if
+// there is one and the least recently used otherwise.
+func (c *cacheLevel) probe(line uint64) (*way, bool) {
+	base := int(line&c.setMask) * c.cfg.Ways
+	set := c.ways[base : base+c.cfg.Ways]
+	victim, least := 0, set[0].use
+	for i, w := range set {
+		if w.key == line+1 {
+			return &set[i], true
+		}
+		if w.use < least {
+			victim, least = i, w.use
+		}
+	}
+	return &set[victim], false
+}
 
-// lookup probes the cache; on a hit the line's recency is refreshed.
-func (c *cacheLevel) lookup(line uint64, src Source) bool {
+// touch makes w hold line as the most recently used way of its set.
+func (c *cacheLevel) touch(w *way, line uint64) {
+	c.useClock++
+	*w = way{key: line + 1, use: c.useClock}
+}
+
+// access looks line up on behalf of src and leaves it present and most
+// recently used: refreshed on a hit, filled over the victim on a miss.
+func (c *cacheLevel) access(line uint64, src Source) bool {
 	c.stats.Accesses[src]++
-	c.useClock++
-	set := c.setFor(line)
-	base := set * c.cfg.Ways
-	for w := 0; w < c.cfg.Ways; w++ {
-		i := base + w
-		if c.valid[i] && c.tags[i] == line {
-			c.lastUse[i] = c.useClock
-			return true
-		}
+	w, hit := c.probe(line)
+	if !hit {
+		c.stats.Misses[src]++
 	}
-	c.stats.Misses[src]++
-	return false
-}
-
-// fill inserts the line, evicting the LRU way if needed.
-func (c *cacheLevel) fill(line uint64) {
-	c.useClock++
-	set := c.setFor(line)
-	base := set * c.cfg.Ways
-	victim := base
-	for w := 0; w < c.cfg.Ways; w++ {
-		i := base + w
-		if !c.valid[i] {
-			victim = i
-			break
-		}
-		if c.lastUse[i] < c.lastUse[victim] {
-			victim = i
-		}
-	}
-	c.tags[victim] = line
-	c.valid[victim] = true
-	c.lastUse[victim] = c.useClock
-}
-
-// contains probes without updating recency or statistics.
-func (c *cacheLevel) contains(line uint64) bool {
-	set := c.setFor(line)
-	base := set * c.cfg.Ways
-	for w := 0; w < c.cfg.Ways; w++ {
-		i := base + w
-		if c.valid[i] && c.tags[i] == line {
-			return true
-		}
-	}
-	return false
+	c.touch(w, line)
+	return hit
 }
 
 // HierarchyConfig configures the full memory hierarchy.
@@ -157,16 +140,18 @@ type HierarchyConfig struct {
 // Scaled divides each level's capacity by div (keeping associativity
 // and latency), for scaled-down workloads: preserving the ratio of
 // page-table working set to cache capacity is what keeps walk-time
-// cache behaviour faithful (DESIGN.md §5). Capacities floor at one set.
+// cache behaviour faithful (DESIGN.md §5). Each level's set count is
+// rounded down to a power of two, at least one set, so every divisor
+// yields a geometry NewHierarchy accepts.
 func (c HierarchyConfig) Scaled(div int) HierarchyConfig {
-	if div <= 1 {
-		return c
+	if div < 1 {
+		div = 1
 	}
 	scale := func(l LevelConfig) LevelConfig {
-		min := uint64(l.Ways) * addr.CacheLineBytes
-		l.SizeBytes /= uint64(div)
-		if l.SizeBytes < min {
-			l.SizeBytes = min
+		if l.Ways > 0 {
+			setBytes := uint64(l.Ways) * addr.CacheLineBytes
+			sets := l.SizeBytes / uint64(div) / setBytes
+			l.SizeBytes = setBytes << (bits.Len64(sets|1) - 1)
 		}
 		return l
 	}
@@ -247,23 +232,16 @@ func (s ServiceLevel) String() string {
 //nestedlint:hotpath
 func (h *Hierarchy) Access(now uint64, pa addr.HPA, src Source) (lat uint64, served ServiceLevel) {
 	line := addr.CacheLine(pa)
-	if h.l1.lookup(line, src) {
+	if h.l1.access(line, src) {
 		return h.cfg.L1.LatencyRT, ServedL1
 	}
-	if h.l2.lookup(line, src) {
-		h.l1.fill(line)
+	if h.l2.access(line, src) {
 		return h.cfg.L2.LatencyRT, ServedL2
 	}
-	if h.l3.lookup(line, src) {
-		h.l1.fill(line)
-		h.l2.fill(line)
+	if h.l3.access(line, src) {
 		return h.cfg.L3.LatencyRT, ServedL3
 	}
-	dlat := h.dram.Access(now+h.cfg.L3.LatencyRT, pa)
-	h.l1.fill(line)
-	h.l2.fill(line)
-	h.l3.fill(line)
-	return h.cfg.L3.LatencyRT + dlat, ServedDRAM
+	return h.cfg.L3.LatencyRT + h.dram.Access(now+h.cfg.L3.LatencyRT, pa), ServedDRAM
 }
 
 // AccessParallel issues a group of simultaneous requests (one parallel
@@ -321,7 +299,10 @@ func (h *Hierarchy) sampleMSHR(lvl *cacheLevel, misses int) {
 // replacement state or statistics (used by tests).
 func (h *Hierarchy) Probe(pa addr.HPA) (inL1, inL2, inL3 bool) {
 	line := addr.CacheLine(pa)
-	return h.l1.contains(line), h.l2.contains(line), h.l3.contains(line)
+	_, inL1 = h.l1.probe(line)
+	_, inL2 = h.l2.probe(line)
+	_, inL3 = h.l3.probe(line)
+	return inL1, inL2, inL3
 }
 
 // AccessRemote models a request from another core sharing the L3: it
@@ -332,16 +313,14 @@ func (h *Hierarchy) Probe(pa addr.HPA) (inL1, inL2, inL3 bool) {
 func (h *Hierarchy) AccessRemote(now uint64, pa addr.HPA) uint64 {
 	line := addr.CacheLine(pa)
 	h.remote.Accesses++
-	if h.l3.contains(line) {
-		// Refresh recency without perturbing per-source stats.
-		h.l3.lookup(line, SourceCPU)
-		h.l3.stats.Accesses[SourceCPU]--
+	// The per-source statistics count only this core's requests.
+	w, hit := h.l3.probe(line)
+	h.l3.touch(w, line)
+	if hit {
 		return h.cfg.L3.LatencyRT
 	}
 	h.remote.Misses++
-	dlat := h.dram.Access(now+h.cfg.L3.LatencyRT, pa)
-	h.l3.fill(line)
-	return h.cfg.L3.LatencyRT + dlat
+	return h.cfg.L3.LatencyRT + h.dram.Access(now+h.cfg.L3.LatencyRT, pa)
 }
 
 // RemoteStats counts co-runner traffic injected via AccessRemote.

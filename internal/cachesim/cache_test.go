@@ -236,6 +236,32 @@ func TestScaledHierarchy(t *testing.T) {
 	NewHierarchy(cfg.Scaled(1 << 20))
 }
 
+// TestScaledAlwaysConstructs: every divisor, on every per-core share of
+// the L3, yields a geometry NewHierarchy accepts, and a power-of-two
+// divisor still divides exactly down to the one-set floor.
+func TestScaledAlwaysConstructs(t *testing.T) {
+	for cores := 1; cores <= 8; cores++ {
+		for div := 1; div <= 256; div++ {
+			cfg := DefaultHierarchyConfig()
+			cfg.L3.SizeBytes /= uint64(cores)
+			sc := cfg.Scaled(div)
+			NewHierarchy(sc)
+			if div&(div-1) != 0 || cores&(cores-1) != 0 {
+				continue
+			}
+			for _, l := range [][2]LevelConfig{{cfg.L1, sc.L1}, {cfg.L2, sc.L2}, {cfg.L3, sc.L3}} {
+				want := l[0].SizeBytes / uint64(div)
+				if oneSet := uint64(l[0].Ways) * addr.CacheLineBytes; want < oneSet {
+					want = oneSet
+				}
+				if l[1].SizeBytes != want {
+					t.Errorf("%s / %d (%d cores) = %d bytes, want %d", l[0].Name, div, cores, l[1].SizeBytes, want)
+				}
+			}
+		}
+	}
+}
+
 func TestDRAMRowBuffer(t *testing.T) {
 	d := NewDRAM(DefaultDRAMConfig())
 	lat1 := d.Access(0, 0x1000)

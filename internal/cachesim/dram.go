@@ -52,8 +52,7 @@ type DRAMStats struct {
 // and contention-sensitive latencies to the cache hierarchy's misses.
 type DRAM struct {
 	cfg       DRAMConfig
-	openRow   []uint64
-	rowValid  []bool
+	openRow   []uint64 // each bank's open row plus one; 0 is a closed bank
 	busyUntil []uint64
 	stats     DRAMStats
 	// Shift/mask fast path for the default power-of-two geometry; the
@@ -72,7 +71,6 @@ func NewDRAM(cfg DRAMConfig) *DRAM {
 	d := &DRAM{
 		cfg:       cfg,
 		openRow:   make([]uint64, n),
-		rowValid:  make([]bool, n),
 		busyUntil: make([]uint64, n),
 	}
 	if isPow2(cfg.RowBytes) && isPow2(uint64(n)) {
@@ -122,14 +120,13 @@ func (d *DRAM) Access(now uint64, pa addr.HPA) uint64 {
 	}
 
 	var service uint64
-	if d.rowValid[bank] && d.openRow[bank] == row {
+	if d.openRow[bank] == row+1 {
 		d.stats.RowHits++
 		service = d.cfg.RowHitLatency
 	} else {
 		d.stats.RowMisses++
 		service = d.cfg.RowMissLatency
-		d.openRow[bank] = row
-		d.rowValid[bank] = true
+		d.openRow[bank] = row + 1
 	}
 	d.busyUntil[bank] = now + queue + service
 	return queue + service

@@ -1,6 +1,8 @@
 package ecpt
 
 import (
+	"maps"
+
 	"nestedecpt/internal/addr"
 	"nestedecpt/internal/memsim"
 	"nestedecpt/internal/trace"
@@ -317,12 +319,7 @@ func (c *CWT[P]) privatizeMap() {
 	if !c.mapShared {
 		return
 	}
-	np := make(map[uint64]*cwtPage[P], len(c.pages)+1)
-	//nestedlint:ignore detrange: copying a map into a map is insertion-order-insensitive; no iteration order leaks into output
-	for k, v := range c.pages {
-		np[k] = v
-	}
-	c.pages = np
+	c.pages = maps.Clone(c.pages)
 	c.mapShared = false
 	c.dirty = true
 }

@@ -276,15 +276,11 @@ func (c *Config) normalize(footprint uint64) error {
 	if c.BatchMSHRs < 0 {
 		c.BatchMSHRs = 0
 	}
-	c.Hierarchy = c.Hierarchy.Scaled(c.CacheScale)
 	// The L3 is shared: the paper runs the application on all 8 cores,
-	// so one core sees 1/Cores of the (already scaled) capacity, plus
-	// the contention the co-runners generate.
+	// so one core sees 1/Cores of the capacity, plus the contention the
+	// co-runners generate. Scaled rounds the share to a valid geometry.
 	c.Hierarchy.L3.SizeBytes /= uint64(c.Cores)
-	min := uint64(c.Hierarchy.L3.Ways) * 64
-	for c.Hierarchy.L3.SizeBytes < min {
-		c.Hierarchy.L3.SizeBytes *= 2
-	}
+	c.Hierarchy = c.Hierarchy.Scaled(c.CacheScale)
 	c.scaleMMUCaches()
 	if c.NestedECPT.STCEntries == 0 {
 		c.NestedECPT = core.DefaultNestedECPTConfig(c.Tech)

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"testing"
+
+	"nestedecpt/internal/cachesim"
 )
 
 func quickConfig(d Design, app string, thp bool) Config {
@@ -224,6 +226,23 @@ func TestScalingAppliedToStructures(t *testing.T) {
 	}
 	if eff.Cores != 8 {
 		t.Errorf("Cores = %d", eff.Cores)
+	}
+}
+
+// TestOddScalesAndCoresBuild: a -scale or Cores that is not a power of
+// two must still normalize to a hierarchy the cache model accepts (both
+// used to panic in its geometry check).
+func TestOddScalesAndCoresBuild(t *testing.T) {
+	for _, scale := range []uint64{1, 3, 12, 16, 48, 100} {
+		for cores := 1; cores <= 8; cores++ {
+			cfg := DefaultConfig(DesignNestedECPT, "GUPS", false)
+			cfg.WorkloadOpts.Scale = scale
+			cfg.Cores = cores
+			if err := cfg.normalize(1 << 30); err != nil {
+				t.Fatalf("scale %d, %d cores: %v", scale, cores, err)
+			}
+			cachesim.NewHierarchy(cfg.Hierarchy)
+		}
 	}
 }
 
