@@ -39,8 +39,10 @@
 #                already replay under `make check`); every target runs
 #                even when an earlier one fails, and the combined status
 #                is the target's exit code
-#   make profile runs a representative sweep under the CPU and heap
-#                profilers; inspect with `go tool pprof cpu.pprof`
+#   make profile runs the profiling recipe EXPERIMENTS.md quotes its
+#                numbers from (Nested ECPTs, GUPS, 4KB pages) under the
+#                CPU and heap profilers; inspect with
+#                `go tool pprof cpu.pprof`
 #   make benchjson regenerates BENCH_4.json, the machine-readable
 #                walker + serve performance snapshot (commit it when
 #                the walk path changes)
@@ -144,6 +146,7 @@ FUZZ_TARGETS = \
 	FuzzHierarchyAgainstReference:./internal/cachesim \
 	FuzzTraceAudit:./internal/traceaudit \
 	FuzzWalkBatch:./internal/sim \
+	FuzzMachineResolve:./internal/sim \
 	FuzzServeAudit:./internal/serve
 FUZZTIME ?= 30s
 
@@ -156,13 +159,15 @@ fuzz:
 	done; \
 	exit $$status
 
-# A representative single-design sweep under both profilers. The same
+# The run every profile share in EXPERIMENTS.md ("Profiling the
+# simulator") was read from; that section names this target instead of
+# repeating the flags, so the two cannot drift. The same
 # -cpuprofile/-memprofile flags work on any cmd/experiments or
-# cmd/nestedsim invocation; see EXPERIMENTS.md, "Profiling the
-# simulator".
+# cmd/nestedsim invocation.
+PROFILE_RECIPE = -design nested-ecpt -app GUPS -scale 16 -warmup 100000 -accesses 1500000
+
 profile:
-	$(GO) run ./cmd/nestedsim -design nested-ecpt -app GUPS -thp \
-		-warmup 200000 -accesses 1000000 \
+	$(GO) run ./cmd/nestedsim $(PROFILE_RECIPE) \
 		-cpuprofile cpu.pprof -memprofile mem.pprof
 	@echo "inspect with: $(GO) tool pprof cpu.pprof   (or mem.pprof)"
 
@@ -205,10 +210,12 @@ servesmoke:
 # Audited sharded serve run: the PR-10 acceptance configuration. Two
 # churn shards publish generations for 48 guests while every worker's
 # churn probes are traced; the run fails on any serve-audit finding or
-# a throughput collapse. The JSONL trace lands in serve-trace.jsonl
-# (CI uploads its digest as an artifact for cross-run comparison).
-SERVE_TRACE ?= serve-trace.jsonl
+# a throughput collapse. The JSONL trace (about 150 MB) lands under the
+# ignored out/ directory, not the repository root (CI uploads its digest
+# as an artifact for cross-run comparison).
+SERVE_TRACE ?= out/serve-trace.jsonl
 
 serveaudit:
+	@mkdir -p $(dir $(SERVE_TRACE))
 	$(GO) run ./cmd/nestedserve -vms 48 -shards 2 -duration 2s -audit \
 		-trace $(SERVE_TRACE) -minrate $(SERVE_MINRATE)

@@ -21,7 +21,7 @@
 // (internal/analysis) enforces that discipline everywhere outside this
 // package: conversions between domains, or between a domain and bare
 // uint64, are flagged unless they go through Translate, IdentityHPA,
-// or a function annotated //nestedlint:domaincast <reason>.
+// FrameBase, or a function annotated //nestedlint:domaincast <reason>.
 package addr
 
 import "fmt"
@@ -113,6 +113,12 @@ func Sizes() [NumPageSizes]PageSize { return [NumPageSizes]PageSize{Page4K, Page
 // number indexes hash functions and cache tags, so it is a plain
 // uint64, not an address.
 func VPN[A Addr](v A, s PageSize) uint64 { return uint64(v) >> s.Shift() }
+
+// FrameBase is the inverse of VPN: the base address, in space A, of
+// page number n at the given page size. It is the sanctioned way to
+// turn a stored frame number back into an address; the caller names
+// the space the number was taken from.
+func FrameBase[A Addr](n uint64, s PageSize) A { return A(n << s.Shift()) }
 
 // PageBase returns the base address of the page containing v, in v's
 // own address space.

@@ -70,6 +70,15 @@ func TestVPNAndPageBase(t *testing.T) {
 	}
 }
 
+func TestFrameBaseInvertsVPN(t *testing.T) {
+	for _, s := range Sizes() {
+		pa := HPA(0x0000_0ABC_DEF0_1234)
+		if got, want := FrameBase[HPA](VPN(pa, s), s), PageBase(pa, s); got != want {
+			t.Errorf("%v: FrameBase(VPN) = %#x, want %#x", s, got, want)
+		}
+	}
+}
+
 func TestTranslateComposesOffset(t *testing.T) {
 	frame := uint64(0xABC000)
 	va := uint64(0x7FF123)

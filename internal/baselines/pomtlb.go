@@ -86,6 +86,10 @@ func (w *POMTLB) HitRate() float64 {
 	return float64(w.hits) / float64(t)
 }
 
+// Flush empties the POM-TLB. It caches final translations exactly as
+// the on-chip TLBs do, so a guest unmap must shoot it down with them.
+func (w *POMTLB) Flush() { clear(w.entries) }
+
 func (w *POMTLB) setFor(vpn uint64) int { return int(vpn % uint64(w.sets)) }
 
 // Walk implements core.Walker.

@@ -78,13 +78,35 @@ func (c Config) validate() error {
 	return nil
 }
 
+// A line's tag and bookkeeping pack into one key word: tag+1 (the tag
+// is VPN >> 3) in the low keyTagBits bits, the present mask over the 8
+// slots in the top 8, and 0 for an empty line. A page number of a
+// 64-bit address has at most 52 bits, so tag+1 needs 50; Insert checks
+// the bound.
+const (
+	keyTagBits = 56
+	keyTagMask = 1<<keyTagBits - 1
+)
+
+func makeKey(tag uint64, present uint8) uint64 { return uint64(present)<<keyTagBits | (tag + 1) }
+
+// keyHolds reports whether key is the key of a live line tagged tag.
+func keyHolds(key, tag uint64) bool { return key&keyTagMask == tag+1 }
+
+func keyTag(key uint64) uint64    { return key&keyTagMask - 1 }
+func keyPresent(key uint64) uint8 { return uint8(key >> keyTagBits) }
+
+// frameGroup is the eight consecutive translations of one line: 64
+// host bytes, one simulated (and one host) cache line.
+type frameGroup[P addr.Addr] [TranslationsPerLine]P
+
 // line is one tagged group of eight consecutive translations mapping
-// into address space P.
+// into address space P, as a value: what a cuckoo displacement carries
+// between buckets. At rest a line is split across a way's keys and
+// frames arrays.
 type line[P addr.Addr] struct {
-	valid   bool
-	tag     uint64 // VPN >> 3
-	present uint8  // bitmask over the 8 slots
-	frames  [TranslationsPerLine]P
+	key    uint64
+	frames frameGroup[P]
 }
 
 // generation is one allocation of the elastic table: d parallel arrays
@@ -98,8 +120,13 @@ type generation[P addr.Addr] struct {
 	// one-line way.
 	mask uint64
 	pow2 bool
-	ways [][]line[P]
-	hash []vhash.Func
+	// keys[w][i] and frames[w][i] are line i of way w. The split keeps
+	// every probe that does not match (findLine, fillProbe, tryPlace's
+	// empty-bucket test) inside the dense key array; a match touches
+	// exactly one frame group.
+	keys   [][]uint64
+	frames [][]frameGroup[P]
+	hash   []vhash.Func
 	basePA []P
 	// sealed and shared implement concurrent-mode copy-on-write
 	// (view.go): a sealed generation is reachable from a published
@@ -115,12 +142,14 @@ func (t *Table[P]) newGeneration(linesPerWay int) *generation[P] {
 		linesPerWay: linesPerWay,
 		mask:        uint64(linesPerWay - 1),
 		pow2:        linesPerWay&(linesPerWay-1) == 0,
-		ways:        make([][]line[P], t.cfg.Ways),
+		keys:        make([][]uint64, t.cfg.Ways),
+		frames:      make([][]frameGroup[P], t.cfg.Ways),
 		hash:        make([]vhash.Func, t.cfg.Ways),
 		basePA:      make([]P, t.cfg.Ways),
 	}
 	for w := 0; w < t.cfg.Ways; w++ {
-		g.ways[w] = make([]line[P], linesPerWay)
+		g.keys[w] = make([]uint64, linesPerWay)
+		g.frames[w] = make([]frameGroup[P], linesPerWay)
 		g.hash[w] = vhash.New(t.hashSpace+t.generations*t.cfg.Ways, w)
 		g.basePA[w] = t.alloc.AllocRegion(uint64(linesPerWay)*LineBytes, memsim.PurposePageTable)
 	}
@@ -141,7 +170,7 @@ func (g *generation[P]) linePA(w, idx int) P {
 }
 
 func (g *generation[P]) bytes() uint64 {
-	return uint64(len(g.ways)) * uint64(g.linesPerWay) * LineBytes
+	return uint64(len(g.keys)) * uint64(g.linesPerWay) * LineBytes
 }
 
 // Stats counts structural events in the table's lifetime.
@@ -288,7 +317,7 @@ func lineSlot(vpn uint64) int   { return int(vpn % TranslationsPerLine) }
 func (t *Table[P]) findLine(tag uint64) (g *generation[P], w, idx int, ok bool) {
 	for w := 0; w < t.cfg.Ways; w++ {
 		idx := t.cur.index(w, tag)
-		if ln := &t.cur.ways[w][idx]; ln.valid && ln.tag == tag {
+		if keyHolds(t.cur.keys[w][idx], tag) {
 			return t.cur, w, idx, true
 		}
 	}
@@ -298,7 +327,7 @@ func (t *Table[P]) findLine(tag uint64) (g *generation[P], w, idx int, ok bool) 
 			if idx < t.migratePtr[w] {
 				continue // already migrated out
 			}
-			if ln := &t.old.ways[w][idx]; ln.valid && ln.tag == tag {
+			if keyHolds(t.old.keys[w][idx], tag) {
 				return t.old, w, idx, true
 			}
 		}
@@ -312,21 +341,24 @@ func (t *Table[P]) Insert(vpn uint64, frame P) {
 	t.stats.Inserts++
 	t.dirty = true
 	tag, slot := lineTag(vpn), lineSlot(vpn)
+	if tag >= keyTagMask {
+		panic(fmt.Sprintf("ecpt: page number %#x does not fit a %d-bit line key", vpn, keyTagBits))
+	}
 	if t.cwt != nil {
 		t.cwt.SetPresent(vpn)
 	}
 	if g, w, idx, ok := t.findLine(tag); ok {
 		g = t.writable(g)
-		ln := &g.writableWay(w)[idx]
-		if ln.present&(1<<slot) == 0 {
-			ln.present |= 1 << slot
+		g.writableWay(w)
+		if keyPresent(g.keys[w][idx])&(1<<slot) == 0 {
+			g.keys[w][idx] |= 1 << (keyTagBits + slot)
 			t.entries++
 		}
-		ln.frames[slot] = frame
+		g.frames[w][idx][slot] = frame
 		t.continueMigration()
 		return
 	}
-	ln := line[P]{valid: true, tag: tag, present: 1 << slot}
+	ln := line[P]{key: makeKey(tag, 1<<slot)}
 	ln.frames[slot] = frame
 	t.placeLine(ln)
 	t.entries++
@@ -358,11 +390,12 @@ func (t *Table[P]) tryPlace(ln line[P]) bool {
 	// writes into the current generation.
 	tcur := t.writable(t.cur)
 	for kick := 0; kick <= t.cfg.MaxKicks; kick++ {
+		tag := keyTag(cur.key)
 		for w := 0; w < t.cfg.Ways; w++ {
-			idx := tcur.index(w, cur.tag)
-			if !tcur.ways[w][idx].valid {
-				tcur.writableWay(w)[idx] = cur
-				t.notifyPlacement(cur.tag, w)
+			idx := tcur.index(w, tag)
+			if tcur.keys[w][idx] == 0 {
+				tcur.store(w, idx, cur)
+				t.notifyPlacement(tag, w)
 				return true
 			}
 		}
@@ -372,10 +405,10 @@ func (t *Table[P]) tryPlace(ln line[P]) bool {
 		if w == lastWay {
 			w = (w + 1) % t.cfg.Ways
 		}
-		idx := tcur.index(w, cur.tag)
-		victim := tcur.ways[w][idx]
-		tcur.writableWay(w)[idx] = cur
-		t.notifyPlacement(cur.tag, w)
+		idx := tcur.index(w, tag)
+		victim := tcur.load(w, idx)
+		tcur.store(w, idx, cur)
+		t.notifyPlacement(tag, w)
 		cur = victim
 		lastWay = w
 		t.stats.Kicks++
@@ -400,21 +433,24 @@ func (t *Table[P]) Remove(vpn uint64) bool {
 	if !ok {
 		return false
 	}
-	if ln := &g.ways[w][idx]; ln.present&(1<<slot) == 0 {
+	if keyPresent(g.keys[w][idx])&(1<<slot) == 0 {
 		return false
 	}
 	g = t.writable(g)
-	ln := &g.writableWay(w)[idx]
-	ln.present &^= 1 << slot
-	ln.frames[slot] = 0
+	g.writableWay(w)
+	key := g.keys[w][idx] &^ (1 << (keyTagBits + slot))
+	if keyPresent(key) == 0 {
+		key = 0 // the line's last translation: the bucket is empty again
+	}
+	g.keys[w][idx] = key
+	g.frames[w][idx][slot] = 0
 	t.entries--
 	t.stats.Removes++
 	t.dirty = true
 	if t.cwt != nil {
 		t.cwt.ClearPresent(vpn)
 	}
-	if ln.present == 0 {
-		ln.valid = false
+	if key == 0 {
 		t.occupied--
 		if t.cwt != nil {
 			t.cwt.clearWay(tag)
@@ -434,11 +470,10 @@ func (t *Table[P]) Lookup(vpn uint64) (frame P, ok bool) {
 	if !found {
 		return 0, false
 	}
-	ln := &g.ways[w][idx]
-	if ln.present&(1<<slot) == 0 {
+	if keyPresent(g.keys[w][idx])&(1<<slot) == 0 {
 		return 0, false
 	}
-	return ln.frames[slot], true
+	return g.frames[w][idx][slot], true
 }
 
 // SnapshotLookup resolves vpn against the latest published view — the
@@ -455,11 +490,10 @@ func (t *Table[P]) SnapshotLookup(vpn uint64) (frame P, ok bool) {
 	if !found {
 		return 0, false
 	}
-	ln := &g.ways[w][idx]
-	if ln.present&(1<<slot) == 0 {
+	if keyPresent(g.keys[w][idx])&(1<<slot) == 0 {
 		return 0, false
 	}
-	return ln.frames[slot], true
+	return g.frames[w][idx][slot], true
 }
 
 // maybeStartResize begins an elastic resize when occupancy crosses the
@@ -521,18 +555,18 @@ func (t *Table[P]) continueMigration() {
 			t.migratePtr[w]++
 			progressed = true
 			budget--
-			ln := old.ways[w][idx]
-			if ln.valid {
+			if old.keys[w][idx] != 0 {
+				ln := old.load(w, idx)
 				// writable re-points t.old at the clone it may make, so
 				// the supersession comparisons above keep holding.
 				old = t.writable(old)
-				old.writableWay(w)[idx] = line[P]{}
+				old.store(w, idx, line[P]{})
 				t.placeLine(ln)
 				t.stats.Migrated++
 				if t.rec != nil {
 					t.rec.Emit(trace.Event{
 						Kind: trace.KindMigrateLine, Space: t.traceSpace(),
-						Size: t.size, Way: int8(w), Aux: ln.tag,
+						Size: t.size, Way: int8(w), Aux: keyTag(ln.key),
 					})
 				}
 			}

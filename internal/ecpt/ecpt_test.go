@@ -3,6 +3,7 @@ package ecpt
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"nestedecpt/internal/addr"
 	"nestedecpt/internal/memsim"
@@ -38,6 +39,49 @@ func TestInsertLookup(t *testing.T) {
 	if tb.Entries() != 1 {
 		t.Errorf("Entries = %d", tb.Entries())
 	}
+}
+
+// TestLineKey pins the packed key word: the largest page number a
+// 64-bit address has (52 bits) fits, group 0 is not the empty key, and
+// a frame group is exactly one 64-byte line.
+func TestLineKey(t *testing.T) {
+	for _, tag := range []uint64{0, 1, lineTag(1<<52 - 1), keyTagMask - 1} {
+		for _, present := range []uint8{1, 0x80, 0xFF} {
+			key := makeKey(tag, present)
+			if key == 0 || !keyHolds(key, tag) || keyHolds(key, tag+1) || keyTag(key) != tag || keyPresent(key) != present {
+				t.Errorf("makeKey(%#x, %#x) = %#x: tag %#x present %#x", tag, present, key, keyTag(key), keyPresent(key))
+			}
+		}
+		if keyHolds(0, tag) {
+			t.Errorf("the empty key holds tag %#x", tag)
+		}
+	}
+	if got := unsafe.Sizeof(frameGroup[addr.HPA]{}); got != LineBytes {
+		t.Errorf("a frame group is %d bytes, want %d", got, LineBytes)
+	}
+}
+
+// TestInsertRejectsOversizedPageNumber: a page number whose group tag
+// would spill into the key's present bits is a caller bug, refused
+// before it can alias another line; looking one up just misses.
+func TestInsertRejectsOversizedPageNumber(t *testing.T) {
+	tb := newTestTable(t, 64, false)
+	tb.Insert(0, 0xAA000)
+	huge := uint64(keyTagMask) * TranslationsPerLine
+	if _, ok := tb.Lookup(huge); ok {
+		t.Error("an oversized page number resolved")
+	}
+	for _, p := range tb.ProbesFor(huge+TranslationsPerLine, AllWays) {
+		if p.TagMatch {
+			t.Error("an oversized page number tag-matched a line")
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Insert accepted a page number that does not fit the key")
+		}
+	}()
+	tb.Insert(huge, 0xBB000)
 }
 
 func TestLinePacking(t *testing.T) {

@@ -99,12 +99,11 @@ func (t *Table[P]) ProbesFor(vpn uint64, way int) []Probe[P] {
 
 func fillProbe[P addr.Addr](p *Probe[P], g *generation[P], w, idx int, tag uint64, slot int) {
 	*p = Probe[P]{Way: w, PA: g.linePA(w, idx)}
-	ln := &g.ways[w][idx]
-	if ln.valid && ln.tag == tag {
+	if key := g.keys[w][idx]; keyHolds(key, tag) {
 		p.TagMatch = true
-		if ln.present&(1<<slot) != 0 {
+		if keyPresent(key)&(1<<slot) != 0 {
 			p.Match = true
-			p.Frame = ln.frames[slot]
+			p.Frame = g.frames[w][idx][slot]
 		}
 	}
 }

@@ -29,8 +29,8 @@ import (
 //
 // Copy-on-write granularity. Publishing seals the current generations
 // (and CWT pages); the first mutation after a publish clones the
-// generation header, and each way's line array is cloned only when
-// first written (ways are megabytes where lines are bytes, so per-way
+// generation header, and each way's key and frame arrays are cloned only
+// when first written (ways are megabytes where lines are bytes, so per-way
 // sharing is what keeps a publish-heavy churn affordable). The clone
 // keeps the original's physical base addresses: a view's probe
 // addresses stay valid until the region itself is retired through the
@@ -133,7 +133,7 @@ func (t *Table[P]) seal(g *generation[P]) {
 	}
 	g.sealed = true
 	if g.shared == nil {
-		g.shared = make([]bool, len(g.ways))
+		g.shared = make([]bool, len(g.keys))
 	}
 	for i := range g.shared {
 		g.shared[i] = true
@@ -153,10 +153,11 @@ func (t *Table[P]) writable(g *generation[P]) *generation[P] {
 		linesPerWay: g.linesPerWay,
 		mask:        g.mask,
 		pow2:        g.pow2,
-		ways:        append([][]line[P](nil), g.ways...),
+		keys:        append([][]uint64(nil), g.keys...),
+		frames:      append([][]frameGroup[P](nil), g.frames...),
 		hash:        g.hash,   // immutable after construction
 		basePA:      g.basePA, // the clone models the same physical region
-		shared:      make([]bool, len(g.ways)),
+		shared:      make([]bool, len(g.keys)),
 	}
 	for i := range ng.shared {
 		ng.shared[i] = true
@@ -170,14 +171,26 @@ func (t *Table[P]) writable(g *generation[P]) *generation[P] {
 	return ng
 }
 
-// writableWay returns way w's line array for writing, cloning it the
-// first time it is written after a publish.
-func (g *generation[P]) writableWay(w int) []line[P] {
+// writableWay makes way w's key and frame arrays safe to write, cloning
+// both the first time the way is written after a publish.
+func (g *generation[P]) writableWay(w int) {
 	if g.shared != nil && g.shared[w] {
-		g.ways[w] = append([]line[P](nil), g.ways[w]...)
+		g.keys[w] = append([]uint64(nil), g.keys[w]...)
+		g.frames[w] = append([]frameGroup[P](nil), g.frames[w]...)
 		g.shared[w] = false
 	}
-	return g.ways[w]
+}
+
+// load returns line idx of way w as a value.
+func (g *generation[P]) load(w, idx int) line[P] {
+	return line[P]{key: g.keys[w][idx], frames: g.frames[w][idx]}
+}
+
+// store writes ln into line idx of way w, privatizing the way first.
+func (g *generation[P]) store(w, idx int, ln line[P]) {
+	g.writableWay(w)
+	g.keys[w][idx] = ln.key
+	g.frames[w][idx] = ln.frames
 }
 
 // retireGeneration defers the return of g's backing regions until the
@@ -197,19 +210,19 @@ func (t *Table[P]) retireGeneration(g *generation[P]) {
 //
 //nestedlint:hotpath
 func (v *tableView[P]) findLine(tag uint64) (g *generation[P], w, idx int, ok bool) {
-	for w := 0; w < len(v.cur.ways); w++ {
+	for w := 0; w < len(v.cur.keys); w++ {
 		idx := v.cur.index(w, tag)
-		if ln := &v.cur.ways[w][idx]; ln.valid && ln.tag == tag {
+		if keyHolds(v.cur.keys[w][idx], tag) {
 			return v.cur, w, idx, true
 		}
 	}
 	if v.old != nil {
-		for w := 0; w < len(v.old.ways); w++ {
+		for w := 0; w < len(v.old.keys); w++ {
 			idx := v.old.index(w, tag)
 			if idx < v.migratePtr[w] {
 				continue // already migrated out at publish time
 			}
-			if ln := &v.old.ways[w][idx]; ln.valid && ln.tag == tag {
+			if keyHolds(v.old.keys[w][idx], tag) {
 				return v.old, w, idx, true
 			}
 		}

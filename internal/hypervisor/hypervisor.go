@@ -114,17 +114,17 @@ func (h *Hypervisor) Allocator() *memsim.Allocator[addr.HPA] { return h.alloc }
 func (h *Hypervisor) Stats() Stats { return h.stats }
 
 // Resolve is the functional (untimed) side of one host translation: it
-// returns the host-physical address backing gpa, demand-mapping the
-// guest physical page on a nested fault, and reports whether it
-// faulted. isPageTable marks gPAs that hold guest page tables or CWTs,
-// which KVM backs only with 4KB pages (§4.3). The mapped path costs one
-// Translate; the fault path returns the frame it just mapped without
-// looking it up again.
+// returns the host-physical address and host page size backing gpa,
+// demand-mapping the guest physical page on a nested fault, and reports
+// whether it faulted. isPageTable marks gPAs that hold guest page tables
+// or CWTs, which KVM backs only with 4KB pages (§4.3). The mapped path
+// costs one Translate; the fault path returns the frame it just mapped
+// without looking it up again.
 //
 //nestedlint:writer reads and mutates the staged host tables
-func (h *Hypervisor) Resolve(gpa addr.GPA, isPageTable bool) (hpa addr.HPA, faulted bool, err error) {
-	if hpa, _, ok := h.Translate(gpa); ok {
-		return hpa, false, nil
+func (h *Hypervisor) Resolve(gpa addr.GPA, isPageTable bool) (hpa addr.HPA, size addr.PageSize, faulted bool, err error) {
+	if hpa, size, ok := h.Translate(gpa); ok {
+		return hpa, size, false, nil
 	}
 	h.stats.NestedFaults++
 
@@ -133,23 +133,23 @@ func (h *Hypervisor) Resolve(gpa addr.GPA, isPageTable bool) (hpa addr.HPA, faul
 		if frame, ok := h.alloc.Alloc(addr.Page2M, memsim.PurposeData); ok {
 			h.mapPage(region, addr.Page2M, frame)
 			h.stats.HugeMaps++
-			return addr.Translate(frame, gpa, addr.Page2M), true, nil
+			return addr.Translate(frame, gpa, addr.Page2M), addr.Page2M, true, nil
 		}
 		h.stats.HugeFallback++
 	}
 	frame, ok := h.alloc.Alloc(addr.Page4K, memsim.PurposeData)
 	if !ok {
-		return 0, false, fmt.Errorf("hypervisor: host out of memory mapping gPA %#x", gpa)
+		return 0, 0, false, fmt.Errorf("hypervisor: host out of memory mapping gPA %#x", gpa)
 	}
 	h.mapPage(addr.PageBase(gpa, addr.Page4K), addr.Page4K, frame)
 	h.small2m[region] = true
-	return addr.Translate(frame, gpa, addr.Page4K), true, nil
+	return addr.Translate(frame, gpa, addr.Page4K), addr.Page4K, true, nil
 }
 
 // EnsureMapped is Resolve for callers that only need the page mapped:
 // it reports whether a nested fault occurred.
 func (h *Hypervisor) EnsureMapped(gpa addr.GPA, isPageTable bool) (faulted bool, err error) {
-	_, faulted, err = h.Resolve(gpa, isPageTable)
+	_, _, faulted, err = h.Resolve(gpa, isPageTable)
 	return faulted, err
 }
 

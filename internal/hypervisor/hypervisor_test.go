@@ -202,16 +202,16 @@ func TestResolveMatchesEnsureMappedTranslate(t *testing.T) {
 			one, pair := build(), build()
 			for i, a := range tc.accesses {
 				before := stateOf(one)
-				hpa, faulted, err := one.Resolve(a.gpa, a.pageTable)
+				hpa, size, faulted, err := one.Resolve(a.gpa, a.pageTable)
 				pFaulted, pErr := pair.EnsureMapped(a.gpa, a.pageTable)
-				pHPA, _, pOK := pair.Translate(a.gpa)
+				pHPA, pSize, pOK := pair.Translate(a.gpa)
 
 				if (err == nil) != (pErr == nil) || (err != nil && err.Error() != pErr.Error()) {
 					t.Fatalf("step %d gpa %#x: Resolve err %v, EnsureMapped err %v", i, a.gpa, err, pErr)
 				}
-				if hpa != pHPA || faulted != pFaulted || pOK != (err == nil) {
-					t.Fatalf("step %d gpa %#x: Resolve (%#x,%v) vs pair (%#x,%v,ok=%v)",
-						i, a.gpa, hpa, faulted, pHPA, pFaulted, pOK)
+				if hpa != pHPA || size != pSize || faulted != pFaulted || pOK != (err == nil) {
+					t.Fatalf("step %d gpa %#x: Resolve (%#x,%v,%v) vs pair (%#x,%v,%v,ok=%v)",
+						i, a.gpa, hpa, size, faulted, pHPA, pSize, pFaulted, pOK)
 				}
 				if got, want := stateOf(one), stateOf(pair); got != want {
 					t.Fatalf("step %d gpa %#x: state diverged: Resolve %+v, pair %+v", i, a.gpa, got, want)

@@ -85,6 +85,7 @@ type Kernel struct {
 	vmas    []VMA
 	regions map[addr.GVA]regionState
 	stats   Stats
+	unmaps  uint64 // successful Unmaps; see Unmaps
 }
 
 // New builds a kernel from cfg.
@@ -132,6 +133,13 @@ func (k *Kernel) Allocator() *memsim.Allocator[addr.GPA] { return k.alloc }
 
 // Stats returns a copy of the paging statistics.
 func (k *Kernel) Stats() Stats { return k.stats }
+
+// Unmaps returns how many pages Unmap has removed. Mapping a page never
+// changes a translation that already exists (Resolve maps only what
+// Translate misses, and a region holding 4KB pages is never re-backed
+// by a 2MB one), so whoever caches translations holds no stale one for
+// as long as this count stands still.
+func (k *Kernel) Unmaps() uint64 { return k.unmaps }
 
 // DefineVMA registers a virtual memory area. Touching addresses
 // outside every VMA is a segmentation violation.
@@ -232,6 +240,7 @@ func (k *Kernel) Unmap(va addr.GVA) bool {
 	if size == addr.Page2M {
 		delete(k.regions, base)
 	}
+	k.unmaps++
 	return true
 }
 

@@ -149,6 +149,11 @@ func TestUnmap(t *testing.T) {
 	if _, _, err := k.Touch(0x1020_0000); err != nil {
 		t.Fatal(err)
 	}
+	// Only the unmap that removed a page counts: neither the failed one
+	// nor the mappings around it may move the coherence counter.
+	if got := k.Unmaps(); got != 1 {
+		t.Errorf("Unmaps() = %d after one successful and one failed Unmap, want 1", got)
+	}
 }
 
 func TestPageTableMemoryGrows(t *testing.T) {

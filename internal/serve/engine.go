@@ -348,7 +348,7 @@ func (e *engine) hostWriter() {
 //nestedlint:writer the host half of a churn round; called only from the host writer (or inline in single-goroutine replay)
 func (e *engine) hostApply(req *hostRequest) error {
 	for i, gpa := range req.data {
-		hpa, _, err := e.hyp.Resolve(gpa, false)
+		hpa, _, _, err := e.hyp.Resolve(gpa, false)
 		if err != nil {
 			return fmt.Errorf("serve: host map %#x: %w", gpa, err)
 		}

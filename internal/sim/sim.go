@@ -40,13 +40,19 @@ type Machine struct {
 	// populated records that Prepopulate completed.
 	populated bool
 
+	// memo backs resolve, the functional side's single entry point.
+	memo memo
+
 	// rec, when set, receives walk-trace events for the measured phase.
 	rec *trace.Recorder
 
 	// batch holds the reusable scratch for the batched pipeline.
 	batch batchScratch
 
-	res Result
+	// res is its own allocation: a caller keeping the *Result Run
+	// returns (a sweep keeps every run's) must not keep the machine and
+	// its page tables alive with it.
+	res *Result
 }
 
 // batchScratch is the per-machine scratch the batched step reuses so
@@ -77,7 +83,7 @@ func NewMachine(cfg Config) (*Machine, error) {
 		return nil, err
 	}
 
-	m := &Machine{cfg: cfg, gen: gen}
+	m := &Machine{cfg: cfg, gen: gen, res: new(Result)}
 	m.tlb = tlbsim.New(cfg.TLB)
 	m.mem = cachesim.NewHierarchy(cfg.Hierarchy)
 
@@ -105,6 +111,7 @@ func NewMachine(cfg Config) (*Machine, error) {
 	for _, v := range gen.VMAs() {
 		m.kern.DefineVMA(v)
 	}
+	m.memo = newMemo(gen.VMAs(), cfg.THP)
 
 	if cfg.Design.Nested() {
 		hcfg := hypervisor.Config{
@@ -210,25 +217,16 @@ func (m *Machine) now() uint64 { return uint64(m.cycles) }
 // fault costs. Page-table and CWT pages are demand-mapped through the
 // walker's nested-fault path instead.
 func (m *Machine) prefault(va addr.GVA) error {
-	gpa, _, faulted, err := m.kern.Resolve(va)
-	if err != nil {
-		return err
-	}
-	if faulted {
+	_, _, guestFault, hostFault, err := m.resolve(va)
+	if guestFault {
 		m.res.GuestFaults++
 		m.cycles += float64(m.cfg.Timing.PageFaultCycles)
 	}
-	if m.hyp != nil {
-		hf, err := m.hyp.EnsureMapped(gpa, false)
-		if err != nil {
-			return err
-		}
-		if hf {
-			m.res.HostFaults++
-			m.cycles += float64(m.cfg.Timing.PageFaultCycles)
-		}
+	if hostFault {
+		m.res.HostFaults++
+		m.cycles += float64(m.cfg.Timing.PageFaultCycles)
 	}
-	return nil
+	return err
 }
 
 // walk runs the configured walker, servicing nested faults on guest
@@ -473,7 +471,8 @@ func (m *Machine) stepBatch(measure bool, n int) error {
 // applications"). It populates once: a call after one that completed
 // returns at once, so Run on an already-populated machine does not
 // re-walk its VMAs. A page the caller unmaps afterwards is repaired by
-// step's demand paging, timed as the fault it is.
+// step's demand paging, timed as the fault it is, after resolve has
+// dropped every cached copy of the old translation.
 func (m *Machine) Prepopulate() error {
 	if m.populated {
 		return nil
@@ -481,14 +480,9 @@ func (m *Machine) Prepopulate() error {
 	for _, v := range m.gen.VMAs() {
 		limit := addr.Add(v.Base, v.Size)
 		for va := v.Base; va < limit; {
-			gpa, size, _, err := m.kern.Resolve(va)
+			_, size, _, _, err := m.resolve(va)
 			if err != nil {
 				return fmt.Errorf("sim: prepopulate %#x: %w", va, err)
-			}
-			if m.hyp != nil {
-				if _, err := m.hyp.EnsureMapped(gpa, false); err != nil {
-					return err
-				}
 			}
 			va = addr.Add(va, size.Bytes())
 		}
@@ -500,15 +494,9 @@ func (m *Machine) Prepopulate() error {
 // injectRemote charges one co-runner access at va to the shared cache
 // level, demand-mapping it (untimed) if needed.
 func (m *Machine) injectRemote(va addr.GVA) error {
-	gpa, _, _, err := m.kern.Resolve(va)
+	hpa, _, _, _, err := m.resolve(va)
 	if err != nil {
 		return err
-	}
-	hpa := addr.IdentityHPA(gpa)
-	if m.hyp != nil {
-		if hpa, _, err = m.hyp.Resolve(gpa, false); err != nil {
-			return err
-		}
 	}
 	m.mem.AccessRemote(m.now(), hpa)
 	return nil
@@ -582,7 +570,7 @@ func (m *Machine) RunContext(ctx context.Context) (*Result, error) {
 	m.rec.Flush()
 
 	m.collect()
-	return &m.res, nil
+	return m.res, nil
 }
 
 // resetStats clears warm-up statistics while keeping all cache, TLB

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
+	"time"
 
 	"nestedecpt/internal/cachesim"
 )
@@ -294,4 +296,34 @@ func TestEcptBeatsRadixOnGUPS(t *testing.T) {
 		t.Errorf("ECPT mean walk %.0f not below radix %.0f",
 			e.WalkLatency.Mean(), r.WalkLatency.Mean())
 	}
+}
+
+// TestResultDoesNotPinMachine: a sweep keeps every run's *Result; if
+// that pointer reached into the Machine, every finished machine's page
+// tables would stay live until the sweep ended.
+func TestResultDoesNotPinMachine(t *testing.T) {
+	cfg := DefaultConfig(DesignNestedECPT, "GUPS", false)
+	cfg.WorkloadOpts.Scale = 512
+	cfg.WarmupAccesses, cfg.MeasureAccesses = 100, 100
+	m, err := NewMachine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	freed := make(chan struct{})
+	runtime.SetFinalizer(m, func(*Machine) { close(freed) })
+	res, err := m.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m = nil
+	for i := 0; i < 20; i++ {
+		runtime.GC()
+		select {
+		case <-freed:
+			runtime.KeepAlive(res)
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Errorf("the machine is still reachable through its Result (%d accesses) after Run returned", res.MemAccesses)
 }
