@@ -2,8 +2,9 @@
 #
 #   make check   lint + build + full test suite + proof + escape-hatch
 #                audit (every gate CI's lint matrix runs)
-#   make lint    static analysis gate: go vet, staticcheck (when
-#                installed), and cmd/nestedlint — the custom analyzer
+#   make lint    static analysis gate: gofmt (any file `gofmt -l` lists
+#                fails it), go vet, staticcheck (when installed), and
+#                cmd/nestedlint — the custom analyzer
 #                suite enforcing the hot-path, determinism,
 #                typed-address (addrspace: no unsanctioned GVA/GPA/HPA
 #                crossings), and concurrency-discipline (epochguard /
@@ -43,13 +44,6 @@
 #                numbers from (Nested ECPTs, GUPS, 4KB pages) under the
 #                CPU and heap profilers; inspect with
 #                `go tool pprof cpu.pprof`
-#   make benchjson regenerates BENCH_4.json, the machine-readable
-#                walker + serve performance snapshot (commit it when
-#                the walk path changes)
-#   make benchdrift re-measures the walker benchmarks and compares them
-#                against the committed BENCH_4.json (non-blocking CI
-#                job; exits non-zero on allocation growth or a large
-#                time regression)
 #   make endbench  the repository's benchmark (BENCHMARK.json): one
 #                workload of benchmark/ through its own entry point,
 #                `make endbench WORKLOAD=sim_gups_4k SEED=42` (add
@@ -69,7 +63,7 @@
 
 GO ?= go
 
-.PHONY: check vet build test lint prove escapes race cover bench fuzz profile benchjson benchdrift endbench endbench-compare benchcheck servesmoke serveaudit
+.PHONY: check vet build test lint prove escapes race cover bench fuzz profile endbench endbench-compare benchcheck servesmoke serveaudit
 
 check: lint build test prove escapes
 
@@ -86,6 +80,8 @@ test:
 # export data. staticcheck is optional tooling: run when present, never
 # a silent no-op (the skip is printed).
 lint: build
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l . lists:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		echo "staticcheck ./..."; staticcheck ./...; \
@@ -171,12 +167,6 @@ profile:
 		-cpuprofile cpu.pprof -memprofile mem.pprof
 	@echo "inspect with: $(GO) tool pprof cpu.pprof   (or mem.pprof)"
 
-benchjson:
-	$(GO) run ./cmd/benchjson -o BENCH_4.json
-
-benchdrift:
-	$(GO) run ./cmd/benchjson -drift BENCH_4.json
-
 # The end-to-end benchmark BENCHMARK.json declares, through its own
 # entry point (which builds benchmark/ into .bench_build/).
 WORKLOAD ?= all
@@ -199,9 +189,10 @@ benchcheck:
 	$(GO) -C benchmark test ./...
 
 # Throughput smoke: a short serve run must clear a deliberately modest
-# floor (shared CI runners are slow and single-core; the committed
-# BENCH_4.json records the real rate). Keep the floor well under the
-# VM-density acceptance rate so the gate catches collapses, not noise.
+# floor (shared CI runners are slow and single-core; `make endbench
+# WORKLOAD=serve_steady` measures the real rate). Keep the floor well
+# under the VM-density acceptance rate so the gate catches collapses,
+# not noise.
 SERVE_MINRATE ?= 50000
 
 servesmoke:

@@ -218,8 +218,9 @@ func BenchmarkSingleWalkNestedECPT(b *testing.B) {
 
 // BenchmarkBatchWalkNestedECPT measures the batched walker hot path:
 // WalkBatch over pre-resolved mapped addresses at the pipeline's batch
-// sizes. ns/walk (= ns/op divided by the batch size) is the number the
-// BENCH_3.json snapshot tracks; the batch path must stay 0 allocs.
+// sizes. Divide ns/op by the batch size for ns/walk; the number that
+// counts is core.walkbatch32_ns_per_walk of `make endbench TRACE=1`, and
+// alloc_test.go holds the batch path at 0 allocs.
 func BenchmarkBatchWalkNestedECPT(b *testing.B) {
 	for _, batch := range []int{8, 32} {
 		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {

@@ -229,7 +229,6 @@ func SizeForLeaf(l RadixLevel) PageSize {
 // fmt.Sprintf would put an escaping allocation inside the hot region.
 //
 //nestedlint:coldpath panic formatting runs once at death, never on a mapped walk
-//
 //go:noinline
 func panicBadLeaf(l RadixLevel) {
 	panic(fmt.Sprintf("addr: level %s does not map pages", l))

@@ -137,17 +137,17 @@ type AgreementSummary struct {
 // ProofReport is the machine-readable artifact `nestedlint -prove`
 // emits for CI.
 type ProofReport struct {
-	Schema        string            `json:"schema"`
-	Toolchain     string            `json:"toolchain"`
-	GCFlags       string            `json:"gcflags"`
-	Packages      []string          `json:"packages"`
-	CallGraph     CallGraphSummary  `json:"callGraph"`
-	HotRegion     HotRegionSummary  `json:"hotRegion"`
-	Devirtualized []DevirtSummary   `json:"devirtualized"`
-	Compiler      CompilerSummary   `json:"compiler"`
-	Findings      []ProofFinding    `json:"findings"`
-	BCEAdvisories []ProofFinding    `json:"bceAdvisories"`
-	Agreement     AgreementSummary  `json:"agreement"`
+	Schema        string           `json:"schema"`
+	Toolchain     string           `json:"toolchain"`
+	GCFlags       string           `json:"gcflags"`
+	Packages      []string         `json:"packages"`
+	CallGraph     CallGraphSummary `json:"callGraph"`
+	HotRegion     HotRegionSummary `json:"hotRegion"`
+	Devirtualized []DevirtSummary  `json:"devirtualized"`
+	Compiler      CompilerSummary  `json:"compiler"`
+	Findings      []ProofFinding   `json:"findings"`
+	BCEAdvisories []ProofFinding   `json:"bceAdvisories"`
+	Agreement     AgreementSummary `json:"agreement"`
 }
 
 // Passed reports whether the proof holds (no blocking findings).

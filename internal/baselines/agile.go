@@ -2,105 +2,34 @@ package baselines
 
 import (
 	"nestedecpt/internal/addr"
-	"nestedecpt/internal/cachesim"
 	"nestedecpt/internal/core"
 	"nestedecpt/internal/hypervisor"
 	"nestedecpt/internal/kernel"
-	"nestedecpt/internal/mmucache"
-	"nestedecpt/internal/trace"
 )
 
-// AgileIdeal is the idealized Agile Paging design of §9.6: the guest
-// page table is walked as in shadow paging — at most four sequential
-// accesses with full PWC support — and every host-level cost
-// (shadow-table maintenance, hypervisor intervention) is waived. This
-// deliberately overestimates Agile Paging, as the paper does, so that
-// outperforming it is meaningful.
-type AgileIdeal struct {
-	mem   core.MemSystem
-	guest *kernel.Kernel
-	host  *hypervisor.Hypervisor
-	pwc   *levelCache[addr.GVA, addr.GPA]
+// freeHost is the ideal host dimension: the shadow structure keeps
+// table pages at host addresses, so composing gPA→hPA costs nothing —
+// no access, no latency, no NTLB in front.
+type freeHost struct{ host *hypervisor.Hypervisor }
 
-	// BatchState provides SetBatchMSHRs and the batch scratch.
-	core.BatchState
-}
-
-// WalkBatch implements core.Walker via the generic single-stage
-// batcher (the baselines emit no trace events).
-//
-//nestedlint:hotpath
-func (w *AgileIdeal) WalkBatch(now uint64, gvas []addr.GVA, out []core.WalkResult, errs []error) uint64 {
-	return core.SequentialWalkBatch(w, &w.BatchState, nil, trace.WalkerNone, now, gvas, out, errs)
-}
-
-// NewAgileIdeal builds the idealized walker. The guest kernel must
-// maintain radix tables; the hypervisor provides the (free) gPA→hPA
-// composition.
-func NewAgileIdeal(mem core.MemSystem, guest *kernel.Kernel, host *hypervisor.Hypervisor) *AgileIdeal {
-	if guest.Radix() == nil {
-		panic("baselines: AgileIdeal requires a guest radix table")
-	}
-	return &AgileIdeal{
-		mem:   mem,
-		guest: guest,
-		host:  host,
-		pwc:   newLevelCache[addr.GVA, addr.GPA]("PWC", 32, addr.L2, addr.L4),
-	}
-}
-
-// Name implements core.Walker.
-func (w *AgileIdeal) Name() string { return "Ideal Agile Paging" }
-
-// Walk implements core.Walker: a native-cost guest walk whose table
-// accesses land at host-translated addresses for free.
-func (w *AgileIdeal) Walk(now uint64, va addr.GVA) (core.WalkResult, error) {
-	var res core.WalkResult
-	steps, ok := w.guest.Radix().Walk(va)
+// Translate implements core.HostDim.
+func (f freeHost) Translate(_ uint64, gpa addr.GPA, _ int, _ *core.WalkResult) (addr.HPA, addr.PageSize, uint64, error) {
+	hpa, size, ok := f.host.Translate(gpa)
 	if !ok {
-		return res, &core.ErrNotMapped{Space: "guest", GVA: va}
+		return 0, 0, 0, &core.ErrNotMapped{Space: "host", GPA: gpa}
 	}
-	lat := uint64(mmucache.LatencyRT)
-	start := 0
-	for i := len(steps) - 1; i >= 0; i-- {
-		st := steps[i]
-		if st.Leaf || st.Level < addr.L2 {
-			continue
-		}
-		if _, hit := w.pwc.lookup(va, st.Level); hit {
-			start = i + 1
-			break
-		}
-	}
-	for i := start; i < len(steps); i++ {
-		st := steps[i]
-		// The shadow structure keeps table pages at host addresses;
-		// composing gPA→hPA costs nothing in the ideal model.
-		hpa, _, ok := w.host.Translate(st.EntryPA)
-		if !ok {
-			return res, &core.ErrNotMapped{Space: "host", GPA: st.EntryPA}
-		}
-		alat, _ := w.mem.Access(now+lat, hpa, cachesim.SourceMMU)
-		lat += alat
-		res.Accesses++
-		if st.Leaf {
-			dataGPA := addr.Translate(st.Frame, va, st.Size)
-			hpa, hsize, ok := w.host.Translate(dataGPA)
-			if !ok {
-				return res, &core.ErrNotMapped{Space: "host", GPA: dataGPA}
-			}
-			if hsize < st.Size {
-				res.Size = hsize
-			} else {
-				res.Size = st.Size
-			}
-			res.Frame = addr.PageBase(hpa, res.Size)
-			res.Latency = lat
-			return res, nil
-		}
-		if st.Level >= addr.L2 {
-			w.pwc.insert(va, st.Level, st.NextPA)
-		}
-	}
-	return res, &core.ErrNotMapped{Space: "guest", GVA: va}
+	return hpa, size, 0, nil
+}
+
+// NewAgileIdeal builds the idealized Agile Paging design of §9.6: the
+// guest page table is walked as in shadow paging — at most four
+// sequential accesses with full PWC support, a native-cost guest walk
+// whose table accesses land at host-translated addresses for free —
+// and every host-level cost (shadow-table maintenance, hypervisor
+// intervention) is waived. This deliberately overestimates Agile
+// Paging, as the paper does, so that outperforming it is meaningful.
+// The guest kernel must maintain radix tables; the hypervisor provides
+// the (free) gPA→hPA composition.
+func NewAgileIdeal(mem core.MemSystem, guest *kernel.Kernel, host *hypervisor.Hypervisor) *core.RadixWalker {
+	return core.NewRadixWalker("Ideal Agile Paging", 32, 0, mem, guest, freeHost{host})
 }

@@ -10,42 +10,8 @@
 //   - Flat nested page tables (Ahn et al., ISCA'12): a guest radix
 //     table combined with a flat (single-access) host table, reducing
 //     the worst case from 24 to 9 sequential accesses.
+//
+// Agile and Flat are configurations of core.RadixWalker — the one
+// guest-radix walk over a free and a one-access host dimension; the
+// POM-TLB is a cache in front of the Nested Radix configuration.
 package baselines
-
-import (
-	"fmt"
-
-	"nestedecpt/internal/addr"
-	"nestedecpt/internal/mmucache"
-)
-
-// levelCache is a per-radix-level LRU prefix cache (the same structure
-// core's walkers use for PWCs, duplicated here to keep the baseline
-// package self-contained). V is the translated space (lookup keys are
-// V-prefixes) and P the space the cached entry contents point into;
-// the baselines only cache guest tables, so they use
-// levelCache[addr.GVA, addr.GPA].
-type levelCache[V, P addr.Addr] struct {
-	levels [5]*mmucache.Cache[uint64, P]
-}
-
-func newLevelCache[V, P addr.Addr](name string, perLevel int, lo, hi addr.RadixLevel) *levelCache[V, P] {
-	c := &levelCache[V, P]{}
-	for l := lo; l <= hi; l++ {
-		c.levels[l] = mmucache.New[uint64, P](fmt.Sprintf("%s/%s", name, l), perLevel)
-	}
-	return c
-}
-
-func (c *levelCache[V, P]) lookup(va V, l addr.RadixLevel) (P, bool) {
-	if c.levels[l] == nil {
-		return 0, false
-	}
-	return c.levels[l].Lookup(addr.LevelPrefix(va, l))
-}
-
-func (c *levelCache[V, P]) insert(va V, l addr.RadixLevel, content P) {
-	if c.levels[l] != nil {
-		c.levels[l].Insert(addr.LevelPrefix(va, l), content)
-	}
-}

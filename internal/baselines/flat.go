@@ -7,145 +7,55 @@ import (
 	"nestedecpt/internal/hypervisor"
 	"nestedecpt/internal/kernel"
 	"nestedecpt/internal/memsim"
-	"nestedecpt/internal/mmucache"
-	"nestedecpt/internal/trace"
 )
 
 // FlatNested implements flat nested page tables (§9.6): the guest
 // keeps radix tables, while the host table is a single flat array
 // indexed by guest frame number, so each gPA→hPA translation costs one
-// memory access. The worst-case walk is 4×(1+1)+1 = 9 sequential
-// accesses. The flat table's weakness — it must reserve one entry per
-// guest frame regardless of what is mapped — is inherent to the
-// design and visible in its memory footprint.
+// memory access — Figure 8's shape with a one-access host dimension
+// behind a 24-entry NTLB. The worst-case walk is 4×(1+1)+1 = 9
+// sequential accesses. The flat table's weakness — it must reserve one
+// entry per guest frame regardless of what is mapped — is inherent to
+// the design and visible in its memory footprint.
 type FlatNested struct {
-	mem      core.MemSystem
-	guest    *kernel.Kernel
-	host     *hypervisor.Hypervisor
-	pwc      *levelCache[addr.GVA, addr.GPA]
-	ntlb     *mmucache.Cache[addr.GPA, addr.HPA]
-	flatBase addr.HPA
-	flatSize uint64
-
-	// BatchState provides SetBatchMSHRs and the batch scratch.
-	core.BatchState
+	*core.RadixWalker
+	flat *flatHost
 }
 
-// WalkBatch implements core.Walker via the generic single-stage
-// batcher (the baselines emit no trace events).
-//
-//nestedlint:hotpath
-func (w *FlatNested) WalkBatch(now uint64, gvas []addr.GVA, out []core.WalkResult, errs []error) uint64 {
-	return core.SequentialWalkBatch(w, &w.BatchState, nil, trace.WalkerNone, now, gvas, out, errs)
+// flatHost is the flat host table: 8 bytes per potential guest 4KB
+// frame, reserved in host physical memory.
+type flatHost struct {
+	mem  core.MemSystem
+	host *hypervisor.Hypervisor
+	base addr.HPA
+	size uint64
 }
 
-// NewFlatNested builds the walker; it reserves the flat host table
-// (8 bytes per potential guest 4KB frame) in host physical memory.
+// Translate implements core.HostDim: it charges one access to the flat
+// table entry for gpa and returns the functional translation.
+func (f *flatHost) Translate(now uint64, gpa addr.GPA, _ int, res *core.WalkResult) (addr.HPA, addr.PageSize, uint64, error) {
+	entryPA := addr.Add(f.base, addr.VPN(gpa, addr.Page4K)*8)
+	lat, _ := f.mem.Access(now, entryPA, cachesim.SourceMMU)
+	res.Accesses++
+	hpa, size, ok := f.host.Translate(gpa)
+	if !ok {
+		return 0, 0, lat, &core.ErrNotMapped{Space: "host", GPA: gpa}
+	}
+	return hpa, size, lat, nil
+}
+
+// NewFlatNested builds the walker; it reserves the flat host table in
+// host physical memory.
 func NewFlatNested(mem core.MemSystem, guest *kernel.Kernel, host *hypervisor.Hypervisor) *FlatNested {
-	if guest.Radix() == nil {
-		panic("baselines: FlatNested requires a guest radix table")
+	size := guest.Allocator().Capacity() / addr.Page4K.Bytes() * 8
+	flat := &flatHost{
+		mem:  mem,
+		host: host,
+		base: host.Allocator().AllocRegion(size, memsim.PurposePageTable),
+		size: size,
 	}
-	guestFrames := guest.Allocator().Capacity() / addr.Page4K.Bytes()
-	size := guestFrames * 8
-	return &FlatNested{
-		mem:      mem,
-		guest:    guest,
-		host:     host,
-		pwc:      newLevelCache[addr.GVA, addr.GPA]("PWC", 32, addr.L2, addr.L4),
-		ntlb:     mmucache.New[addr.GPA, addr.HPA]("NTLB", 24),
-		flatBase: host.Allocator().AllocRegion(size, memsim.PurposePageTable),
-		flatSize: size,
-	}
+	return &FlatNested{RadixWalker: core.NewRadixWalker("Flat Nested", 32, 24, mem, guest, flat), flat: flat}
 }
-
-// Name implements core.Walker.
-func (w *FlatNested) Name() string { return "Flat Nested" }
 
 // FlatTableBytes returns the reserved flat-table size.
-func (w *FlatNested) FlatTableBytes() uint64 { return w.flatSize }
-
-// hostTranslate charges one access to the flat table entry for gpa and
-// returns the functional translation.
-func (w *FlatNested) hostTranslate(now uint64, gpa addr.GPA, res *core.WalkResult) (hpa addr.HPA, size addr.PageSize, lat uint64, err error) {
-	entryPA := addr.Add(w.flatBase, addr.VPN(gpa, addr.Page4K)*8)
-	alat, _ := w.mem.Access(now, entryPA, cachesim.SourceMMU)
-	res.Accesses++
-	h, hsize, ok := w.host.Translate(gpa)
-	if !ok {
-		return 0, 0, alat, &core.ErrNotMapped{Space: "host", GPA: gpa}
-	}
-	return h, hsize, alat, nil
-}
-
-// Walk implements core.Walker: Figure 8's shape with a one-access host
-// dimension.
-func (w *FlatNested) Walk(now uint64, va addr.GVA) (core.WalkResult, error) {
-	var res core.WalkResult
-	steps, ok := w.guest.Radix().Walk(va)
-	if !ok {
-		return res, &core.ErrNotMapped{Space: "guest", GVA: va}
-	}
-	lat := uint64(mmucache.LatencyRT)
-	start := 0
-	for i := len(steps) - 1; i >= 0; i-- {
-		st := steps[i]
-		if st.Leaf || st.Level < addr.L2 {
-			continue
-		}
-		if _, hit := w.pwc.lookup(va, st.Level); hit {
-			start = i + 1
-			break
-		}
-	}
-
-	var dataGPA addr.GPA
-	var gsize addr.PageSize
-	found := false
-	for i := start; i < len(steps); i++ {
-		st := steps[i]
-		// Translate the guest table page: NTLB, then the flat table.
-		lat += mmucache.LatencyRT
-		var hpa addr.HPA
-		page := addr.PageBase(st.EntryPA, addr.Page4K)
-		if frame, hit := w.ntlb.Lookup(page); hit {
-			hpa = addr.Translate(frame, st.EntryPA, addr.Page4K)
-		} else {
-			h, _, tlat, err := w.hostTranslate(now+lat, st.EntryPA, &res)
-			lat += tlat
-			if err != nil {
-				return res, err
-			}
-			hpa = h
-			w.ntlb.Insert(page, addr.PageBase(hpa, addr.Page4K))
-		}
-		alat, _ := w.mem.Access(now+lat, hpa, cachesim.SourceMMU)
-		lat += alat
-		res.Accesses++
-		if st.Leaf {
-			dataGPA = addr.Translate(st.Frame, va, st.Size)
-			gsize = st.Size
-			found = true
-			break
-		}
-		if st.Level >= addr.L2 {
-			w.pwc.insert(va, st.Level, st.NextPA)
-		}
-	}
-	if !found {
-		return res, &core.ErrNotMapped{Space: "guest", GVA: va}
-	}
-
-	hpa, hsize, tlat, err := w.hostTranslate(now+lat, dataGPA, &res)
-	lat += tlat
-	if err != nil {
-		return res, err
-	}
-	if hsize < gsize {
-		res.Size = hsize
-	} else {
-		res.Size = gsize
-	}
-	res.Frame = addr.PageBase(hpa, res.Size)
-	res.Latency = lat
-	return res, nil
-}
+func (w *FlatNested) FlatTableBytes() uint64 { return w.flat.size }

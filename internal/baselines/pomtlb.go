@@ -39,7 +39,7 @@ type pomEntry struct {
 type POMTLB struct {
 	cfg      POMTLBConfig
 	mem      core.MemSystem
-	fallback *core.NestedRadix
+	fallback *core.RadixWalker
 	sets     int
 	entries  []pomEntry
 	base     addr.HPA

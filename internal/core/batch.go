@@ -55,7 +55,7 @@ func (b *BatchState) BatchMSHRs() int {
 func (b *BatchState) grow(n int) {
 	for s := range b.stage {
 		if cap(b.stage[s]) < n {
-			//nestedlint:ignore one-time scratch growth amortized across batches; 0-alloc steady state is pinned by TestNestedECPTWalkBatchAllocationFree
+			//nestedlint:ignore one-time scratch growth amortized across batches; 0-alloc steady state is pinned by TestWalkAllocationFree
 			b.stage[s] = make([]uint64, n)
 		}
 		b.stage[s] = b.stage[s][:n]
@@ -85,6 +85,53 @@ func emitBatchEnd(rec *trace.Recorder, kind trace.WalkerKind, now uint64, lat ui
 		Space: trace.SpaceGuest, Size: trace.NoSize, Way: trace.WayNone,
 		Aux: lat,
 	})
+}
+
+// stagedLane is a walker whose walk exposes internal parallel stages:
+// walkInto performs one translation into *res (overwriting it), after
+// which stages reports the AccessParallel group latency of each stage
+// that walk reached (zero for the ones it did not).
+type stagedLane interface {
+	walkInto(now uint64, va addr.GVA, res *WalkResult) error
+	stages() []uint64
+}
+
+// stagedWalkBatch is the batch entry point of the ECPT walkers: the
+// lanes execute functionally in element order (their state effects and
+// per-lane results are exactly those of sequential Walks), each lane
+// writing straight into out[i]; the batch latency overlaps each memory
+// stage across lanes under the MSHR model, while per-lane fixed costs
+// (MMU-cache consults, hash latency) serialize. Faulted lanes
+// contribute the stages they completed and no fixed cost.
+//
+//nestedlint:hotpath
+func stagedWalkBatch(w stagedLane, b *BatchState, t *tracer, now uint64, gvas []addr.GVA, out []WalkResult, errs []error) uint64 {
+	if len(gvas) == 0 {
+		return 0
+	}
+	if t.rec != nil {
+		emitBatchBegin(t.rec, t.kind, now, len(gvas))
+	}
+	b.grow(len(gvas))
+	var lat uint64
+	for i := range gvas {
+		errs[i] = w.walkInto(now, gvas[i], &out[i])
+		var mem uint64
+		for s, l := range w.stages() {
+			b.stage[s][i] = l
+			mem += l
+		}
+		if errs[i] == nil {
+			lat += out[i].Latency - mem
+		}
+	}
+	for s := range w.stages() {
+		lat += cachesim.OverlapWaves(b.stage[s], b.mshrs)
+	}
+	if t.rec != nil {
+		emitBatchEnd(t.rec, t.kind, now+lat, lat)
+	}
+	return lat
 }
 
 // SequentialWalkBatch is the batch entry point for walkers whose lanes

@@ -3,11 +3,9 @@ package core
 import (
 	"nestedecpt/internal/addr"
 	"nestedecpt/internal/cachesim"
-	"nestedecpt/internal/ecpt"
 	"nestedecpt/internal/hypervisor"
 	"nestedecpt/internal/kernel"
 	"nestedecpt/internal/mmucache"
-	"nestedecpt/internal/radix"
 	"nestedecpt/internal/stats"
 	"nestedecpt/internal/trace"
 	"nestedecpt/internal/vhash"
@@ -49,249 +47,82 @@ type HybridStats struct {
 
 // Hybrid is the §6 migration walker: a guest radix walk whose host
 // translations each use one parallel ECPT step instead of four
-// sequential radix levels — nine sequential steps in the worst case.
+// sequential radix levels — Figure 8's nine sequential steps in the
+// worst case (4 × (host step + guest read) + final host step).
 type Hybrid struct {
-	cfg   HybridConfig
-	mem   MemSystem
-	guest *kernel.Kernel
-	host  *hypervisor.Hypervisor
-	pwc   *pwc[addr.GVA, addr.GPA]
-	ntlb  *mmucache.Cache[addr.GPA, addr.HPA]
-	hcwc  *CWC
-	st    HybridStats
-	rec   *trace.Recorder
-	// scratch, reused across walks to keep the hot path allocation-free.
-	paBuf    []addr.HPA
-	probeBuf []ecpt.Probe[addr.HPA]
-	plan     probePlan[addr.HPA]
-	steps    []radix.Step[addr.GPA]
-
-	// BatchState provides SetBatchMSHRs and the batch scratch.
-	BatchState
+	*RadixWalker
+	host *hybridHost
 }
 
-// WalkBatch implements Walker. The hybrid walk serializes its guest
-// radix rows, so each lane's whole latency forms one overlap stage.
-//
-//nestedlint:hotpath
-func (w *Hybrid) WalkBatch(now uint64, gvas []addr.GVA, out []WalkResult, errs []error) uint64 {
-	return SequentialWalkBatch(w, &w.BatchState, w.rec, trace.WalkerHybrid, now, gvas, out, errs)
+// hybridHost is the Hybrid design's host dimension: one host-ECPT
+// probe step per gPA, guarded by a single hCWC whose PTE class is only
+// consulted in the upper rows.
+type hybridHost struct {
+	hostECPT
+	hcwc *CWC
+	// pteRows is HybridConfig.PTERows.
+	pteRows     int
+	hostClasses *stats.Distribution
+	hostPar     stats.Average
+	// scratch, reused across walks to keep the hot path allocation-free.
+	paBuf []addr.HPA
+	plan  probePlan[addr.HPA]
 }
 
 // NewHybrid builds the walker over the guest radix table and host
 // ECPTs.
 func NewHybrid(cfg HybridConfig, mem MemSystem, guest *kernel.Kernel, host *hypervisor.Hypervisor) *Hybrid {
-	if guest.Radix() == nil || host.ECPTs() == nil {
-		panic("core: Hybrid requires a guest radix table and host ECPTs")
+	if host.ECPTs() == nil {
+		panic("core: Hybrid requires host ECPTs")
 	}
-	return &Hybrid{
-		cfg:   cfg,
-		mem:   mem,
-		guest: guest,
-		host:  host,
-		pwc:   newPWC[addr.GVA, addr.GPA]("PWC", cfg.PWCEntriesPerLevel, addr.L2, addr.L4),
-		ntlb:  mmucache.New[addr.GPA, addr.HPA]("NTLB", cfg.NTLBEntries),
-		hcwc:  NewCWC("hCWC", cfg.HostCWC),
-		st:    HybridStats{HostClasses: stats.NewDistribution()},
+	h := &hybridHost{
+		hostECPT:    hostECPT{mem: mem, set: host.ECPTs()},
+		hcwc:        NewCWC("hCWC", cfg.HostCWC),
+		pteRows:     cfg.PTERows,
+		hostClasses: stats.NewDistribution(),
 	}
-}
-
-// Name implements Walker.
-func (w *Hybrid) Name() string { return "Nested Hybrid" }
-
-// SetRecorder attaches a trace recorder to the walker and its MMU
-// caches (guest PWC, nested TLB, host CWC). A nil recorder disables
-// tracing.
-func (w *Hybrid) SetRecorder(r *trace.Recorder) {
-	w.rec = r
-	w.pwc.setTrace(r, trace.CachePWC, trace.WalkerHybrid)
-	w.ntlb.SetTrace(r, trace.CacheNTLB, trace.WalkerHybrid, trace.NoSize)
-	w.hcwc.SetTrace(r, trace.CacheHCWC, trace.WalkerHybrid)
+	w := NewRadixWalker("Nested Hybrid", cfg.PWCEntriesPerLevel, cfg.NTLBEntries, mem, guest, h)
+	w.kind, w.stepByLevel = trace.WalkerHybrid, true
+	return &Hybrid{RadixWalker: w, host: h}
 }
 
 // Stats returns a snapshot of the walker statistics.
-func (w *Hybrid) Stats() HybridStats { return w.st }
+func (w *Hybrid) Stats() HybridStats {
+	return HybridStats{Walks: w.walks, HostClasses: w.host.hostClasses, HostPar: w.host.hostPar}
+}
 
 // ResetStats clears measurement state at the end of warm-up.
 func (w *Hybrid) ResetStats() {
-	w.st = HybridStats{HostClasses: stats.NewDistribution()}
-	w.hcwc.ResetStats()
+	w.walks = 0
+	w.host.hostClasses = stats.NewDistribution()
+	w.host.hostPar = stats.Average{}
+	w.host.hcwc.ResetStats()
 }
 
-// translateGPA performs one Step-3-style host ECPT translation of gpa
-// (the replacement for each hL4..hL1 row of Figure 8). row selects the
-// per-row PTE-hCWT policy.
-func (w *Hybrid) translateGPA(now uint64, gpa addr.GPA, row int, res *WalkResult) (hpa addr.HPA, size addr.PageSize, lat uint64, err error) {
-	plan := &w.plan
-	planWalk(w.host.ECPTs(), w.hcwc, gpa, row <= w.cfg.PTERows, plan)
-	lat += mmucache.LatencyRT + vhash.LatencyCycles
-	if plan.fault {
+func (h *hybridHost) setRecorder(r *trace.Recorder, kind trace.WalkerKind) {
+	h.tracer = tracer{rec: r, kind: kind}
+	h.hcwc.SetTrace(r, trace.CacheHCWC, kind)
+}
+
+// Translate implements HostDim: one Step-3-style host ECPT translation
+// of gpa (the replacement for each hL4..hL1 row of Figure 8). row
+// selects the per-row PTE-hCWT policy.
+//
+//nestedlint:hotpath
+func (h *hybridHost) Translate(now uint64, gpa addr.GPA, row int, res *WalkResult) (hpa addr.HPA, size addr.PageSize, lat uint64, err error) {
+	planWalk(h.set, h.hcwc, gpa, row <= h.pteRows, &h.plan)
+	lat = mmucache.LatencyRT + vhash.LatencyCycles
+	if h.plan.fault {
 		return 0, 0, lat, &ErrNotMapped{Space: "host", GPA: gpa}
 	}
-	w.st.HostClasses.Observe(plan.class.String())
-	// hCWT refills are plain background fetches at hPAs.
-	for _, r := range plan.refills {
-		if w.rec != nil {
-			w.rec.Emit(trace.Event{
-				Now: now + lat, Kind: trace.KindRefill, Walker: trace.WalkerHybrid,
-				Space: trace.SpaceHost, Size: r.size, Way: trace.WayNone,
-				HPA: r.pa, Aux: r.key, Flag: true,
-			})
-		}
-		rlat, _ := w.mem.Access(now+lat, r.pa, cachesim.SourceMMU)
-		res.BackgroundCycles += rlat
-		res.BackgroundAccesses++
-		w.hcwc.Insert(r.size, r.key)
-	}
-
-	w.paBuf = w.paBuf[:0]
-	var frame addr.HPA
-	var fsize addr.PageSize
-	found := false
-	for _, g := range plan.groups {
-		w.probeBuf = w.host.ECPTs().Table(g.size).AppendProbes(w.probeBuf[:0], addr.VPN(gpa, g.size), g.way)
-		if w.rec != nil && len(w.probeBuf) > 0 {
-			w.rec.Emit(trace.Event{
-				Now: now + lat, Kind: trace.KindProbe, Walker: trace.WalkerHybrid,
-				Step: uint8(row), Space: trace.SpaceHost, Size: g.size, Way: int8(g.way),
-				GPA: gpa, HPA: w.probeBuf[0].PA, Aux: uint64(len(w.probeBuf)),
-			})
-		}
-		for _, p := range w.probeBuf {
-			w.paBuf = append(w.paBuf, p.PA)
-			if p.Match {
-				frame, fsize, found = p.Frame, g.size, true
-			}
-		}
-	}
-	lat += w.mem.AccessParallel(now+lat, w.paBuf, cachesim.SourceMMU)
-	res.Accesses += len(w.paBuf)
-	w.st.HostPar.Observe(uint64(len(w.paBuf)))
+	h.hostClasses.Observe(h.plan.class.String())
+	var found bool
+	h.paBuf, hpa, size, found = h.probe(now+lat, gpa, &h.plan, h.hcwc, uint8(row), false, h.paBuf[:0], res)
+	lat += h.mem.AccessParallel(now+lat, h.paBuf, cachesim.SourceMMU)
+	res.Accesses += len(h.paBuf)
+	h.hostPar.Observe(uint64(len(h.paBuf)))
 	if !found {
 		return 0, 0, lat, &ErrNotMapped{Space: "host", GPA: gpa}
 	}
-	return addr.Translate(frame, gpa, fsize), fsize, lat, nil
-}
-
-// Walk implements Walker: Figure 8's nine sequential steps in the
-// worst case (4 × (host step + guest read) + final host step).
-//
-//nestedlint:hotpath
-func (w *Hybrid) Walk(now uint64, va addr.GVA) (WalkResult, error) {
-	w.st.Walks++
-	var res WalkResult
-	var ok bool
-	if w.rec != nil {
-		w.rec.Emit(trace.Event{
-			Now: now, Kind: trace.KindWalkBegin, Walker: trace.WalkerHybrid,
-			Space: trace.SpaceGuest, Size: trace.NoSize, Way: trace.WayNone, GVA: va,
-		})
-	}
-	w.steps, ok = w.guest.Radix().AppendWalk(w.steps[:0], va)
-	steps := w.steps
-	if !ok {
-		w.traceFault(now, trace.SpaceGuest, va, 0)
-		return res, &ErrNotMapped{Space: "guest", GVA: va}
-	}
-	lat := uint64(mmucache.LatencyRT) // parallel guest-PWC probe round
-	start := 0
-	for i := len(steps) - 1; i >= 0; i-- {
-		st := steps[i]
-		if st.Leaf || st.Level < addr.L2 {
-			continue
-		}
-		if _, hit := w.pwc.lookup(va, st.Level); hit {
-			start = i + 1
-			break
-		}
-	}
-
-	var dataGPA addr.GPA
-	var gsize addr.PageSize
-	found := false
-	for i := start; i < len(steps); i++ {
-		st := steps[i]
-		row := 5 - int(st.Level) // gL4 is row 1 ... gL1 is row 4
-		if w.rec != nil {
-			w.rec.Emit(trace.Event{
-				Now: now + lat, Kind: trace.KindStepBegin, Walker: trace.WalkerHybrid,
-				Step: uint8(row), Space: trace.SpaceGuest, Size: trace.NoSize,
-				Way: trace.WayNone, GVA: va, GPA: st.EntryPA,
-			})
-		}
-		// Translate the guest table page: NTLB first, then one host
-		// ECPT step.
-		lat += mmucache.LatencyRT
-		var hpa addr.HPA
-		page := addr.PageBase(st.EntryPA, addr.Page4K)
-		if frame, hit := w.ntlb.Lookup(page); hit {
-			hpa = addr.Translate(frame, st.EntryPA, addr.Page4K)
-		} else {
-			h, _, tlat, err := w.translateGPA(now+lat, st.EntryPA, row, &res)
-			lat += tlat
-			if err != nil {
-				w.traceFault(now+lat, trace.SpaceHost, va, st.EntryPA)
-				return res, err
-			}
-			hpa = h
-			w.ntlb.Insert(page, addr.PageBase(hpa, addr.Page4K))
-		}
-		// Read the guest radix entry.
-		alat, _ := w.mem.Access(now+lat, hpa, cachesim.SourceMMU)
-		lat += alat
-		res.Accesses++
-		if st.Leaf {
-			dataGPA = addr.Translate(st.Frame, va, st.Size)
-			gsize = st.Size
-			found = true
-			break
-		}
-		if st.Level >= addr.L2 {
-			w.pwc.insert(va, st.Level, st.NextPA)
-		}
-	}
-	if !found {
-		w.traceFault(now+lat, trace.SpaceGuest, va, 0)
-		return res, &ErrNotMapped{Space: "guest", GVA: va}
-	}
-
-	// Final host ECPT step for the data page (row 5).
-	if w.rec != nil {
-		w.rec.Emit(trace.Event{
-			Now: now + lat, Kind: trace.KindStepBegin, Walker: trace.WalkerHybrid,
-			Step: 5, Space: trace.SpaceHost, Size: trace.NoSize, Way: trace.WayNone,
-			GVA: va, GPA: dataGPA,
-		})
-	}
-	hpa, hsize, tlat, err := w.translateGPA(now+lat, dataGPA, 5, &res)
-	lat += tlat
-	if err != nil {
-		w.traceFault(now+lat, trace.SpaceHost, va, dataGPA)
-		return res, err
-	}
-
-	res.Size = minSize(gsize, hsize)
-	res.Frame = addr.PageBase(hpa, res.Size)
-	res.Latency = lat
-	if w.rec != nil {
-		w.rec.Emit(trace.Event{
-			Now: now + lat, Kind: trace.KindWalkEnd, Walker: trace.WalkerHybrid,
-			Space: trace.SpaceHost, Size: res.Size, Way: trace.WayNone,
-			GVA: va, HPA: res.Frame, Aux: lat,
-		})
-	}
-	return res, nil
-}
-
-// traceFault records a failed hybrid walk.
-//
-//nestedlint:hotpath
-func (w *Hybrid) traceFault(now uint64, space trace.Space, va addr.GVA, gpa addr.GPA) {
-	if w.rec == nil {
-		return
-	}
-	w.rec.Emit(trace.Event{
-		Now: now, Kind: trace.KindFault, Walker: trace.WalkerHybrid,
-		Space: space, Size: trace.NoSize, Way: trace.WayNone, GVA: va, GPA: gpa,
-	})
+	return hpa, size, lat, nil
 }

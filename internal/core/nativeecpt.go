@@ -3,7 +3,6 @@ package core
 import (
 	"nestedecpt/internal/addr"
 	"nestedecpt/internal/cachesim"
-	"nestedecpt/internal/ecpt"
 	"nestedecpt/internal/kernel"
 	"nestedecpt/internal/mmucache"
 	"nestedecpt/internal/stats"
@@ -34,23 +33,22 @@ type NativeECPTStats struct {
 // NativeECPT walks a single ECPT set whose table addresses are real
 // physical addresses: one parallel step per translation.
 type NativeECPT struct {
-	cfg  NativeECPTConfig
-	mem  MemSystem
-	kern *kernel.Kernel
-	cwc  *CWC
-	st   NativeECPTStats
-	rec  *trace.Recorder
-	// scratch, reused across walks to keep the hot path allocation-free.
-	// The kernel's addresses are guest-physical; in the native design
-	// they are also the machine's physical addresses, so probe PAs cross
-	// into HPA via addr.IdentityHPA at the memory boundary.
-	probes   []addr.HPA
-	probeBuf []ecpt.Probe[addr.GPA]
-	plan     probePlan[addr.GPA]
+	// guestECPT is the whole table side of the walk (the kernel's set,
+	// the single CWC, plan and candidate scratch) and carries the trace
+	// recorder. The kernel's addresses are guest-physical; in the native
+	// design they are also the machine's physical addresses, so probe PAs
+	// cross into HPA via addr.IdentityHPA at the memory boundary.
+	guestECPT
+	cfg NativeECPTConfig
+	mem MemSystem
+	st  NativeECPTStats
+	// probes is the walk's parallel access group, reused across walks to
+	// keep the hot path allocation-free.
+	probes []addr.HPA
 
 	// stageLat captures the walk's single AccessParallel group latency
 	// — the memory stage WalkBatch overlaps across lanes.
-	stageLat uint64
+	stageLat [1]uint64
 
 	// BatchState provides SetBatchMSHRs and the batch scratch.
 	BatchState
@@ -62,11 +60,14 @@ func NewNativeECPT(cfg NativeECPTConfig, mem MemSystem, kern *kernel.Kernel) *Na
 		panic("core: NativeECPT requires kernel ECPTs")
 	}
 	return &NativeECPT{
-		cfg:  cfg,
-		mem:  mem,
-		kern: kern,
-		cwc:  NewCWC("CWC", cfg.CWC),
-		st:   NativeECPTStats{Classes: stats.NewDistribution()},
+		guestECPT: guestECPT{
+			tracer: tracer{kind: trace.WalkerNativeECPT},
+			set:    kern.ECPTs(),
+			cwc:    NewCWC("CWC", cfg.CWC),
+		},
+		cfg: cfg,
+		mem: mem,
+		st:  NativeECPTStats{Classes: stats.NewDistribution()},
 	}
 }
 
@@ -102,36 +103,16 @@ func (w *NativeECPT) Walk(now uint64, va addr.GVA) (WalkResult, error) {
 	return res, err
 }
 
-// WalkBatch implements Walker: lanes execute functionally in element
-// order straight into out[i]; the batch latency overlaps each lane's
-// ECPT probe group under the MSHR model while the per-lane fixed costs
-// (CWC consult, hash latency) serialize. Faulted lanes contribute the
-// probe stage they completed and no fixed cost.
+// WalkBatch implements Walker: the batch latency overlaps each lane's
+// ECPT probe group (see stagedWalkBatch).
 //
 //nestedlint:hotpath
 func (w *NativeECPT) WalkBatch(now uint64, gvas []addr.GVA, out []WalkResult, errs []error) uint64 {
-	if len(gvas) == 0 {
-		return 0
-	}
-	if w.rec != nil {
-		emitBatchBegin(w.rec, trace.WalkerNativeECPT, now, len(gvas))
-	}
-	b := &w.BatchState
-	b.grow(len(gvas))
-	var fixed uint64
-	for i := range gvas {
-		errs[i] = w.walkInto(now, gvas[i], &out[i])
-		b.stage[0][i] = w.stageLat
-		if errs[i] == nil {
-			fixed += out[i].Latency - w.stageLat
-		}
-	}
-	lat := fixed + cachesim.OverlapWaves(b.stage[0], b.mshrs)
-	if w.rec != nil {
-		emitBatchEnd(w.rec, trace.WalkerNativeECPT, now+lat, lat)
-	}
-	return lat
+	return stagedWalkBatch(w, &w.BatchState, &w.tracer, now, gvas, out, errs)
 }
+
+// stages implements stagedLane.
+func (w *NativeECPT) stages() []uint64 { return w.stageLat[:] }
 
 // walkInto is the walk lane shared by Walk and WalkBatch: one full
 // translation into *res (overwriting it), recording the probe-group
@@ -140,30 +121,20 @@ func (w *NativeECPT) WalkBatch(now uint64, gvas []addr.GVA, out []WalkResult, er
 //nestedlint:hotpath
 func (w *NativeECPT) walkInto(now uint64, va addr.GVA, res *WalkResult) error {
 	*res = WalkResult{}
-	w.stageLat = 0
+	w.stageLat[0] = 0
 	w.st.Walks++
-	set := w.kern.ECPTs()
 
-	if w.rec != nil {
-		w.rec.Emit(trace.Event{
-			Now: now, Kind: trace.KindWalkBegin, Walker: trace.WalkerNativeECPT,
-			Space: trace.SpaceGuest, Size: trace.NoSize, Way: trace.WayNone, GVA: va,
-		})
-		w.rec.Emit(trace.Event{
-			Now: now, Kind: trace.KindStepBegin, Walker: trace.WalkerNativeECPT,
-			Step: 1, Space: trace.SpaceGuest, Size: trace.NoSize, Way: trace.WayNone, GVA: va,
-		})
-	}
-	plan := &w.plan
-	planWalk(set, w.cwc, va, true, plan)
+	w.walkBegin(now, va)
+	w.stepBegin(now, 1, trace.SpaceGuest, va, 0)
+	planWalk(w.set, w.cwc, va, true, &w.plan)
 	lat := uint64(mmucache.LatencyRT + vhash.LatencyCycles)
-	if plan.fault {
-		w.traceFault(now+lat, va)
+	if w.plan.fault {
+		w.fault(now+lat, trace.SpaceGuest, va, 0)
 		return &ErrNotMapped{Space: "guest", GVA: va}
 	}
-	w.st.Classes.Observe(plan.class.String())
+	w.st.Classes.Observe(w.plan.class.String())
 	// Native CWT refills are plain physical fetches.
-	for _, r := range plan.refills {
+	for _, r := range w.plan.refills {
 		if w.rec != nil {
 			w.rec.Emit(trace.Event{
 				Now: now + lat, Kind: trace.KindRefill, Walker: trace.WalkerNativeECPT,
@@ -177,58 +148,28 @@ func (w *NativeECPT) walkInto(now uint64, va addr.GVA, res *WalkResult) error {
 		w.cwc.Insert(r.size, r.key)
 	}
 
+	w.expand(now+lat, va)
 	w.probes = w.probes[:0]
 	var frame addr.GPA
-	var size addr.PageSize
 	found := false
-	for _, g := range plan.groups {
-		w.probeBuf = set.Table(g.size).AppendProbes(w.probeBuf[:0], addr.VPN(va, g.size), g.way)
-		if w.rec != nil && len(w.probeBuf) > 0 {
-			w.rec.Emit(trace.Event{
-				Now: now + lat, Kind: trace.KindProbe, Walker: trace.WalkerNativeECPT,
-				Step: 1, Space: trace.SpaceGuest, Size: g.size, Way: int8(g.way),
-				GVA: va, GPA: w.probeBuf[0].PA, Aux: uint64(len(w.probeBuf)),
-			})
-		}
-		for _, p := range w.probeBuf {
-			w.probes = append(w.probes, addr.IdentityHPA(p.PA))
-			if p.Match {
-				frame, size, found = p.Frame, g.size, true
-			}
+	for _, c := range w.cand {
+		w.probes = append(w.probes, addr.IdentityHPA(c.probe.PA))
+		if c.probe.Match {
+			frame, res.Size, found = c.probe.Frame, c.size, true
 		}
 	}
-	w.stageLat = w.mem.AccessParallel(now+lat, w.probes, cachesim.SourceMMU)
-	lat += w.stageLat
+	w.stageLat[0] = w.mem.AccessParallel(now+lat, w.probes, cachesim.SourceMMU)
+	lat += w.stageLat[0]
 	res.Accesses += len(w.probes)
 	res.Parallel1 = len(w.probes)
 	w.st.Par.Observe(uint64(len(w.probes)))
 	if !found {
-		w.traceFault(now+lat, va)
+		w.fault(now+lat, trace.SpaceGuest, va, 0)
 		return &ErrNotMapped{Space: "guest", GVA: va}
 	}
 
 	res.Frame = addr.IdentityHPA(frame)
-	res.Size = size
 	res.Latency = lat
-	if w.rec != nil {
-		w.rec.Emit(trace.Event{
-			Now: now + lat, Kind: trace.KindWalkEnd, Walker: trace.WalkerNativeECPT,
-			Space: trace.SpaceGuest, Size: res.Size, Way: trace.WayNone,
-			GVA: va, HPA: res.Frame, Aux: lat,
-		})
-	}
+	w.walkEnd(now+lat, trace.SpaceGuest, va, res)
 	return nil
-}
-
-// traceFault records a failed native walk.
-//
-//nestedlint:hotpath
-func (w *NativeECPT) traceFault(now uint64, va addr.GVA) {
-	if w.rec == nil {
-		return
-	}
-	w.rec.Emit(trace.Event{
-		Now: now, Kind: trace.KindFault, Walker: trace.WalkerNativeECPT,
-		Space: trace.SpaceGuest, Size: trace.NoSize, Way: trace.WayNone, GVA: va,
-	})
 }

@@ -5,7 +5,6 @@ import (
 
 	"nestedecpt/internal/addr"
 	"nestedecpt/internal/cachesim"
-	"nestedecpt/internal/ecpt"
 	"nestedecpt/internal/hypervisor"
 	"nestedecpt/internal/kernel"
 	"nestedecpt/internal/mmucache"
@@ -118,12 +117,16 @@ func statAddr[A addr.Addr](v A) uint64 { return uint64(v) }
 // NestedECPT is the paper's walker: three sequential steps of parallel
 // probes against guest and host elastic cuckoo page tables.
 type NestedECPT struct {
-	cfg   NestedECPTConfig
-	mem   MemSystem
-	guest *kernel.Kernel
-	host  *hypervisor.Hypervisor
+	// guestECPT is the guest side of Step 1 (gCWC consult, candidate
+	// expansion) and carries the walker's trace recorder; host is the
+	// probe step behind Step 1's hPTE lookups, Step 3 and the background
+	// gCWT translation.
+	guestECPT
+	host hostECPT
 
-	gCWC  *CWC
+	cfg NestedECPTConfig
+	mem MemSystem
+
 	hCWC1 *CWC
 	hCWC3 *CWC
 	stc   *mmucache.Cache[addr.GPA, addr.HPA]
@@ -138,26 +141,18 @@ type NestedECPT struct {
 	adaptBackoff  uint64
 	adaptCooldown uint64
 	st            NestedECPTStats
-	// rec receives walk-trace events; nil (the default) disables
-	// tracing, costing the hot path one pointer test per site.
-	rec *trace.Recorder
 
 	// scratch buffers, reused across walks to keep the hot path
-	// allocation-free. The PA buffers hold host-physical probe targets;
-	// the probe buffers are split per space because guest-table probes
-	// carry gPAs while host-table probes carry hPAs.
-	step1PAs  []addr.HPA
-	step2PAs  []addr.HPA
-	step3PAs  []addr.HPA
-	bgPAs     []addr.HPA
-	cand      []candidate
-	gProbeBuf []ecpt.Probe[addr.GPA]
-	hProbeBuf []ecpt.Probe[addr.HPA]
-	// gPlan/hPlan hold the foreground guest/host plans of the current
-	// step; bgPlan the nested plan of a background gCWT-refill
-	// translation (§4.1), which runs while a foreground plan's refill
-	// list is still being consumed and therefore needs its own storage.
-	gPlan  probePlan[addr.GPA]
+	// allocation-free: the parallel access groups of the three steps and
+	// of a background translation, all host-physical probe targets.
+	step1PAs []addr.HPA
+	step2PAs []addr.HPA
+	step3PAs []addr.HPA
+	bgPAs    []addr.HPA
+	// hPlan holds the foreground host plan of the current step; bgPlan
+	// the nested plan of a background gCWT-refill translation (§4.1),
+	// which runs while a foreground plan's refill list is still being
+	// consumed and therefore needs its own storage.
 	hPlan  probePlan[addr.HPA]
 	bgPlan probePlan[addr.HPA]
 
@@ -170,13 +165,6 @@ type NestedECPT struct {
 	BatchState
 }
 
-// candidate is one gECPT line probe with its resolved host location.
-type candidate struct {
-	probe ecpt.Probe[addr.GPA]
-	size  addr.PageSize
-	hpa   addr.HPA
-}
-
 // NewNestedECPT wires a walker to the guest's ECPTs and the host's
 // ECPTs. The guest kernel and the hypervisor must both maintain ECPTs.
 func NewNestedECPT(cfg NestedECPTConfig, mem MemSystem, guest *kernel.Kernel, host *hypervisor.Hypervisor) *NestedECPT {
@@ -184,11 +172,14 @@ func NewNestedECPT(cfg NestedECPTConfig, mem MemSystem, guest *kernel.Kernel, ho
 		panic("core: NestedECPT requires guest and host ECPTs")
 	}
 	w := &NestedECPT{
+		guestECPT: guestECPT{
+			tracer: tracer{kind: trace.WalkerNestedECPT},
+			set:    guest.ECPTs(),
+			cwc:    NewCWC("gCWC", cfg.GuestCWC),
+		},
+		host:  hostECPT{tracer: tracer{kind: trace.WalkerNestedECPT}, mem: mem, set: host.ECPTs()},
 		cfg:   cfg,
 		mem:   mem,
-		guest: guest,
-		host:  host,
-		gCWC:  NewCWC("gCWC", cfg.GuestCWC),
 		hCWC1: NewCWC("hCWC1", cfg.HostCWC1),
 		hCWC3: NewCWC("hCWC3", cfg.HostCWC3),
 	}
@@ -215,13 +206,13 @@ func (w *NestedECPT) Name() string {
 func (w *NestedECPT) Stats() NestedECPTStats { return w.st }
 
 // CWCs exposes the three cuckoo walk caches for characterization.
-func (w *NestedECPT) CWCs() (gcwc, hcwc1, hcwc3 *CWC) { return w.gCWC, w.hCWC1, w.hCWC3 }
+func (w *NestedECPT) CWCs() (gcwc, hcwc1, hcwc3 *CWC) { return w.cwc, w.hCWC1, w.hCWC3 }
 
 // SetRecorder attaches a trace recorder to the walker and all of its
 // MMU caches. A nil recorder disables tracing.
 func (w *NestedECPT) SetRecorder(r *trace.Recorder) {
-	w.rec = r
-	w.gCWC.SetTrace(r, trace.CacheGCWC, trace.WalkerNestedECPT)
+	w.rec, w.host.rec = r, r
+	w.cwc.SetTrace(r, trace.CacheGCWC, trace.WalkerNestedECPT)
 	w.hCWC1.SetTrace(r, trace.CacheHCWC1, trace.WalkerNestedECPT)
 	w.hCWC3.SetTrace(r, trace.CacheHCWC3, trace.WalkerNestedECPT)
 	if w.stc != nil {
@@ -232,7 +223,7 @@ func (w *NestedECPT) SetRecorder(r *trace.Recorder) {
 // ResetStats clears all measurement state at the end of warm-up.
 func (w *NestedECPT) ResetStats() {
 	w.st = NestedECPTStats{GuestClasses: stats.NewDistribution(), HostClasses: stats.NewDistribution()}
-	w.gCWC.ResetStats()
+	w.cwc.ResetStats()
 	w.hCWC1.ResetStats()
 	w.hCWC3.ResetStats()
 	if w.stc != nil {
@@ -249,42 +240,29 @@ func (w *NestedECPT) Walk(now uint64, va addr.GVA) (WalkResult, error) {
 	return res, err
 }
 
-// WalkBatch implements Walker: the lanes execute functionally in
-// element order (their state effects and per-lane results are exactly
-// those of sequential Walks), each lane writing straight into out[i];
-// the batch latency overlaps the three per-step memory stages across
-// lanes under the MSHR model, while per-lane fixed costs (MMU-cache
-// consults, hash latency) serialize. Faulted lanes contribute the
-// stages they completed and no fixed cost.
+// WalkBatch implements Walker: the batch latency overlaps the three
+// per-step memory stages across lanes (see stagedWalkBatch).
 //
 //nestedlint:hotpath
 func (w *NestedECPT) WalkBatch(now uint64, gvas []addr.GVA, out []WalkResult, errs []error) uint64 {
-	if len(gvas) == 0 {
-		return 0
-	}
-	if w.rec != nil {
-		emitBatchBegin(w.rec, trace.WalkerNestedECPT, now, len(gvas))
-	}
-	b := &w.BatchState
-	b.grow(len(gvas))
-	var fixed uint64
-	for i := range gvas {
-		errs[i] = w.walkInto(now, gvas[i], &out[i])
-		b.stage[0][i] = w.stageLat[0]
-		b.stage[1][i] = w.stageLat[1]
-		b.stage[2][i] = w.stageLat[2]
-		if errs[i] == nil {
-			fixed += out[i].Latency - (w.stageLat[0] + w.stageLat[1] + w.stageLat[2])
-		}
-	}
-	lat := fixed +
-		cachesim.OverlapWaves(b.stage[0], b.mshrs) +
-		cachesim.OverlapWaves(b.stage[1], b.mshrs) +
-		cachesim.OverlapWaves(b.stage[2], b.mshrs)
-	if w.rec != nil {
-		emitBatchEnd(w.rec, trace.WalkerNestedECPT, now+lat, lat)
-	}
-	return lat
+	return stagedWalkBatch(w, &w.BatchState, &w.tracer, now, gvas, out, errs)
+}
+
+// stages implements stagedLane.
+func (w *NestedECPT) stages() []uint64 { return w.stageLat[:] }
+
+// hostFault reports a walk that ended on a gPA with no host mapping.
+func (w *NestedECPT) hostFault(now uint64, va addr.GVA, gpa addr.GPA, pageTable bool) error {
+	w.st.LastFaultAddr = statAddr(gpa)
+	w.fault(now, trace.SpaceHost, va, gpa)
+	return &ErrNotMapped{Space: "host", GPA: gpa, PageTable: pageTable}
+}
+
+// guestFault reports a walk that found no guest mapping for va.
+func (w *NestedECPT) guestFault(now uint64, va addr.GVA) error {
+	w.st.LastFaultAddr = statAddr(va)
+	w.fault(now, trace.SpaceGuest, va, 0)
+	return &ErrNotMapped{Space: "guest", GVA: va}
 }
 
 // walkInto is the walk lane shared by Walk and WalkBatch: it performs
@@ -295,56 +273,26 @@ func (w *NestedECPT) WalkBatch(now uint64, gvas []addr.GVA, out []WalkResult, er
 func (w *NestedECPT) walkInto(now uint64, va addr.GVA, res *WalkResult) error {
 	*res = WalkResult{}
 	w.stageLat = [3]uint64{}
-	if w.rec != nil {
-		w.rec.Emit(trace.Event{
-			Now: now, Kind: trace.KindWalkBegin, Walker: trace.WalkerNestedECPT,
-			Space: trace.SpaceGuest, Size: trace.NoSize, Way: trace.WayNone, GVA: va,
-		})
-	}
+	w.walkBegin(now, va)
 	w.maybeAdapt(now)
 	w.st.Walks++
 	var lat uint64
-	gset := w.guest.ECPTs()
-	hset := w.host.ECPTs()
+	hset := w.host.set
 
 	// ---------- Step 1: gVA -> hPTEs locating the gECPT entries ----------
 	// Consult the gCWC (all classes probed in parallel; one MMU-cache
 	// round trip) and hash the guest VPNs.
-	if w.rec != nil {
-		w.rec.Emit(trace.Event{
-			Now: now, Kind: trace.KindStepBegin, Walker: trace.WalkerNestedECPT,
-			Step: 1, Space: trace.SpaceGuest, Size: trace.NoSize, Way: trace.WayNone, GVA: va,
-		})
-	}
-	gplan := &w.gPlan
-	planWalk(gset, w.gCWC, va, true, gplan)
+	w.stepBegin(now, 1, trace.SpaceGuest, va, 0)
+	planWalk(w.set, w.cwc, va, true, &w.plan)
 	lat += mmucache.LatencyRT + vhash.LatencyCycles
-	if gplan.fault {
-		w.st.LastFaultAddr = statAddr(va)
-		w.traceFault(now+lat, trace.SpaceGuest, va, 0)
-		return &ErrNotMapped{Space: "guest", GVA: va}
+	if w.plan.fault {
+		return w.guestFault(now+lat, va)
 	}
-	w.st.GuestClasses.Observe(gplan.class.String())
-	if err := w.queueGuestRefills(now+lat, gplan.refills, res); err != nil {
+	w.st.GuestClasses.Observe(w.plan.class.String())
+	if err := w.queueGuestRefills(now+lat, w.plan.refills, res); err != nil {
 		return err
 	}
-
-	// Expand the guest plan into candidate gECPT line probes, tagged
-	// with the table size each came from.
-	w.cand = w.cand[:0]
-	for _, g := range gplan.groups {
-		w.gProbeBuf = gset.Table(g.size).AppendProbes(w.gProbeBuf[:0], addr.VPN(va, g.size), g.way)
-		if w.rec != nil && len(w.gProbeBuf) > 0 {
-			w.rec.Emit(trace.Event{
-				Now: now + lat, Kind: trace.KindProbe, Walker: trace.WalkerNestedECPT,
-				Step: 1, Space: trace.SpaceGuest, Size: g.size, Way: int8(g.way),
-				GVA: va, GPA: w.gProbeBuf[0].PA, Aux: uint64(len(w.gProbeBuf)),
-			})
-		}
-		for _, p := range w.gProbeBuf {
-			w.cand = append(w.cand, candidate{probe: p, size: g.size})
-		}
-	}
+	w.expand(now+lat, va)
 
 	// Locate every candidate through the host ECPTs; all resulting
 	// hECPT probes form one parallel group, guarded by the Step-1 hCWC
@@ -353,42 +301,19 @@ func (w *NestedECPT) walkInto(now uint64, va addr.GVA, res *WalkResult) error {
 	w.step1PAs = w.step1PAs[:0]
 	for ci := range w.cand {
 		c := &w.cand[ci]
-		hplan := &w.hPlan
 		if w.cfg.Tech.PageTable4KB {
-			planPTEOnly(hset, w.hCWC1, c.probe.PA, hplan)
+			planPTEOnly(hset, w.hCWC1, c.probe.PA, &w.hPlan)
 		} else {
-			planWalk(hset, w.hCWC1, c.probe.PA, true, hplan)
+			planWalk(hset, w.hCWC1, c.probe.PA, true, &w.hPlan)
 		}
-		if hplan.fault {
-			w.st.LastFaultAddr = statAddr(c.probe.PA)
-			w.traceFault(now+lat, trace.SpaceHost, va, c.probe.PA)
-			return &ErrNotMapped{Space: "host", GPA: c.probe.PA, PageTable: true}
+		if w.hPlan.fault {
+			return w.hostFault(now+lat, va, c.probe.PA, true)
 		}
-		w.st.HostClasses.Observe(hplan.class.String())
-		w.queueHostRefills(now+lat, hplan.refills, w.hCWC1, res)
-
-		matched := false
-		for _, g := range hplan.groups {
-			w.hProbeBuf = hset.Table(g.size).AppendProbes(w.hProbeBuf[:0], addr.VPN(c.probe.PA, g.size), g.way)
-			if w.rec != nil && len(w.hProbeBuf) > 0 {
-				w.rec.Emit(trace.Event{
-					Now: now + lat, Kind: trace.KindProbe, Walker: trace.WalkerNestedECPT,
-					Step: 1, Space: trace.SpaceHost, Size: g.size, Way: int8(g.way),
-					GPA: c.probe.PA, HPA: w.hProbeBuf[0].PA, Aux: uint64(len(w.hProbeBuf)),
-				})
-			}
-			for _, hp := range w.hProbeBuf {
-				w.step1PAs = append(w.step1PAs, hp.PA)
-				if hp.Match {
-					c.hpa = addr.Translate(hp.Frame, c.probe.PA, g.size)
-					matched = true
-				}
-			}
-		}
+		w.st.HostClasses.Observe(w.hPlan.class.String())
+		var matched bool
+		w.step1PAs, c.hpa, _, matched = w.host.probe(now+lat, c.probe.PA, &w.hPlan, w.hCWC1, 1, false, w.step1PAs, res)
 		if !matched {
-			w.st.LastFaultAddr = statAddr(c.probe.PA)
-			w.traceFault(now+lat, trace.SpaceHost, va, c.probe.PA)
-			return &ErrNotMapped{Space: "host", GPA: c.probe.PA, PageTable: true}
+			return w.hostFault(now+lat, va, c.probe.PA, true)
 		}
 	}
 	w.stageLat[0] = w.mem.AccessParallel(now+lat, w.step1PAs, cachesim.SourceMMU)
@@ -401,12 +326,7 @@ func (w *NestedECPT) walkInto(now uint64, va addr.GVA, res *WalkResult) error {
 	// The hardware cannot tell which tag-matching hPTE corresponds to
 	// the wanted guest VPN (§3.1), so it reads all candidates and
 	// checks their guest tags.
-	if w.rec != nil {
-		w.rec.Emit(trace.Event{
-			Now: now + lat, Kind: trace.KindStepBegin, Walker: trace.WalkerNestedECPT,
-			Step: 2, Space: trace.SpaceGuest, Size: trace.NoSize, Way: trace.WayNone, GVA: va,
-		})
-	}
+	w.stepBegin(now+lat, 2, trace.SpaceGuest, va, 0)
 	w.step2PAs = w.step2PAs[:0]
 	var dataGPA addr.GPA
 	var gsize addr.PageSize
@@ -426,108 +346,34 @@ func (w *NestedECPT) walkInto(now uint64, va addr.GVA, res *WalkResult) error {
 	res.Parallel2 = len(w.step2PAs)
 	w.st.Par2.Observe(uint64(len(w.step2PAs)))
 	if !found {
-		w.st.LastFaultAddr = statAddr(va)
-		w.traceFault(now+lat, trace.SpaceGuest, va, 0)
-		return &ErrNotMapped{Space: "guest", GVA: va}
+		return w.guestFault(now+lat, va)
 	}
 
 	// ---------- Step 3: data gPA -> hPA ----------
-	if w.rec != nil {
-		w.rec.Emit(trace.Event{
-			Now: now + lat, Kind: trace.KindStepBegin, Walker: trace.WalkerNestedECPT,
-			Step: 3, Space: trace.SpaceHost, Size: trace.NoSize, Way: trace.WayNone,
-			GVA: va, GPA: dataGPA,
-		})
-	}
-	hplan3 := &w.hPlan
-	planWalk(hset, w.hCWC3, dataGPA, true, hplan3)
+	w.stepBegin(now+lat, 3, trace.SpaceHost, va, dataGPA)
+	planWalk(hset, w.hCWC3, dataGPA, true, &w.hPlan)
 	lat += mmucache.LatencyRT + vhash.LatencyCycles
-	if hplan3.fault {
-		w.st.LastFaultAddr = statAddr(dataGPA)
-		w.traceFault(now+lat, trace.SpaceHost, va, dataGPA)
-		return &ErrNotMapped{Space: "host", GPA: dataGPA}
+	if w.hPlan.fault {
+		return w.hostFault(now+lat, va, dataGPA, false)
 	}
-	w.st.HostClasses.Observe(hplan3.class.String())
-	w.queueHostRefills(now+lat, hplan3.refills, w.hCWC3, res)
-
-	w.step3PAs = w.step3PAs[:0]
-	var hframe addr.HPA
+	w.st.HostClasses.Observe(w.hPlan.class.String())
+	var hpa addr.HPA
 	var hsize addr.PageSize
-	hfound := false
-	for _, g := range hplan3.groups {
-		w.hProbeBuf = hset.Table(g.size).AppendProbes(w.hProbeBuf[:0], addr.VPN(dataGPA, g.size), g.way)
-		if w.rec != nil && len(w.hProbeBuf) > 0 {
-			w.rec.Emit(trace.Event{
-				Now: now + lat, Kind: trace.KindProbe, Walker: trace.WalkerNestedECPT,
-				Step: 3, Space: trace.SpaceHost, Size: g.size, Way: int8(g.way),
-				GPA: dataGPA, HPA: w.hProbeBuf[0].PA, Aux: uint64(len(w.hProbeBuf)),
-			})
-		}
-		for _, hp := range w.hProbeBuf {
-			w.step3PAs = append(w.step3PAs, hp.PA)
-			if hp.Match {
-				hframe = hp.Frame
-				hsize = g.size
-				hfound = true
-			}
-		}
-	}
+	w.step3PAs, hpa, hsize, found = w.host.probe(now+lat, dataGPA, &w.hPlan, w.hCWC3, 3, false, w.step3PAs[:0], res)
 	w.stageLat[2] = w.mem.AccessParallel(now+lat, w.step3PAs, cachesim.SourceMMU)
 	lat += w.stageLat[2]
 	res.Accesses += len(w.step3PAs)
 	res.Parallel3 = len(w.step3PAs)
 	w.st.Par3.Observe(uint64(len(w.step3PAs)))
-	if !hfound {
-		w.st.LastFaultAddr = statAddr(dataGPA)
-		w.traceFault(now+lat, trace.SpaceHost, va, dataGPA)
-		return &ErrNotMapped{Space: "host", GPA: dataGPA}
+	if !found {
+		return w.hostFault(now+lat, va, dataGPA, false)
 	}
 
-	hpa := addr.Translate(hframe, dataGPA, hsize)
 	res.Size = minSize(gsize, hsize)
 	res.Frame = addr.PageBase(hpa, res.Size)
 	res.Latency = lat
-	if w.rec != nil {
-		w.rec.Emit(trace.Event{
-			Now: now + lat, Kind: trace.KindWalkEnd, Walker: trace.WalkerNestedECPT,
-			Space: trace.SpaceHost, Size: res.Size, Way: trace.WayNone,
-			GVA: va, HPA: res.Frame, Aux: lat,
-		})
-	}
+	w.walkEnd(now+lat, trace.SpaceHost, va, res)
 	return nil
-}
-
-// traceFault records a walk terminated by a missing mapping. gpa is 0
-// for guest-space faults (the faulting address is then the gVA).
-//
-//nestedlint:hotpath
-func (w *NestedECPT) traceFault(now uint64, space trace.Space, va addr.GVA, gpa addr.GPA) {
-	if w.rec == nil {
-		return
-	}
-	w.rec.Emit(trace.Event{
-		Now: now, Kind: trace.KindFault, Walker: trace.WalkerNestedECPT,
-		Space: space, Size: trace.NoSize, Way: trace.WayNone, GVA: va, GPA: gpa,
-	})
-}
-
-// queueHostRefills performs the background CWT fetches a host-side
-// plan requested. Host CWT entries live at hPAs and are fetched
-// directly into target.
-func (w *NestedECPT) queueHostRefills(now uint64, refills []refill[addr.HPA], target *CWC, res *WalkResult) {
-	for _, r := range refills {
-		if w.rec != nil {
-			w.rec.Emit(trace.Event{
-				Now: now, Kind: trace.KindRefill, Walker: trace.WalkerNestedECPT,
-				Space: trace.SpaceHost, Size: r.size, Way: trace.WayNone,
-				HPA: r.pa, Aux: r.key, Flag: true,
-			})
-		}
-		lat, _ := w.mem.Access(now, r.pa, cachesim.SourceMMU)
-		res.BackgroundCycles += lat
-		res.BackgroundAccesses++
-		target.Insert(r.size, r.key)
-	}
 }
 
 // queueGuestRefills performs the background gCWT fetches a guest-side
@@ -563,42 +409,19 @@ func (w *NestedECPT) queueGuestRefills(now uint64, refills []refill[addr.GPA], r
 		if !translated {
 			// Full background translation of the gCWT entry's gPA,
 			// "similar to Step 3" (§4.1): consult the Step-3 hCWC and
-			// probe the hECPTs, all in the background. The foreground
-			// plan's refill list is being iterated right now, so this
-			// nested consult writes into the dedicated background plan.
-			hplan := &w.bgPlan
-			planWalk(w.host.ECPTs(), w.hCWC3, r.pa, true, hplan)
+			// probe the hECPTs, all in the background (Step 0). The
+			// foreground plan's refill list is being iterated right now,
+			// so this nested consult writes into the dedicated background
+			// plan. A fault means the gCWT page has no host mapping yet:
+			// surface the EPT violation so the hypervisor demand-maps it.
+			planWalk(w.host.set, w.hCWC3, r.pa, true, &w.bgPlan)
 			res.BackgroundCycles += mmucache.LatencyRT + vhash.LatencyCycles
-			if hplan.fault {
-				// The gCWT page has no host mapping yet: surface the
-				// EPT violation so the hypervisor demand-maps it.
+			if w.bgPlan.fault {
 				w.st.LastFaultAddr = statAddr(r.pa)
 				return &ErrNotMapped{Space: "host", GPA: r.pa, PageTable: true}
 			}
-			w.queueHostRefills(now, hplan.refills, w.hCWC3, res)
-			w.bgPAs = w.bgPAs[:0]
-			ok := false
-			for _, g := range hplan.groups {
-				w.hProbeBuf = w.host.ECPTs().Table(g.size).AppendProbes(w.hProbeBuf[:0], addr.VPN(r.pa, g.size), g.way)
-				if w.rec != nil && len(w.hProbeBuf) > 0 {
-					// Background probes carry Step 0 and the background
-					// flag: they are not part of the walk's sequential
-					// critical path, so the Step-1 PTE-only invariant
-					// does not apply to them.
-					w.rec.Emit(trace.Event{
-						Now: now, Kind: trace.KindProbe, Walker: trace.WalkerNestedECPT,
-						Step: 0, Space: trace.SpaceHost, Size: g.size, Way: int8(g.way),
-						GPA: r.pa, HPA: w.hProbeBuf[0].PA, Aux: uint64(len(w.hProbeBuf)), Flag: true,
-					})
-				}
-				for _, hp := range w.hProbeBuf {
-					w.bgPAs = append(w.bgPAs, hp.PA)
-					if hp.Match {
-						hpa = addr.Translate(hp.Frame, r.pa, g.size)
-						ok = true
-					}
-				}
-			}
+			var ok bool
+			w.bgPAs, hpa, _, ok = w.host.probe(now, r.pa, &w.bgPlan, w.hCWC3, 0, true, w.bgPAs[:0], res)
 			res.BackgroundCycles += w.mem.AccessParallel(now, w.bgPAs, cachesim.SourceMMU)
 			res.BackgroundAccesses += len(w.bgPAs)
 			if !ok {
@@ -613,7 +436,7 @@ func (w *NestedECPT) queueGuestRefills(now uint64, refills []refill[addr.GPA], r
 		lat, _ := w.mem.Access(now, hpa, cachesim.SourceMMU)
 		res.BackgroundCycles += lat
 		res.BackgroundAccesses++
-		w.gCWC.Insert(r.size, r.key)
+		w.cwc.Insert(r.size, r.key)
 	}
 	return nil
 }
@@ -684,6 +507,6 @@ func (w *NestedECPT) traceToggle(now uint64, on bool, window stats.Counter) {
 		Now: now, Kind: trace.KindAdaptToggle, Walker: trace.WalkerNestedECPT,
 		Space: trace.SpaceHost, Size: addr.Page4K, Way: trace.WayNone,
 		Cache: trace.CacheHCWC3, Flag: on,
-		Aux:   math.Float64bits(window.HitRate()), Aux2: window.Total(),
+		Aux: math.Float64bits(window.HitRate()), Aux2: window.Total(),
 	})
 }

@@ -72,29 +72,57 @@ func (p *pwc[V, P]) insert(va V, l addr.RadixLevel, content P) {
 	}
 }
 
-// hostRadixWalker translates gPAs through the host radix table (EPT)
-// with NPWC shortcuts. It is shared by the nested radix walker (for
-// every hL row of Figure 2) and kept separate so its access accounting
-// is reusable.
-type hostRadixWalker struct {
+// HostDim is the host dimension of a guest-radix walk: whatever
+// resolves the guest-physical addresses the walk produces — the gPA of
+// each guest table entry it is about to read, and finally the data
+// page's. The designs differ only here: four EPT radix levels (Figure
+// 2), one parallel ECPT step (Figure 8), one flat-table access, or
+// nothing at all (§9.6's baselines).
+//
+// Translate resolves gpa at cycle now and returns the translated host
+// address, the host page size, and the latency added to the critical
+// path. row is the Figure-2/8 row being resolved (1 = gL4 … 4 = gL1,
+// 5 = the data page), for dimensions whose policy depends on it. The
+// dimension adds its memory accesses to *res, which the walker (Walk)
+// or the batch caller (WalkBatch) owns — implementations must not
+// retain it — and keeps its own scratch receiver-owned so a walk stays
+// allocation-free. An unmapped gpa is reported as *ErrNotMapped with
+// Space "host", together with the latency spent finding out.
+type HostDim interface {
+	Translate(now uint64, gpa addr.GPA, row int, res *WalkResult) (hpa addr.HPA, size addr.PageSize, lat uint64, err error)
+}
+
+// tracedHost is a host dimension that emits trace events of its own
+// (its accesses, its MMU caches) under the walker's design tag.
+type tracedHost interface {
+	setRecorder(r *trace.Recorder, kind trace.WalkerKind)
+}
+
+// hostRadix is the EPT host dimension of Figure 2: it translates gPAs
+// through the host radix table with NPWC shortcuts, one sequential
+// access per uncached hL row.
+type hostRadix struct {
+	tracer
 	mem  MemSystem
 	ept  *radix.Table[addr.GPA, addr.HPA]
 	npwc *pwc[addr.GPA, addr.HPA]
 	// steps is reusable walk scratch (the walkers run one walk at a
 	// time, so one buffer per walker suffices).
 	steps []radix.Step[addr.HPA]
-	rec   *trace.Recorder
-	wkind trace.WalkerKind
 }
 
-// walk translates gpa, returning the host frame/size, the added
-// latency, and the number of memory accesses performed.
-func (h *hostRadixWalker) walk(now uint64, gpa addr.GPA) (frame addr.HPA, size addr.PageSize, lat uint64, accesses int, err error) {
+func (h *hostRadix) setRecorder(r *trace.Recorder, kind trace.WalkerKind) {
+	h.tracer = tracer{rec: r, kind: kind}
+	h.npwc.setTrace(r, trace.CacheNPWC, kind)
+}
+
+// Translate implements HostDim.
+func (h *hostRadix) Translate(now uint64, gpa addr.GPA, _ int, res *WalkResult) (hpa addr.HPA, size addr.PageSize, lat uint64, err error) {
 	var ok bool
 	h.steps, ok = h.ept.AppendWalk(h.steps[:0], gpa)
 	steps := h.steps
 	if !ok {
-		return 0, 0, lat, accesses, &ErrNotMapped{Space: "host", GPA: gpa}
+		return 0, 0, lat, &ErrNotMapped{Space: "host", GPA: gpa}
 	}
 	// One parallel NPWC probe round resolves the deepest cached level.
 	lat += mmucache.LatencyRT
@@ -103,50 +131,158 @@ func (h *hostRadixWalker) walk(now uint64, gpa addr.GPA) (frame addr.HPA, size a
 		if content, hit := h.npwc.lookup(gpa, steps[i].Level); hit {
 			if steps[i].Leaf {
 				// A cached leaf entry ends the walk with no accesses.
-				return content, steps[i].Size, lat, accesses, nil
+				return addr.Translate(content, gpa, steps[i].Size), steps[i].Size, lat, nil
 			}
 			start = i + 1
 			break
 		}
 	}
-	for i := start; i < len(steps); i++ {
-		st := steps[i]
+	for _, st := range steps[start:] {
 		if h.rec != nil {
 			// Host (EPT) radix rows: one sequential access each, tagged
 			// Step 0 — they nest inside the guest walk's own steps.
 			h.rec.Emit(trace.Event{
-				Now: now + lat, Kind: trace.KindProbe, Walker: h.wkind,
+				Now: now + lat, Kind: trace.KindProbe, Walker: h.kind,
 				Step: 0, Space: trace.SpaceHost, Size: trace.NoSize, Way: trace.WayNone,
 				GPA: gpa, HPA: st.EntryPA, Aux: 1,
 			})
 		}
 		alat, _ := h.mem.Access(now+lat, st.EntryPA, cachesim.SourceMMU)
 		lat += alat
-		accesses++
+		res.Accesses++
 		if st.Leaf {
 			h.npwc.insert(gpa, st.Level, st.Frame)
-			return st.Frame, st.Size, lat, accesses, nil
+			return addr.Translate(st.Frame, gpa, st.Size), st.Size, lat, nil
 		}
 		h.npwc.insert(gpa, st.Level, st.NextPA)
 	}
-	return 0, 0, lat, accesses, &ErrNotMapped{Space: "host", GPA: gpa}
+	return 0, 0, lat, &ErrNotMapped{Space: "host", GPA: gpa}
 }
 
-// NativeRadix is the Radix baseline: an x86-64 page walk with a PWC
-// (Figure 1).
-type NativeRadix struct {
-	cfg  RadixWalkConfig
-	mem  MemSystem
-	kern *kernel.Kernel
-	// pwc caches guest radix entries; in the native design the kernel's
-	// "guest-physical" table addresses are host-physical (there is no
-	// hypervisor), so pointers cross spaces via addr.IdentityHPA below.
-	pwc   *pwc[addr.GVA, addr.GPA]
+// RadixWalker is the guest-radix walk, written once: Figure 1 natively,
+// Figure 2 over an EPT, Figure 8 over host ECPTs, and §9.6's flat and
+// ideal baselines are this walk over different host dimensions. Each
+// uncached guest level is one row — resolve the table page's gPA
+// through the host dimension (behind the NTLB when the design has one),
+// read the entry, fill the PWC — followed by the host resolution of the
+// data page. With no host dimension the guest's "guest-physical" table
+// addresses are the machine's physical addresses (there is no
+// hypervisor) and cross spaces via addr.IdentityHPA.
+type RadixWalker struct {
+	tracer
+	name  string
+	mem   MemSystem
+	guest *radix.Table[addr.GVA, addr.GPA]
+	// pwc holds guest L4, L3 and L2 entries (L1 entries are not cached,
+	// §2.1); ntlb caches gPA→hPA translations of guest table pages and is
+	// nil in designs without one; host is nil natively.
+	pwc  *pwc[addr.GVA, addr.GPA]
+	ntlb *mmucache.Cache[addr.GPA, addr.HPA]
+	host HostDim
+
+	// The trace shapes the golden digest pins are data, not code paths.
+	// stepByLevel numbers a row's step by its level (5 − level, the data
+	// page 5) as Figure 8 does, instead of counting the rows walked.
+	// entryProbe is the space the guest entry read is traced in:
+	// SpaceGuest natively (the entry's address is all there is),
+	// SpaceHost where the host dimension produced an hPA worth auditing,
+	// SpaceNone where the read is not traced.
+	stepByLevel bool
+	entryProbe  trace.Space
+
+	walks uint64                 // walks begun (HybridStats.Walks)
 	steps []radix.Step[addr.GPA] // reusable walk scratch
-	rec   *trace.Recorder
+	// res is the result Walk fills: walker-owned, because handing a
+	// stack WalkResult to the HostDim interface would move it to the
+	// heap on every walk.
+	res WalkResult
 
 	// BatchState provides SetBatchMSHRs and the batch scratch.
 	BatchState
+}
+
+// NewRadixWalker builds a guest-radix walker over the kernel's radix
+// table: a PWC of pwcPerLevel entries per level, an NTLB of ntlbEntries
+// (0 = none) in front of host, the host dimension (nil = native). The
+// walker is untraced; the designs that emit walk traces are built by
+// NewNativeRadix, NewNestedRadix and NewHybrid.
+func NewRadixWalker(name string, pwcPerLevel, ntlbEntries int, mem MemSystem, guest *kernel.Kernel, host HostDim) *RadixWalker {
+	if guest.Radix() == nil {
+		panic("core: " + name + " requires a guest radix table")
+	}
+	w := &RadixWalker{
+		name:  name,
+		mem:   mem,
+		guest: guest.Radix(),
+		pwc:   newPWC[addr.GVA, addr.GPA]("PWC", pwcPerLevel, addr.L2, addr.L4),
+		host:  host,
+	}
+	if ntlbEntries > 0 {
+		w.ntlb = mmucache.New[addr.GPA, addr.HPA]("NTLB", ntlbEntries)
+	}
+	return w
+}
+
+// NewNativeRadix builds the Radix baseline: an x86-64 page walk with a
+// PWC (Figure 1).
+func NewNativeRadix(cfg RadixWalkConfig, mem MemSystem, kern *kernel.Kernel) *RadixWalker {
+	w := NewRadixWalker("Radix", cfg.PWCEntriesPerLevel, 0, mem, kern, nil)
+	w.kind, w.entryProbe = trace.WalkerNativeRadix, trace.SpaceGuest
+	return w
+}
+
+// NewNestedRadix builds the Nested Radix baseline: the two-dimensional
+// page walk of Figure 2 — up to 24 sequential accesses — with guest
+// PWC, nested PWC, and Nested TLB.
+func NewNestedRadix(cfg RadixWalkConfig, mem MemSystem, guest *kernel.Kernel, host *hypervisor.Hypervisor) *RadixWalker {
+	if host.Radix() == nil {
+		panic("core: Nested Radix requires a host radix table")
+	}
+	w := NewRadixWalker("Nested Radix", cfg.PWCEntriesPerLevel, cfg.NTLBEntries, mem, guest, &hostRadix{
+		mem:  mem,
+		ept:  host.Radix(),
+		npwc: newPWC[addr.GPA, addr.HPA]("NPWC", cfg.NPWCEntriesPerLevel, addr.L1, addr.L4),
+	})
+	w.kind, w.entryProbe = trace.WalkerNestedRadix, trace.SpaceHost
+	return w
+}
+
+// Name implements Walker.
+func (w *RadixWalker) Name() string { return w.name }
+
+// SetRecorder attaches a trace recorder to the walker, its MMU caches
+// and its host dimension. A nil recorder disables tracing; a walker
+// with no trace kind (the §9.6 baselines) stays untraced.
+func (w *RadixWalker) SetRecorder(r *trace.Recorder) {
+	if w.kind == trace.WalkerNone {
+		return
+	}
+	w.rec = r
+	w.pwc.setTrace(r, trace.CachePWC, w.kind)
+	if w.ntlb != nil {
+		w.ntlb.SetTrace(r, trace.CacheNTLB, w.kind, trace.NoSize)
+	}
+	if h, ok := w.host.(tracedHost); ok {
+		h.setRecorder(r, w.kind)
+	}
+}
+
+// NTLBStats returns the nested TLB hit/miss counter (zero in a design
+// without one).
+func (w *RadixWalker) NTLBStats() (hits, misses uint64) {
+	if w.ntlb == nil {
+		return 0, 0
+	}
+	c := w.ntlb.Stats()
+	return c.Hits, c.Misses
+}
+
+// Walk implements Walker.
+//
+//nestedlint:hotpath
+func (w *RadixWalker) Walk(now uint64, va addr.GVA) (WalkResult, error) {
+	err := w.walkInto(now, va, &w.res)
+	return w.res, err
 }
 
 // WalkBatch implements Walker. A radix walk is a serial pointer chase
@@ -154,52 +290,49 @@ type NativeRadix struct {
 // one overlap stage.
 //
 //nestedlint:hotpath
-func (w *NativeRadix) WalkBatch(now uint64, gvas []addr.GVA, out []WalkResult, errs []error) uint64 {
-	return SequentialWalkBatch(w, &w.BatchState, w.rec, trace.WalkerNativeRadix, now, gvas, out, errs)
+func (w *RadixWalker) WalkBatch(now uint64, gvas []addr.GVA, out []WalkResult, errs []error) uint64 {
+	return SequentialWalkBatch(w, &w.BatchState, w.rec, w.kind, now, gvas, out, errs)
 }
 
-// NewNativeRadix builds the walker over the kernel's radix table.
-func NewNativeRadix(cfg RadixWalkConfig, mem MemSystem, kern *kernel.Kernel) *NativeRadix {
-	if kern.Radix() == nil {
-		panic("core: NativeRadix requires a kernel radix table")
-	}
-	return &NativeRadix{
-		cfg:  cfg,
-		mem:  mem,
-		kern: kern,
-		pwc:  newPWC[addr.GVA, addr.GPA]("PWC", cfg.PWCEntriesPerLevel, addr.L2, addr.L4),
-	}
-}
-
-// Name implements Walker.
-func (w *NativeRadix) Name() string { return "Radix" }
-
-// SetRecorder attaches a trace recorder to the walker and its PWC. A
-// nil recorder disables tracing.
-func (w *NativeRadix) SetRecorder(r *trace.Recorder) {
-	w.rec = r
-	w.pwc.setTrace(r, trace.CachePWC, trace.WalkerNativeRadix)
-}
-
-// Walk implements Walker.
+// translateTablePage resolves the hPA of a guest page-table entry
+// through the NTLB, falling back to the host dimension (the dotted NTLB
+// path of Figure 2).
 //
 //nestedlint:hotpath
-func (w *NativeRadix) Walk(now uint64, va addr.GVA) (WalkResult, error) {
-	var res WalkResult
-	var ok bool
-	if w.rec != nil {
-		w.rec.Emit(trace.Event{
-			Now: now, Kind: trace.KindWalkBegin, Walker: trace.WalkerNativeRadix,
-			Space: trace.SpaceGuest, Size: trace.NoSize, Way: trace.WayNone, GVA: va,
-		})
+func (w *RadixWalker) translateTablePage(now uint64, entryGPA addr.GPA, row int, res *WalkResult) (hpa addr.HPA, lat uint64, err error) {
+	if w.ntlb == nil {
+		hpa, _, lat, err = w.host.Translate(now, entryGPA, row, res)
+		return hpa, lat, err
 	}
-	w.steps, ok = w.kern.Radix().AppendWalk(w.steps[:0], va)
+	lat = mmucache.LatencyRT
+	page := addr.PageBase(entryGPA, addr.Page4K)
+	if frame, ok := w.ntlb.Lookup(page); ok {
+		return addr.Translate(frame, entryGPA, addr.Page4K), lat, nil
+	}
+	hpa, _, hlat, err := w.host.Translate(now+lat, entryGPA, row, res)
+	lat += hlat
+	if err != nil {
+		return 0, lat, err
+	}
+	w.ntlb.Insert(page, addr.PageBase(hpa, addr.Page4K))
+	return hpa, lat, nil
+}
+
+// walkInto performs one full translation into *res (overwriting it).
+//
+//nestedlint:hotpath
+func (w *RadixWalker) walkInto(now uint64, va addr.GVA, res *WalkResult) error {
+	*res = WalkResult{}
+	w.walks++
+	w.walkBegin(now, va)
+	var ok bool
+	w.steps, ok = w.guest.AppendWalk(w.steps[:0], va)
 	steps := w.steps
 	if !ok {
-		w.traceFault(now, va)
-		return res, &ErrNotMapped{Space: "guest", GVA: va}
+		w.fault(now, trace.SpaceGuest, va, 0)
+		return &ErrNotMapped{Space: "guest", GVA: va}
 	}
-	lat := uint64(mmucache.LatencyRT) // parallel PWC probe round
+	lat := uint64(mmucache.LatencyRT) // parallel guest-PWC probe round
 	start := 0
 	for i := len(steps) - 1; i >= 0; i-- {
 		st := steps[i]
@@ -211,265 +344,74 @@ func (w *NativeRadix) Walk(now uint64, va addr.GVA) (WalkResult, error) {
 			break
 		}
 	}
+
+	// One sequential step per row: the host resolution of the guest
+	// table page, then the guest entry read.
 	step := uint8(0)
-	for i := start; i < len(steps); i++ {
-		st := steps[i]
-		step++
-		if w.rec != nil {
-			// Each radix row is one sequential step of one access.
-			w.rec.Emit(trace.Event{
-				Now: now + lat, Kind: trace.KindStepBegin, Walker: trace.WalkerNativeRadix,
-				Step: step, Space: trace.SpaceGuest, Size: trace.NoSize, Way: trace.WayNone, GVA: va,
-			})
-			w.rec.Emit(trace.Event{
-				Now: now + lat, Kind: trace.KindProbe, Walker: trace.WalkerNativeRadix,
-				Step: step, Space: trace.SpaceGuest, Size: trace.NoSize, Way: trace.WayNone,
-				GVA: va, GPA: st.EntryPA, Aux: 1,
-			})
+	for _, st := range steps[start:] {
+		row := 5 - int(st.Level) // gL4 is row 1 ... gL1 is row 4
+		if step++; w.stepByLevel {
+			step = uint8(row)
 		}
-		alat, _ := w.mem.Access(now+lat, addr.IdentityHPA(st.EntryPA), cachesim.SourceMMU)
-		lat += alat
-		res.Accesses++
-		if st.Leaf {
-			res.Frame = addr.IdentityHPA(st.Frame)
-			res.Size = st.Size
-			res.Latency = lat
-			if w.rec != nil {
-				w.rec.Emit(trace.Event{
-					Now: now + lat, Kind: trace.KindWalkEnd, Walker: trace.WalkerNativeRadix,
-					Space: trace.SpaceGuest, Size: res.Size, Way: trace.WayNone,
-					GVA: va, HPA: res.Frame, Aux: lat,
-				})
+		var hpa addr.HPA
+		if w.host == nil {
+			w.stepBegin(now+lat, step, trace.SpaceGuest, va, 0)
+			hpa = addr.IdentityHPA(st.EntryPA)
+		} else {
+			w.stepBegin(now+lat, step, trace.SpaceGuest, va, st.EntryPA)
+			var tlat uint64
+			var err error
+			hpa, tlat, err = w.translateTablePage(now+lat, st.EntryPA, row, res)
+			lat += tlat
+			if err != nil {
+				w.fault(now+lat, trace.SpaceHost, va, st.EntryPA)
+				return err
 			}
-			return res, nil
 		}
-		if st.Level >= addr.L2 {
-			w.pwc.insert(va, st.Level, st.NextPA)
-		}
-	}
-	w.traceFault(now+lat, va)
-	return res, &ErrNotMapped{Space: "guest", GVA: va}
-}
-
-// traceFault records a failed native radix walk.
-//
-//nestedlint:hotpath
-func (w *NativeRadix) traceFault(now uint64, va addr.GVA) {
-	if w.rec == nil {
-		return
-	}
-	w.rec.Emit(trace.Event{
-		Now: now, Kind: trace.KindFault, Walker: trace.WalkerNativeRadix,
-		Space: trace.SpaceGuest, Size: trace.NoSize, Way: trace.WayNone, GVA: va,
-	})
-}
-
-// NestedRadix is the Nested Radix baseline: the two-dimensional page
-// walk of Figure 2 with guest PWC, nested PWC, and Nested TLB.
-type NestedRadix struct {
-	cfg   RadixWalkConfig
-	mem   MemSystem
-	guest *kernel.Kernel
-	host  *hypervisor.Hypervisor
-	pwc   *pwc[addr.GVA, addr.GPA]
-	npwc  *pwc[addr.GPA, addr.HPA]
-	ntlb  *mmucache.Cache[addr.GPA, addr.HPA]
-	hostW hostRadixWalker
-	steps []radix.Step[addr.GPA] // reusable guest walk scratch
-	rec   *trace.Recorder
-
-	// BatchState provides SetBatchMSHRs and the batch scratch.
-	BatchState
-}
-
-// WalkBatch implements Walker. The nested radix walk is a serial chase
-// through up to 24 dependent accesses, so each lane's whole latency
-// forms one overlap stage.
-//
-//nestedlint:hotpath
-func (w *NestedRadix) WalkBatch(now uint64, gvas []addr.GVA, out []WalkResult, errs []error) uint64 {
-	return SequentialWalkBatch(w, &w.BatchState, w.rec, trace.WalkerNestedRadix, now, gvas, out, errs)
-}
-
-// NewNestedRadix builds the walker over the guest radix table and the
-// host radix (EPT) table.
-func NewNestedRadix(cfg RadixWalkConfig, mem MemSystem, guest *kernel.Kernel, host *hypervisor.Hypervisor) *NestedRadix {
-	if guest.Radix() == nil || host.Radix() == nil {
-		panic("core: NestedRadix requires guest and host radix tables")
-	}
-	w := &NestedRadix{
-		cfg:   cfg,
-		mem:   mem,
-		guest: guest,
-		host:  host,
-		pwc:   newPWC[addr.GVA, addr.GPA]("PWC", cfg.PWCEntriesPerLevel, addr.L2, addr.L4),
-		npwc:  newPWC[addr.GPA, addr.HPA]("NPWC", cfg.NPWCEntriesPerLevel, addr.L1, addr.L4),
-		ntlb:  mmucache.New[addr.GPA, addr.HPA]("NTLB", cfg.NTLBEntries),
-	}
-	w.hostW = hostRadixWalker{mem: mem, ept: host.Radix(), npwc: w.npwc}
-	return w
-}
-
-// Name implements Walker.
-func (w *NestedRadix) Name() string { return "Nested Radix" }
-
-// SetRecorder attaches a trace recorder to the walker and its MMU
-// caches (guest PWC, nested PWC, nested TLB). A nil recorder disables
-// tracing.
-func (w *NestedRadix) SetRecorder(r *trace.Recorder) {
-	w.rec = r
-	w.pwc.setTrace(r, trace.CachePWC, trace.WalkerNestedRadix)
-	w.npwc.setTrace(r, trace.CacheNPWC, trace.WalkerNestedRadix)
-	w.ntlb.SetTrace(r, trace.CacheNTLB, trace.WalkerNestedRadix, trace.NoSize)
-	w.hostW.rec = r
-	w.hostW.wkind = trace.WalkerNestedRadix
-}
-
-// NTLBStats returns the nested TLB hit/miss counter.
-func (w *NestedRadix) NTLBStats() (hits, misses uint64) {
-	c := w.ntlb.Stats()
-	return c.Hits, c.Misses
-}
-
-// translateTablePage resolves the hPA of a guest page-table page
-// through the NTLB, falling back to a full host walk (the dotted
-// NTLB path of Figure 2).
-func (w *NestedRadix) translateTablePage(now uint64, entryGPA addr.GPA, res *WalkResult) (hpa addr.HPA, lat uint64, err error) {
-	lat += mmucache.LatencyRT
-	page := addr.PageBase(entryGPA, addr.Page4K)
-	if frame, ok := w.ntlb.Lookup(page); ok {
-		return addr.Translate(frame, entryGPA, addr.Page4K), lat, nil
-	}
-	frame, size, hlat, acc, err := w.hostW.walk(now+lat, entryGPA)
-	lat += hlat
-	res.Accesses += acc
-	if err != nil {
-		return 0, lat, err
-	}
-	hpa = addr.Translate(frame, entryGPA, size)
-	w.ntlb.Insert(page, addr.PageBase(hpa, addr.Page4K))
-	return hpa, lat, nil
-}
-
-// Walk implements Walker: up to 24 sequential memory accesses.
-//
-//nestedlint:hotpath
-func (w *NestedRadix) Walk(now uint64, va addr.GVA) (WalkResult, error) {
-	var res WalkResult
-	var ok bool
-	if w.rec != nil {
-		w.rec.Emit(trace.Event{
-			Now: now, Kind: trace.KindWalkBegin, Walker: trace.WalkerNestedRadix,
-			Space: trace.SpaceGuest, Size: trace.NoSize, Way: trace.WayNone, GVA: va,
-		})
-	}
-	w.steps, ok = w.guest.Radix().AppendWalk(w.steps[:0], va)
-	steps := w.steps
-	if !ok {
-		w.traceFault(now, trace.SpaceGuest, va, 0)
-		return res, &ErrNotMapped{Space: "guest", GVA: va}
-	}
-	lat := uint64(mmucache.LatencyRT) // parallel guest-PWC probe round
-	start := 0
-	for i := len(steps) - 1; i >= 0; i-- {
-		st := steps[i]
-		if st.Leaf || st.Level < addr.L2 {
-			continue
-		}
-		if _, hit := w.pwc.lookup(va, st.Level); hit {
-			start = i + 1
-			break
-		}
-	}
-
-	var dataGPA addr.GPA
-	var gsize addr.PageSize
-	found := false
-	step := uint8(0)
-	for i := start; i < len(steps); i++ {
-		st := steps[i]
-		step++
-		if w.rec != nil {
-			// One sequential step per Figure-2 row: the host translation
-			// of the guest table page plus the guest entry read.
-			w.rec.Emit(trace.Event{
-				Now: now + lat, Kind: trace.KindStepBegin, Walker: trace.WalkerNestedRadix,
-				Step: step, Space: trace.SpaceGuest, Size: trace.NoSize, Way: trace.WayNone,
-				GVA: va, GPA: st.EntryPA,
-			})
-		}
-		// Rows of Figure 2: translate the guest table page (steps
-		// hL4..hL1), then read the guest entry (step gLi).
-		hpa, tlat, err := w.translateTablePage(now+lat, st.EntryPA, &res)
-		lat += tlat
-		if err != nil {
-			w.traceFault(now+lat, trace.SpaceHost, va, st.EntryPA)
-			return res, err
-		}
-		if w.rec != nil {
-			w.rec.Emit(trace.Event{
-				Now: now + lat, Kind: trace.KindProbe, Walker: trace.WalkerNestedRadix,
-				Step: step, Space: trace.SpaceHost, Size: trace.NoSize, Way: trace.WayNone,
-				GVA: va, HPA: hpa, Aux: 1,
-			})
+		if w.rec != nil && w.entryProbe != trace.SpaceNone {
+			ev := trace.Event{
+				Now: now + lat, Kind: trace.KindProbe, Walker: w.kind,
+				Step: step, Space: w.entryProbe, Size: trace.NoSize, Way: trace.WayNone,
+				GVA: va, Aux: 1,
+			}
+			if w.entryProbe == trace.SpaceGuest {
+				ev.GPA = st.EntryPA
+			} else {
+				ev.HPA = hpa
+			}
+			w.rec.Emit(ev)
 		}
 		alat, _ := w.mem.Access(now+lat, hpa, cachesim.SourceMMU)
 		lat += alat
 		res.Accesses++
-		if st.Leaf {
-			dataGPA = addr.Translate(st.Frame, va, st.Size)
-			gsize = st.Size
-			found = true
-			break
-		}
-		if st.Level >= addr.L2 {
+		if !st.Leaf {
 			w.pwc.insert(va, st.Level, st.NextPA)
 		}
 	}
-	if !found {
-		w.traceFault(now+lat, trace.SpaceGuest, va, 0)
-		return res, &ErrNotMapped{Space: "guest", GVA: va}
-	}
 
-	// Final host walk for the data page (steps 21–24 of Figure 2).
-	if w.rec != nil {
-		w.rec.Emit(trace.Event{
-			Now: now + lat, Kind: trace.KindStepBegin, Walker: trace.WalkerNestedRadix,
-			Step: step + 1, Space: trace.SpaceHost, Size: trace.NoSize, Way: trace.WayNone,
-			GVA: va, GPA: dataGPA,
-		})
+	// A mapped walk ends on its leaf; resolve the data page through the
+	// host dimension (steps 21–24 of Figure 2, row 5 of Figure 8).
+	leaf := steps[len(steps)-1]
+	dataGPA := addr.Translate(leaf.Frame, va, leaf.Size)
+	hpa, hsize, space := addr.IdentityHPA(dataGPA), leaf.Size, trace.SpaceGuest
+	if w.host != nil {
+		if step++; w.stepByLevel {
+			step = 5
+		}
+		space = trace.SpaceHost
+		w.stepBegin(now+lat, step, space, va, dataGPA)
+		var hlat uint64
+		var err error
+		hpa, hsize, hlat, err = w.host.Translate(now+lat, dataGPA, 5, res)
+		lat += hlat
+		if err != nil {
+			w.fault(now+lat, space, va, dataGPA)
+			return err
+		}
 	}
-	hframe, hsize, hlat, acc, err := w.hostW.walk(now+lat, dataGPA)
-	lat += hlat
-	res.Accesses += acc
-	if err != nil {
-		w.traceFault(now+lat, trace.SpaceHost, va, dataGPA)
-		return res, err
-	}
-
-	hpa := addr.Translate(hframe, dataGPA, hsize)
-	res.Size = minSize(gsize, hsize)
+	res.Size = minSize(leaf.Size, hsize)
 	res.Frame = addr.PageBase(hpa, res.Size)
 	res.Latency = lat
-	if w.rec != nil {
-		w.rec.Emit(trace.Event{
-			Now: now + lat, Kind: trace.KindWalkEnd, Walker: trace.WalkerNestedRadix,
-			Space: trace.SpaceHost, Size: res.Size, Way: trace.WayNone,
-			GVA: va, HPA: res.Frame, Aux: lat,
-		})
-	}
-	return res, nil
-}
-
-// traceFault records a failed nested radix walk.
-//
-//nestedlint:hotpath
-func (w *NestedRadix) traceFault(now uint64, space trace.Space, va addr.GVA, gpa addr.GPA) {
-	if w.rec == nil {
-		return
-	}
-	w.rec.Emit(trace.Event{
-		Now: now, Kind: trace.KindFault, Walker: trace.WalkerNestedRadix,
-		Space: space, Size: trace.NoSize, Way: trace.WayNone, GVA: va, GPA: gpa,
-	})
+	w.walkEnd(now+lat, space, va, res)
+	return nil
 }

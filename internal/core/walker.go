@@ -17,6 +17,7 @@ import (
 
 	"nestedecpt/internal/addr"
 	"nestedecpt/internal/cachesim"
+	"nestedecpt/internal/trace"
 )
 
 // MemSystem is the memory hierarchy a walker charges its accesses to.
@@ -91,6 +92,59 @@ type Walker interface {
 	WalkBatch(now uint64, gvas []addr.GVA, out []WalkResult, errs []error) uint64
 	// Name identifies the design (matches Table 1's naming).
 	Name() string
+}
+
+// tracer is the walk-event emitter every walker embeds: the recorder
+// (nil, the default, disables tracing at the cost of one pointer test
+// per site) and the design tag its events carry.
+type tracer struct {
+	rec  *trace.Recorder
+	kind trace.WalkerKind
+}
+
+// emit records one event of a walk's bracket — the kinds that carry no
+// way, cache or flag payload. The wrappers below test the recorder
+// first and stay small enough to inline, so an untraced walk pays a
+// pointer test per site and no call (noinline keeps that split fixed:
+// folding emit into them would push them past the inliner's budget).
+//
+//go:noinline
+func (t *tracer) emit(kind trace.Kind, now uint64, step uint8, space trace.Space, size addr.PageSize, va addr.GVA, gpa addr.GPA, hpa addr.HPA, aux uint64) {
+	t.rec.Emit(trace.Event{
+		Now: now, Kind: kind, Walker: t.kind, Step: step, Space: space, Size: size,
+		Way: trace.WayNone, GVA: va, GPA: gpa, HPA: hpa, Aux: aux,
+	})
+}
+
+// walkBegin opens a walk's trace bracket.
+func (t *tracer) walkBegin(now uint64, va addr.GVA) {
+	if t.rec != nil {
+		t.emit(trace.KindWalkBegin, now, 0, trace.SpaceGuest, trace.NoSize, va, 0, 0, 0)
+	}
+}
+
+// stepBegin opens one sequential step. gpa is the guest-physical
+// address the step resolves (0 when it works on the gVA itself).
+func (t *tracer) stepBegin(now uint64, step uint8, space trace.Space, va addr.GVA, gpa addr.GPA) {
+	if t.rec != nil {
+		t.emit(trace.KindStepBegin, now, step, space, trace.NoSize, va, gpa, 0, 0)
+	}
+}
+
+// fault records a walk terminated by a missing mapping. gpa is 0 for
+// guest-space faults (the faulting address is then the gVA).
+func (t *tracer) fault(now uint64, space trace.Space, va addr.GVA, gpa addr.GPA) {
+	if t.rec != nil {
+		t.emit(trace.KindFault, now, 0, space, trace.NoSize, va, gpa, 0, 0)
+	}
+}
+
+// walkEnd closes a completed walk: the composed frame and size, and the
+// critical-path latency in Aux.
+func (t *tracer) walkEnd(now uint64, space trace.Space, va addr.GVA, res *WalkResult) {
+	if t.rec != nil {
+		t.emit(trace.KindWalkEnd, now, 0, space, res.Size, va, 0, res.Frame, res.Latency)
+	}
 }
 
 // minSize returns the smaller of two page sizes: the composed nested

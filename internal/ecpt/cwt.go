@@ -130,7 +130,6 @@ func (c *CWT[P]) page(key uint64, create bool) *cwtPage[P] {
 // path carries no allocation.
 //
 //nestedlint:coldpath first-touch page construction happens on insert (create=true); the walk query path passes create=false
-//
 //go:noinline
 func (c *CWT[P]) createPage(idx uint64) *cwtPage[P] {
 	pg := &cwtPage[P]{base: c.alloc.MustAlloc(addr.Page4K, memsim.PurposeCWT)}

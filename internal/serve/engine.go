@@ -465,87 +465,144 @@ type workerResult struct {
 	retries   uint64
 	probes    uint64
 	probeHits uint64
-	latency   *stats.Histogram
+	// staleServes counts probes served from the injected stale TLB.
+	staleServes uint64
+	latency     *stats.Histogram
 }
 
-// worker translates round-robin across every VM until the stop
-// condition: its own epoch readers (one per guest domain plus the
-// host's) bracket each walk, its own cache hierarchy and per-VM
-// walkers keep all mutable state private, so the only shared reads are
-// the published table snapshots.
-func (e *engine) worker(ctx context.Context, id int) (*workerResult, error) {
-	rdHost := e.hostDom.NewReader()
-	defer rdHost.Close()
-	rds := make([]*ecpt.EpochReader, len(e.kerns))
-	for vm := range e.kerns {
-		rds[vm] = e.vmDoms[vm].NewReader()
+// servePage identifies one guest page in the injected stale TLB.
+type servePage struct {
+	vm int
+	va addr.GVA
+}
+
+// workerState is one reader actor's private state, whether a live
+// goroutine loops over it or Replay's scheduler steps it: its own epoch
+// readers (one per guest domain plus the host's) bracket each walk, its
+// own cache hierarchy and per-VM walkers keep all mutable state
+// private, so the only shared reads are the published table snapshots.
+type workerState struct {
+	id      int
+	walkers []*core.NestedECPT
+	gens    []workload.Generator
+	rds     []*ecpt.EpochReader
+	rdHost  *ecpt.EpochReader
+	rng     *vhash.RNG // probe targets
+	res     *workerResult
+	now     uint64
+	total   uint64
+	vm      int // the next step's guest, round-robin
+
+	// staleTLB is the StaleTLB fault injector, nil unless Replay injects
+	// it: a deliberately broken translation cache in front of the probe
+	// lane. Successful probes fill it and nothing ever invalidates it,
+	// so once the mutator unmaps a cached page the worker keeps serving
+	// the dead translation — exactly what the audit must flag.
+	staleTLB map[servePage]core.WalkResult
+}
+
+// newWorker builds worker id's private state.
+func (e *engine) newWorker(id int) (*workerState, error) {
+	w := &workerState{
+		id:      id,
+		walkers: make([]*core.NestedECPT, len(e.kerns)),
+		gens:    make([]workload.Generator, len(e.kerns)),
+		rds:     make([]*ecpt.EpochReader, len(e.kerns)),
+		rdHost:  e.hostDom.NewReader(),
+		rng:     vhash.NewRNG(runner.Seed(e.cfg.Seed, fmt.Sprintf("serve/probe/w%d", id))),
+		res:     &workerResult{ops: make([]uint64, len(e.kerns)), latency: stats.NewHistogram(20)},
 	}
-	defer func() {
-		for _, rd := range rds {
-			rd.Close()
-		}
-	}()
-	mem := cachesim.NewHierarchy(e.simCfg.Hierarchy)
-	walkers := make([]*core.NestedECPT, len(e.kerns))
-	gens := make([]workload.Generator, len(e.kerns))
 	for vm := range e.kerns {
-		walkers[vm] = core.NewNestedECPT(e.simCfg.NestedECPT, mem, e.kerns[vm], e.hyp)
+		w.rds[vm] = e.vmDoms[vm].NewReader()
+	}
+	mem := cachesim.NewHierarchy(e.simCfg.Hierarchy)
+	for vm := range e.kerns {
+		w.walkers[vm] = core.NewNestedECPT(e.simCfg.NestedECPT, mem, e.kerns[vm], e.hyp)
 		opts := e.simCfg.WorkloadOpts
 		opts.Seed = runner.Seed(e.cfg.Seed, fmt.Sprintf("serve/%s/w%d/vm%d", e.cfg.Workload, id, vm))
 		g, err := workload.New(e.cfg.Workload, opts)
 		if err != nil {
+			w.close()
 			return nil, err
 		}
-		gens[vm] = g
+		w.gens[vm] = g
 	}
-	probeRNG := vhash.NewRNG(runner.Seed(e.cfg.Seed, fmt.Sprintf("serve/probe/w%d", id)))
+	return w, nil
+}
 
-	res := &workerResult{
-		ops:     make([]uint64, len(e.kerns)),
-		latency: stats.NewHistogram(20),
+// close retires the worker's epoch readers.
+func (w *workerState) close() {
+	w.rdHost.Close()
+	for _, rd := range w.rds {
+		rd.Close()
 	}
-	var now uint64
-	var total uint64
+}
+
+// worker is the live lane: it steps its state round-robin across every
+// VM until the stop condition, checked once per round.
+func (e *engine) worker(ctx context.Context, id int) (*workerResult, error) {
+	w, err := e.newWorker(id)
+	if err != nil {
+		return nil, err
+	}
+	defer w.close()
 	for {
-		for vm := range walkers {
-			va := gens[vm].Next().VA
-			sampled := e.rec != nil && e.cfg.TraceSample > 0 &&
-				total%uint64(e.cfg.TraceSample) == 0
-			rds[vm].Enter()
-			rdHost.Enter()
-			if sampled {
-				e.emitTranslateBegin(id, vm, va)
-			}
-			wres, err := e.walkRetry(walkers[vm], rds[vm], rdHost, now, va, &res.retries)
-			if sampled {
-				e.emitTranslateEnd(id, vm, va, &wres, err == nil)
-			}
-			rdHost.Exit()
-			rds[vm].Exit()
-			if err != nil {
-				return nil, fmt.Errorf("serve: worker %d vm %d: %w", id, vm, err)
-			}
-			res.latency.Observe(wres.Latency)
-			now += wres.Latency + 1
-			res.ops[vm]++
-			total++
-			if e.cfg.ProbeEvery > 0 && total%uint64(e.cfg.ProbeEvery) == 0 {
-				if err := e.churnProbe(walkers[vm], rds[vm], rdHost, id, vm, now, probeRNG, res); err != nil {
-					return nil, fmt.Errorf("serve: worker %d vm %d probe: %w", id, vm, err)
-				}
-			}
+		if err := e.step(w); err != nil {
+			return nil, err
+		}
+		if w.vm != 0 {
+			continue
 		}
 		if e.cfg.OpsPerWorker > 0 {
-			if total >= e.cfg.OpsPerWorker {
-				return res, nil
+			if w.total >= e.cfg.OpsPerWorker {
+				return w.res, nil
 			}
 		} else if e.stop.Load() {
-			return res, nil
+			return w.res, nil
 		}
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 	}
+}
+
+// step is the unit of reader work both the live goroutines and Replay's
+// scheduler run: one workload walk against the worker's next VM, plus a
+// churn probe at the configured cadence.
+func (e *engine) step(w *workerState) error {
+	vm := w.vm
+	// Compare-and-reset, not %: the live lane runs this once per
+	// translation, and a division here showed in serve_steady.
+	if w.vm++; w.vm == len(e.kerns) {
+		w.vm = 0
+	}
+	va := w.gens[vm].Next().VA
+	sampled := e.rec != nil && e.cfg.TraceSample > 0 &&
+		w.total%uint64(e.cfg.TraceSample) == 0
+	w.rds[vm].Enter()
+	w.rdHost.Enter()
+	if sampled {
+		e.emitTranslateBegin(w.id, vm, va)
+	}
+	wres, err := e.walkRetry(w.walkers[vm], w.rds[vm], w.rdHost, w.now, va, &w.res.retries)
+	if sampled {
+		e.emitTranslateEnd(w.id, vm, va, &wres, err == nil)
+	}
+	w.rdHost.Exit()
+	w.rds[vm].Exit()
+	if err != nil {
+		return fmt.Errorf("serve: worker %d vm %d: %w", w.id, vm, err)
+	}
+	w.res.latency.Observe(wres.Latency)
+	w.now += wres.Latency + 1
+	w.res.ops[vm]++
+	w.total++
+	if e.cfg.ProbeEvery > 0 && w.total%uint64(e.cfg.ProbeEvery) == 0 {
+		if err := e.churnProbe(w, vm); err != nil {
+			return fmt.Errorf("serve: worker %d vm %d probe: %w", w.id, vm, err)
+		}
+	}
+	return nil
 }
 
 // churnProbe walks one recently-churned address without retries. Churn
@@ -554,7 +611,7 @@ func (e *engine) worker(ctx context.Context, id int) (*workerResult, error) {
 // expected outcome (the page was unmapped), and what the audit proves
 // is that a success never contradicts the generation window the reader
 // pinned.
-func (e *engine) churnProbe(w *core.NestedECPT, rdG, rdHost *ecpt.EpochReader, id, vm int, now uint64, rng *vhash.RNG, res *workerResult) error {
+func (e *engine) churnProbe(w *workerState, vm int) error {
 	head := e.churnHead[vm].Load()
 	if head == 0 {
 		return nil // nothing published into the churn lane yet
@@ -566,26 +623,37 @@ func (e *engine) churnProbe(w *core.NestedECPT, rdG, rdHost *ecpt.EpochReader, i
 	if reach > head {
 		reach = head
 	}
-	idx := head - 1 - uint64(rng.Intn(int(reach)))
+	idx := head - 1 - uint64(w.rng.Intn(int(reach)))
 	va := addr.Add(churnBase, (idx%e.span)*addr.Page4K.Bytes())
+	key := servePage{vm: vm, va: va}
 
-	rdG.Enter()
-	rdHost.Enter()
-	e.emitTranslateBegin(id, vm, va)
-	wres, err := w.Walk(now, va)
-	e.emitTranslateEnd(id, vm, va, &wres, err == nil)
-	rdHost.Exit()
-	rdG.Exit()
-	res.probes++
-	if err == nil {
-		res.probeHits++
-		return nil
+	w.rds[vm].Enter()
+	w.rdHost.Enter()
+	e.emitTranslateBegin(w.id, vm, va)
+	// An injected stale TLB serves its hits without walking.
+	wres, cached := w.staleTLB[key]
+	var err error
+	if !cached {
+		wres, err = w.walkers[vm].Walk(w.now, va)
 	}
-	var nm *core.ErrNotMapped
-	if errors.As(err, &nm) {
-		return nil // unmapped churn page: the expected miss
+	e.emitTranslateEnd(w.id, vm, va, &wres, err == nil)
+	w.rdHost.Exit()
+	w.rds[vm].Exit()
+	w.res.probes++
+	if err != nil {
+		var nm *core.ErrNotMapped
+		if errors.As(err, &nm) {
+			return nil // unmapped churn page: the expected miss
+		}
+		return err
 	}
-	return err
+	w.res.probeHits++
+	if cached {
+		w.res.staleServes++
+	} else if w.staleTLB != nil {
+		w.staleTLB[key] = wres
+	}
+	return nil
 }
 
 // emitTranslateBegin opens one audited serve translation. Call with

@@ -1,27 +1,20 @@
 package serve
 
 import (
-	"errors"
-	"fmt"
-
-	"nestedecpt/internal/addr"
-	"nestedecpt/internal/cachesim"
 	"nestedecpt/internal/core"
-	"nestedecpt/internal/ecpt"
 	"nestedecpt/internal/runner"
-	"nestedecpt/internal/stats"
 	"nestedecpt/internal/trace"
 	"nestedecpt/internal/vhash"
-	"nestedecpt/internal/workload"
 )
 
 // Replay mode: the same engine, driven by a single-goroutine seeded
 // scheduler instead of live goroutines. Every step runs one whole
-// worker action (a workload walk plus its probe) or one whole churn
-// round to completion, so a given (config, seed) pair always produces
-// the same schedule, the same trace, and the same audit verdict —
-// which is what lets an interleaving the auditor flags be committed as
-// a deterministic regression test.
+// worker action (engine.step, the very function the live workers loop
+// over: a workload walk plus its probe) or one whole churn round
+// (engine.churnRound) to completion, so a given (config, seed) pair
+// always produces the same schedule, the same trace, and the same
+// audit verdict — which is what lets an interleaving the auditor flags
+// be committed as a deterministic regression test.
 
 // ReplayConfig configures one deterministic replay.
 type ReplayConfig struct {
@@ -48,11 +41,10 @@ type ReplayConfig struct {
 	Scale    uint64
 	THP      bool
 
-	// StaleTLB interposes a deliberately broken per-worker translation
-	// cache in front of the probe lane: successful probes fill it and
-	// nothing ever invalidates it, so once the mutator unmaps a cached
-	// page the worker keeps serving the dead translation. The audit
-	// must flag those serves — the regression tests assert it does.
+	// StaleTLB injects workerState.staleTLB, a deliberately broken
+	// per-worker translation cache in front of the probe lane. The audit
+	// must flag the dead translations it serves — the regression tests
+	// assert it does.
 	StaleTLB bool
 }
 
@@ -113,41 +105,6 @@ type ReplayResult struct {
 	Publishes uint64
 }
 
-// servePage identifies one guest page in the replay TLB.
-type servePage struct {
-	vm int
-	va addr.GVA
-}
-
-// tlbEntry is one StaleTLB entry: the frame a successful probe served.
-type tlbEntry struct {
-	frame addr.HPA
-	size  addr.PageSize
-}
-
-// replayWorker is one scheduler-driven reader actor: the same per-VM
-// walkers, generators, and epoch readers a live worker owns.
-type replayWorker struct {
-	id      int
-	walkers []*core.NestedECPT
-	gens    []workload.Generator
-	rds     []*ecpt.EpochReader
-	rdHost  *ecpt.EpochReader
-	rng     *vhash.RNG
-	res     *workerResult
-	now     uint64
-	total   uint64
-	vm      int
-	tlb     map[servePage]tlbEntry
-}
-
-func (w *replayWorker) close() {
-	w.rdHost.Close()
-	for _, rd := range w.rds {
-		rd.Close()
-	}
-}
-
 // replayShard is one scheduler-driven writer actor: it owns the VMs
 // with vm % shards == id and churns them round-robin.
 type replayShard struct {
@@ -185,14 +142,17 @@ func Replay(cfg ReplayConfig) (*ReplayResult, error) {
 	}
 	e.syncHost = true // host requests apply inline: one goroutine owns everything
 
-	workers := make([]*replayWorker, scfg.Workers)
+	workers := make([]*workerState, scfg.Workers)
 	for i := range workers {
-		w, err := e.newReplayWorker(i)
+		w, err := e.newWorker(i)
 		if err != nil {
 			return nil, err
 		}
-		workers[i] = w
 		defer w.close()
+		if cfg.StaleTLB {
+			w.staleTLB = make(map[servePage]core.WalkResult)
+		}
+		workers[i] = w
 	}
 	shards := make([]*replayShard, e.shards)
 	for s := range shards {
@@ -208,131 +168,25 @@ func Replay(cfg ReplayConfig) (*ReplayResult, error) {
 	actors := len(workers) + len(shards)
 	for step := 0; step < cfg.Steps; step++ {
 		a := sched.Intn(actors)
+		var err error
 		if a < len(workers) {
-			stale, err := e.replayWorkerStep(workers[a], cfg.StaleTLB)
-			if err != nil {
-				return nil, err
-			}
-			out.StaleServes += stale
-		} else if err := e.replayShardStep(shards[a-len(workers)]); err != nil {
+			err = e.step(workers[a])
+		} else {
+			err = e.replayShardStep(shards[a-len(workers)])
+		}
+		if err != nil {
 			return nil, err
 		}
 	}
 	for _, w := range workers {
 		out.Probes += w.res.probes
 		out.ProbeHits += w.res.probeHits
+		out.StaleServes += w.res.staleServes
 	}
 	out.Publishes = e.publishes.Load()
 	rec.Flush()
 	out.Events = col.Events()
 	return out, nil
-}
-
-// newReplayWorker builds one worker actor's private state.
-func (e *engine) newReplayWorker(id int) (*replayWorker, error) {
-	w := &replayWorker{
-		id:      id,
-		walkers: make([]*core.NestedECPT, len(e.kerns)),
-		gens:    make([]workload.Generator, len(e.kerns)),
-		rds:     make([]*ecpt.EpochReader, len(e.kerns)),
-		rdHost:  e.hostDom.NewReader(),
-		rng:     vhash.NewRNG(runner.Seed(e.cfg.Seed, fmt.Sprintf("serve/probe/w%d", id))),
-		res:     &workerResult{ops: make([]uint64, len(e.kerns)), latency: stats.NewHistogram(20)},
-		tlb:     make(map[servePage]tlbEntry),
-	}
-	mem := cachesim.NewHierarchy(e.simCfg.Hierarchy)
-	for vm := range e.kerns {
-		w.rds[vm] = e.vmDoms[vm].NewReader()
-		w.walkers[vm] = core.NewNestedECPT(e.simCfg.NestedECPT, mem, e.kerns[vm], e.hyp)
-		opts := e.simCfg.WorkloadOpts
-		opts.Seed = runner.Seed(e.cfg.Seed, fmt.Sprintf("serve/%s/w%d/vm%d", e.cfg.Workload, id, vm))
-		g, err := workload.New(e.cfg.Workload, opts)
-		if err != nil {
-			return nil, err
-		}
-		w.gens[vm] = g
-	}
-	return w, nil
-}
-
-// replayWorkerStep runs one worker action: a workload walk against the
-// next VM, plus a churn probe at the configured cadence. It returns
-// how many probes the StaleTLB cache served.
-func (e *engine) replayWorkerStep(w *replayWorker, staleTLB bool) (uint64, error) {
-	vm := w.vm
-	w.vm = (w.vm + 1) % len(e.kerns)
-	va := w.gens[vm].Next().VA
-	w.rds[vm].Enter()
-	w.rdHost.Enter()
-	e.emitTranslateBegin(w.id, vm, va)
-	wres, err := e.walkRetry(w.walkers[vm], w.rds[vm], w.rdHost, w.now, va, &w.res.retries)
-	e.emitTranslateEnd(w.id, vm, va, &wres, err == nil)
-	w.rdHost.Exit()
-	w.rds[vm].Exit()
-	if err != nil {
-		return 0, fmt.Errorf("serve: replay worker %d vm %d: %w", w.id, vm, err)
-	}
-	w.res.latency.Observe(wres.Latency)
-	w.now += wres.Latency + 1
-	w.res.ops[vm]++
-	w.total++
-	if e.cfg.ProbeEvery <= 0 || w.total%uint64(e.cfg.ProbeEvery) != 0 {
-		return 0, nil
-	}
-	if staleTLB {
-		return e.replayStaleProbe(w, vm)
-	}
-	if err := e.churnProbe(w.walkers[vm], w.rds[vm], w.rdHost, w.id, vm, w.now, w.rng, w.res); err != nil {
-		return 0, fmt.Errorf("serve: replay worker %d vm %d probe: %w", w.id, vm, err)
-	}
-	return 0, nil
-}
-
-// replayStaleProbe is churnProbe with the deliberately broken TLB in
-// front: cache hits are served without walking and nothing invalidates
-// the cache on unmap publishes, so serves of dead translations are
-// exactly what the audit must flag.
-func (e *engine) replayStaleProbe(w *replayWorker, vm int) (staleServes uint64, err error) {
-	head := e.churnHead[vm].Load()
-	if head == 0 {
-		return 0, nil
-	}
-	reach := e.window + e.window/2
-	if reach > head {
-		reach = head
-	}
-	idx := head - 1 - uint64(w.rng.Intn(int(reach)))
-	va := addr.Add(churnBase, (idx%e.span)*addr.Page4K.Bytes())
-	key := servePage{vm: vm, va: va}
-
-	w.rds[vm].Enter()
-	w.rdHost.Enter()
-	e.emitTranslateBegin(w.id, vm, va)
-	ent, cached := w.tlb[key]
-	var wres core.WalkResult
-	var werr error
-	if cached {
-		wres = core.WalkResult{Frame: ent.frame, Size: ent.size}
-	} else {
-		wres, werr = w.walkers[vm].Walk(w.now, va)
-	}
-	e.emitTranslateEnd(w.id, vm, va, &wres, werr == nil)
-	w.rdHost.Exit()
-	w.rds[vm].Exit()
-	w.res.probes++
-	if werr != nil {
-		var nm *core.ErrNotMapped
-		if errors.As(werr, &nm) {
-			return 0, nil
-		}
-		return 0, werr
-	}
-	w.res.probeHits++
-	if cached {
-		return 1, nil
-	}
-	w.tlb[key] = tlbEntry{frame: wres.Frame, size: wres.Size}
-	return 0, nil
 }
 
 // replayShardStep runs one churn round on the shard's next VM.

@@ -265,7 +265,6 @@ func (d *Distribution) Observe(name string) {
 // come here.
 //
 //nestedlint:coldpath walker category sets fit the fixed hot slots; the overflow map serves only pathological name cardinalities
-//
 //go:noinline
 func (d *Distribution) observeOverflow(name string) {
 	if d.overflow == nil {

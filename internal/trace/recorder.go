@@ -13,7 +13,8 @@ type Sink interface {
 // batches to its sink. A nil *Recorder is the disabled state: every
 // emit method is nil-receiver-safe and returns immediately, so the
 // walk hot path pays one pointer test and zero allocations when
-// tracing is off (the `make benchdrift` 0-allocs/walk pin).
+// tracing is off (TestWalkAllocationFree in alloc_test.go pins 0
+// allocs/walk).
 //
 // A Recorder is safe for concurrent emitters (the parallel sweep's
 // workers may share one), but interleaving is then scheduling-

@@ -179,7 +179,7 @@ func TestAuditServeGenWindowInverted(t *testing.T) {
 func TestAuditServePublishMonotone(t *testing.T) {
 	events := sseq(
 		mapPub(0, 0, pageA, hpaX, 3),
-		unmapPub(0, 0, pageA, 2), // generation went backwards
+		unmapPub(0, 0, pageA, 2),     // generation went backwards
 		mapPub(0, 0, pageB, hpaY, 0), // generation zero is reserved
 	)
 	wantRules(t, events, ServeSpec{}, "publish-monotone", "publish-monotone")
@@ -197,7 +197,7 @@ func TestAuditServePublishOwner(t *testing.T) {
 
 func TestAuditServePublishAlternation(t *testing.T) {
 	events := sseq(
-		unmapPub(0, 0, pageA, 1),       // unmap before any map
+		unmapPub(0, 0, pageA, 1), // unmap before any map
 		mapPub(0, 0, pageB, hpaX, 2),
 		mapPub(0, 0, pageB, hpaY, 3), // double map
 	)
@@ -272,7 +272,7 @@ func TestAuditServeOrderedBySeq(t *testing.T) {
 		unmapPub(0, 0, pageA, 2),
 		begin(0, 0, pageA, 3),
 		end(0, 0, pageA, 3, hpaX, true), // seq 4: stale-translation
-		mapPub(1, 0, pageB, hpaY, 3), // seq 5: publish-owner
+		mapPub(1, 0, pageB, hpaY, 3),    // seq 5: publish-owner
 	)
 	got := wantRules(t, events, ServeSpec{}, "stale-translation", "publish-owner")
 	if got[0].Seq >= got[1].Seq {
