@@ -326,13 +326,3 @@ func planPTEOnly[V, P addr.Addr](set *ecpt.Set[V, P], cwc *CWC, va V, plan *prob
 	}
 	plan.fault = true
 }
-
-// probesForPlan expands a plan into the concrete line probes (tests
-// and cold paths; walkers expand groups into their own scratch).
-func probesForPlan[V, P addr.Addr](set *ecpt.Set[V, P], va V, plan *probePlan[P]) []ecpt.Probe[P] {
-	var probes []ecpt.Probe[P]
-	for _, g := range plan.groups {
-		probes = set.Table(g.size).AppendProbes(probes, addr.VPN(va, g.size), g.way)
-	}
-	return probes
-}

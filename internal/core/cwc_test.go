@@ -20,6 +20,16 @@ func newPlannerSet(t *testing.T, withPTECWT bool) *ecpt.Set[uint64, uint64] {
 	return set
 }
 
+// probesForPlan expands a plan into the concrete line probes (walkers
+// expand groups into their own scratch).
+func probesForPlan[V, P addr.Addr](set *ecpt.Set[V, P], va V, plan *probePlan[P]) []ecpt.Probe[P] {
+	var probes []ecpt.Probe[P]
+	for _, g := range plan.groups {
+		probes = set.Table(g.size).AppendProbes(probes, addr.VPN(va, g.size), g.way)
+	}
+	return probes
+}
+
 func TestCWCPartitioning(t *testing.T) {
 	c := NewCWC("t", CWCConfig{PMD: 4, PUD: 2})
 	if c.Has(addr.Page4K) {

@@ -321,22 +321,37 @@ func TestBatchedRunsAuditClean(t *testing.T) {
 	}
 }
 
-// TestBatchSizeOneKeepsSequentialTrace pins that BatchSize <= 1 is the
-// sequential pipeline, byte for byte: the golden-seed trace of a
-// BatchSize=1 run serializes identically to the unbatched run, with no
-// batch events.
+// TestBatchSizeOneKeepsSequentialTrace pins that BatchSize <= 1 is one
+// pipeline, not two that agree: for every traceable design the
+// golden-seed run at BatchSize=1 serializes the same trace as the
+// unbatched run, with no batch events, and returns the same Result —
+// every counter and the walk-latency histogram. It is the row that
+// fails if the walk engine is ever selected on something other than
+// the phase being batched.
 func TestBatchSizeOneKeepsSequentialTrace(t *testing.T) {
-	serialize := func(batch int) string {
-		cfg := goldenConfig(DesignNestedECPT)
+	run := func(d Design, batch int) (string, *Result) {
+		cfg := goldenConfig(d)
 		cfg.BatchSize = batch
 		rec, col := trace.NewCollected()
-		if _, err := RunTraced(context.Background(), cfg, rec); err != nil {
+		res, err := RunTraced(context.Background(), cfg, rec)
+		if err != nil {
 			t.Fatal(err)
 		}
-		return fmt.Sprintf("%+v", col.Events())
+		res.Config.BatchSize = 0 // the one field that differs by construction
+		return fmt.Sprintf("%+v", col.Events()), res
 	}
-	if seq, one := serialize(0), serialize(1); seq != one {
-		t.Error("BatchSize=1 produced a different trace than the sequential pipeline")
+	for _, d := range goldenDesigns {
+		seqTrace, seqRes := run(d, 0)
+		oneTrace, oneRes := run(d, 1)
+		if seqTrace != oneTrace {
+			t.Errorf("%v: BatchSize=1 produced a different trace than BatchSize=0", d)
+		}
+		if !reflect.DeepEqual(seqRes, oneRes) {
+			t.Errorf("%v: BatchSize=1 produced a different Result than BatchSize=0:\n  0: %+v\n  1: %+v", d, seqRes, oneRes)
+		}
+		if oneRes.Batches != 0 || oneRes.Walks == 0 {
+			t.Errorf("%v: BatchSize=1 counted %d batches over %d walks, want 0 batches and some walks", d, oneRes.Batches, oneRes.Walks)
+		}
 	}
 }
 

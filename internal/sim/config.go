@@ -8,6 +8,7 @@ package sim
 import (
 	"fmt"
 
+	"nestedecpt/internal/addr"
 	"nestedecpt/internal/cachesim"
 	"nestedecpt/internal/core"
 	"nestedecpt/internal/tlbsim"
@@ -161,10 +162,10 @@ type Config struct {
 	Timing    TimingConfig
 
 	// BatchSize issues this many application accesses per pipeline
-	// step; the page walks their L2 TLB misses trigger go through
-	// Walker.WalkBatch and overlap in the MSHR model. Zero or one
-	// keeps the sequential one-access-at-a-time pipeline (bit-exact
-	// with earlier versions).
+	// step of the measured phase; the page walks their L2 TLB misses
+	// trigger go through Walker.WalkBatch and overlap in the MSHR
+	// model. Zero or one is the same step at width 1: one access at a
+	// time, each miss walked by Walker.Walk.
 	BatchSize int
 	// BatchMSHRs bounds how many of a batch's walker memory probes
 	// may be in flight at once (miss-status holding registers); zero
@@ -217,6 +218,12 @@ func (c Config) Normalized(footprint uint64) (Config, error) {
 	return c, nil
 }
 
+// maxECPTWays bounds Config.ECPTWays. A cold nested walk faults once a
+// table line it probes — one a way a page size, and a handful for the
+// CWTs and the data page — and Machine.walk gives up after
+// maxWalkFaults: 16 ways is 54 faults, 20 would not converge.
+const maxECPTWays = 16
+
 func (c *Config) normalize(footprint uint64) error {
 	c.WorkloadOpts = c.WorkloadOpts.Normalized()
 	if c.Workload == "" {
@@ -267,8 +274,23 @@ func (c *Config) normalize(footprint uint64) error {
 		// regime in the sim tests).
 		c.CacheScale = int(c.WorkloadOpts.Scale) * 2
 	}
+	for i, ways := range [...]int{c.Hierarchy.L1.Ways, c.Hierarchy.L2.Ways, c.Hierarchy.L3.Ways} {
+		if ways <= 0 {
+			return fmt.Errorf("sim: Hierarchy.L%d.Ways is %d, want at least 1", i+1, ways)
+		}
+	}
 	if c.Cores == 0 {
 		c.Cores = 8
+	}
+	// One generator a co-runner and one L3 share a core: a negative
+	// count, or one that leaves a core less than a line of the L3, is
+	// not a machine.
+	if l3Lines := c.Hierarchy.L3.SizeBytes / addr.CacheLineBytes; c.Cores < 0 || l3Lines < uint64(c.Cores) {
+		return fmt.Errorf("sim: Cores is %d, want 1 to %d (one %d-byte line of the %d-byte L3 each)",
+			c.Cores, l3Lines, addr.CacheLineBytes, c.Hierarchy.L3.SizeBytes)
+	}
+	if c.ECPTWays > maxECPTWays {
+		return fmt.Errorf("sim: ECPTWays is %d, want at most %d", c.ECPTWays, maxECPTWays)
 	}
 	if c.BatchSize < 0 {
 		c.BatchSize = 0

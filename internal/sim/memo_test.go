@@ -48,8 +48,12 @@ type resolveHarness struct {
 	vmas   []kernel.VMA
 	rng    *vhash.RNG
 	recent [16]addr.GVA
-	ops    int
+	// stepped counts the accesses stepped so far; ops the operations.
+	stepped, ops int
 }
+
+// harnessBatch is the widest step the harness issues.
+const harnessBatch = 8
 
 func newResolveHarness(t testing.TB, d Design, thp bool, hugeFail float64, seed uint64) *resolveHarness {
 	t.Helper()
@@ -57,6 +61,7 @@ func newResolveHarness(t testing.TB, d Design, thp bool, hugeFail float64, seed 
 	cfg.WorkloadOpts.Scale = 512
 	cfg.WorkloadOpts.Seed = seed
 	cfg.HugePageFailureRate = hugeFail
+	cfg.BatchSize = harnessBatch // sizes step's scratch; the harness drives step itself
 	m, err := NewMachine(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -88,15 +93,24 @@ func (h *resolveHarness) sample() addr.GVA {
 }
 
 // apply performs the operation op encodes. Steps are twice as likely as
-// anything else, so pages get into the TLB and the memo between unmaps.
+// anything else, so pages get into the TLB and the memo between unmaps:
+// one access of an unbatched phase, or 1 to harnessBatch accesses (the
+// op's high bits) of a batched one.
 func (h *resolveHarness) apply(op byte) {
 	h.t.Helper()
 	m := h.m
 	switch op % 6 {
 	case 0, 1:
-		h.recent[h.ops%len(h.recent)] = h.shadow.Next().VA
-		if err := m.step(false); err != nil {
-			h.t.Fatalf("op %d: step: %v", h.ops, err)
+		batched, n := op%6 == 1, 1
+		if batched {
+			n += int(op/6) % harnessBatch
+		}
+		for i := 0; i < n; i++ {
+			h.recent[h.stepped%len(h.recent)] = h.shadow.Next().VA
+			h.stepped++
+		}
+		if err := m.step(false, batched, n); err != nil {
+			h.t.Fatalf("op %d: step of %d (batched=%v): %v", h.ops, n, batched, err)
 		}
 	case 2:
 		m.Kernel().Unmap(h.recent[int(op/6)%len(h.recent)])
@@ -178,9 +192,9 @@ func (h *resolveHarness) checkTLB() {
 		if !tr.Hit() {
 			continue
 		}
-		if want, _, _, ok := tablesTranslate(h.m, va); !ok || h.m.dataPA(tr.Frame, va, tr.Size) != want {
+		if want, _, _, ok := tablesTranslate(h.m, va); !ok || addr.Translate(tr.Frame, va, tr.Size) != want {
 			h.t.Fatalf("op %d: TLB serves %#x for %#x, tables map %#x (ok=%v)",
-				h.ops, h.m.dataPA(tr.Frame, va, tr.Size), va, want, ok)
+				h.ops, addr.Translate(tr.Frame, va, tr.Size), va, want, ok)
 		}
 	}
 }
@@ -240,6 +254,12 @@ func FuzzMachineResolve(f *testing.F) {
 	f.Add([]byte{3 | 16, 3, 3, 4, 4, 0, 2, 2, 0})     // fragmented, direct maps first
 	f.Add([]byte{2 | 8 | 16, 0, 0, 0, 0, 2, 0, 2, 0}) // Nested Radix, THP, fragmented
 	f.Add([]byte{6, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0}) // POM-TLB
+	// Batched steps (op%6 == 1, width 1 + op/6%8) around unmaps of the
+	// pages they touched (op%6 == 2, recent slot op/6).
+	f.Add([]byte{3, 43, 43, 2, 8, 43, 14, 20, 1, 2, 37})           // Nested ECPTs: width 8, 8, unmaps, 8, unmaps, width 1
+	f.Add([]byte{3 | 8, 43, 2, 43, 7, 8, 19, 14, 25, 31, 43})      // THP: widths 8, 8, 2, 4, 5, 6, 8 with unmaps between
+	f.Add([]byte{6 | 16, 43, 43, 2, 43, 8, 43, 0, 14, 1})          // POM-TLB, fragmented: batched and unbatched steps mixed
+	f.Add([]byte{4 | 8 | 16, 13, 2, 13, 8, 13, 14, 13, 20, 13, 0}) // Nested Hybrid, THP, fragmented: width 3 after every unmap
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
@@ -277,7 +297,7 @@ func TestUnmapShootsDownTLB(t *testing.T) {
 		t.Fatal(err)
 	}
 	va := gen.Next().VA
-	if err := m.step(false); err != nil {
+	if err := m.step(false, false, 1); err != nil {
 		t.Fatal(err)
 	}
 	if tr := m.tlb.Access(va); !tr.Hit() {
@@ -295,7 +315,7 @@ func TestUnmapShootsDownTLB(t *testing.T) {
 		t.Fatalf("demand paging did not move %#x: %#x -> %#x (ok=%v)", va, old, now, ok)
 	}
 	if tr := m.tlb.Access(va); tr.Hit() {
-		t.Errorf("TLB still serves %#x for %#x after the unmap; tables map %#x", m.dataPA(tr.Frame, va, tr.Size), va, now)
+		t.Errorf("TLB still serves %#x for %#x after the unmap; tables map %#x", addr.Translate(tr.Frame, va, tr.Size), va, now)
 	}
 }
 

@@ -46,8 +46,14 @@ type Machine struct {
 	// rec, when set, receives walk-trace events for the measured phase.
 	rec *trace.Recorder
 
-	// batch holds the reusable scratch for the batched pipeline.
-	batch batchScratch
+	// lanes, vas, outs and errs are step's scratch, sized once for the
+	// widest step the run issues so the measure loop stays allocation-
+	// free: lanes holds the step's accesses, and vas, outs and errs are
+	// the walker's arguments for its unique TLB misses.
+	lanes []lane
+	vas   []addr.GVA
+	outs  []core.WalkResult
+	errs  []error
 
 	// res is its own allocation: a caller keeping the *Result Run
 	// returns (a sweep keeps every run's) must not keep the machine and
@@ -55,22 +61,16 @@ type Machine struct {
 	res *Result
 }
 
-// batchScratch is the per-machine scratch the batched step reuses so
-// the measure loop stays allocation-free.
-type batchScratch struct {
-	accs   []workload.Access
-	frames []addr.HPA
-	sizes  []addr.PageSize
-	// lanes maps each missing access to its index in accs, and
-	// laneWalk to the unique walk (index into vas) servicing it:
-	// secondary misses to a page already in flight coalesce onto the
-	// primary's walk, as MSHR secondary misses do. vas, outs and errs
-	// are the WalkBatch arguments for the unique walks.
-	lanes    []int
-	laneWalk []int
-	vas      []addr.GVA
-	outs     []core.WalkResult
-	errs     []error
+// lane is one access in flight through a pipeline step.
+type lane struct {
+	acc   workload.Access
+	frame addr.HPA
+	size  addr.PageSize
+	// walk indexes the walk (in Machine.vas/outs) that services the
+	// lane's TLB miss, -1 on a hit: secondary misses to a page already
+	// in flight coalesce onto the primary's walk, as MSHR secondary
+	// misses do.
+	walk int
 }
 
 // NewMachine builds the system for cfg without running it.
@@ -167,6 +167,14 @@ func NewMachine(cfg Config) (*Machine, error) {
 		m.corunners = append(m.corunners, g)
 	}
 
+	// BatchSize is outside input: size the scratch for the widest step
+	// this run can reach, not for the width it asked for.
+	width := max(int(min(uint64(cfg.BatchSize), cfg.MeasureAccesses)), 1)
+	m.lanes = make([]lane, width)
+	m.vas = make([]addr.GVA, 0, width)
+	m.outs = make([]core.WalkResult, width)
+	m.errs = make([]error, width)
+
 	m.res.Config = cfg
 	m.res.WalkLatency = stats.NewHistogram(20)
 	return m, nil
@@ -229,6 +237,10 @@ func (m *Machine) prefault(va addr.GVA) error {
 	return err
 }
 
+// maxWalkFaults is how many nested faults walk services for one access
+// before calling the walk divergent.
+const maxWalkFaults = 64
+
 // walk runs the configured walker, servicing nested faults on guest
 // page-table pages (EPT violations in real hardware) and retrying.
 func (m *Machine) walk(va addr.GVA) (core.WalkResult, error) {
@@ -241,7 +253,7 @@ func (m *Machine) walk(va addr.GVA) (core.WalkResult, error) {
 		if !errors.As(err, &nm) {
 			return res, err
 		}
-		if attempt > 64 {
+		if attempt > maxWalkFaults {
 			return res, fmt.Errorf("sim: walk for %#x cannot converge: %w", va, err)
 		}
 		if err := m.serviceFault(nm); err != nil {
@@ -267,160 +279,63 @@ func (m *Machine) serviceFault(nm *core.ErrNotMapped) error {
 	return err
 }
 
-// dataPA resolves the final physical address the CPU's data access
-// uses: the host PA in nested designs, the guest PA natively.
-func (m *Machine) dataPA(frame addr.HPA, va addr.GVA, size addr.PageSize) addr.HPA {
-	return addr.Translate(frame, va, size)
-}
-
-// step runs one application access through the machine.
-func (m *Machine) step(measure bool) error {
-	acc := m.gen.Next()
+// step runs the next n application accesses through the machine as
+// one pipeline step: issue, TLB probe, walk, fill, data access. At
+// n = 1 that is one access at a time. At n > 1 the lanes are in flight
+// together: every probe precedes every fill, so a second access to a
+// page that missed misses too and rides the first one's walk instead of
+// TLB-hitting, and the core stalls for the walks' overlapped critical
+// path instead of their sum. batched says which walk engine the phase
+// uses (see walkMisses); functional behaviour per lane is the same.
+func (m *Machine) step(measure, batched bool, n int) error {
 	t := &m.cfg.Timing
+	lanes := m.lanes[:n]
 
-	// Execution of the non-memory instructions since the last access.
-	m.cycles += float64(acc.Gap) / t.IssueWidth
-
-	if err := m.prefault(acc.VA); err != nil {
-		return err
-	}
-
-	// Address translation.
-	tr := m.tlb.Access(acc.VA)
-	m.cycles += float64(tr.Latency)
-	frame, size := tr.Frame, tr.Size
-	if !tr.Hit() {
-		wres, err := m.walk(acc.VA)
-		if err != nil {
-			return err
-		}
-		m.cycles += float64(wres.Latency) * t.ExposedWalkFrac
-		m.tlb.Fill(acc.VA, wres.Size, wres.Frame)
-		frame, size = wres.Frame, wres.Size
-		if measure {
-			m.res.Walks++
-			m.res.WalkCycles += wres.Latency
-			m.res.MMUBusyCycles += wres.Latency + wres.BackgroundCycles
-			m.res.MMUAccesses += uint64(wres.Accesses + wres.BackgroundAccesses)
-			m.res.WalkLatency.Observe(wres.Latency)
-		}
-	}
-
-	// The data access itself.
-	pa := m.dataPA(frame, acc.VA, size)
-	lat, served := m.mem.Access(m.now(), pa, cachesim.SourceCPU)
-	if acc.Write {
-		m.cycles += float64(lat) * t.ExposedWriteFrac
-	} else {
-		m.cycles += float64(lat) * t.ExposedReadFrac
-	}
-
-	// Co-runner interference: when this core's access reached the
-	// shared L3, the other cores are statistically doing the same, so
-	// inject one shared-level access per co-runner (their private
-	// caches filter the rest).
-	if served >= cachesim.ServedL3 {
-		for _, g := range m.corunners {
-			racc := g.Next()
-			if err := m.injectRemote(racc.VA); err != nil {
-				return err
-			}
-		}
-	}
-
-	if measure {
-		m.res.Instructions += acc.Gap + 1 // the access is an instruction too
-		m.res.MemAccesses++
-	}
-	return nil
-}
-
-// stepBatch runs n application accesses through the machine as one
-// pipeline step: every L2-TLB-missing lane goes through a single
-// Walker.WalkBatch call, so the walks overlap in the MSHR model and
-// the core stalls for the overlapped critical path instead of the
-// per-lane sum. Functional behaviour per lane is identical to step()
-// except that the batch's TLB probes all precede its fills — the
-// lanes are in flight together, so a duplicate VA misses (and walks)
-// once per lane, as replayed MSHR lanes would.
-func (m *Machine) stepBatch(measure bool, n int) error {
-	t := &m.cfg.Timing
-	b := &m.batch
-	b.accs = b.accs[:0]
-	for i := 0; i < n; i++ {
-		b.accs = append(b.accs, m.gen.Next())
-	}
-
-	// Execution gaps and demand faults, in program order.
-	for i := range b.accs {
-		m.cycles += float64(b.accs[i].Gap) / t.IssueWidth
-		if err := m.prefault(b.accs[i].VA); err != nil {
+	// Issue, in program order: the next access, the non-memory
+	// instructions executed since the last one, and the demand fault.
+	for i := range lanes {
+		acc := m.gen.Next()
+		lanes[i].acc = acc
+		m.cycles += float64(acc.Gap) / t.IssueWidth
+		if err := m.prefault(acc.VA); err != nil {
 			return err
 		}
 	}
 
-	// Address translation: probe the TLB for every lane, coalescing
-	// the misses into unique in-flight walks. A secondary miss to a
-	// page whose walk is already in flight rides that walk instead of
-	// issuing its own — the MSHR merge real hardware performs, and
-	// what keeps a read-modify-write pair inside one batch from
-	// walking twice where the sequential pipeline would TLB-hit.
-	b.frames, b.sizes = b.frames[:0], b.sizes[:0]
-	b.lanes, b.laneWalk, b.vas = b.lanes[:0], b.laneWalk[:0], b.vas[:0]
-	for i := range b.accs {
-		tr := m.tlb.Access(b.accs[i].VA)
+	// TLB probe: every lane, the misses coalesced into unique walks by
+	// 4KB page — the MSHR merge real hardware performs, and what keeps
+	// a read-modify-write pair inside one step from walking twice.
+	vas := m.vas[:0]
+	for i := range lanes {
+		l := &lanes[i]
+		tr := m.tlb.Access(l.acc.VA)
 		m.cycles += float64(tr.Latency)
-		b.frames = append(b.frames, tr.Frame)
-		b.sizes = append(b.sizes, tr.Size)
-		if !tr.Hit() {
-			vpn := addr.VPN(b.accs[i].VA, addr.Page4K)
-			w := -1
-			for j := range b.vas {
-				if addr.VPN(b.vas[j], addr.Page4K) == vpn {
-					w = j
-					break
-				}
-			}
-			if w < 0 {
-				w = len(b.vas)
-				b.vas = append(b.vas, b.accs[i].VA)
-			}
-			b.lanes = append(b.lanes, i)
-			b.laneWalk = append(b.laneWalk, w)
+		l.frame, l.size, l.walk = tr.Frame, tr.Size, -1
+		if tr.Hit() {
+			continue
 		}
+		vpn := addr.VPN(l.acc.VA, addr.Page4K)
+		w := 0
+		for w < len(vas) && addr.VPN(vas[w], addr.Page4K) != vpn {
+			w++
+		}
+		if w == len(vas) {
+			vas = append(vas, l.acc.VA)
+		}
+		l.walk = w
 	}
 
-	if len(b.vas) > 0 {
-		if cap(b.outs) < len(b.vas) {
-			b.outs = make([]core.WalkResult, len(b.vas))
-			b.errs = make([]error, len(b.vas))
+	if len(vas) > 0 {
+		// Walk the unique misses.
+		outs := m.outs[:len(vas)]
+		if err := m.walkMisses(measure, batched, vas, outs); err != nil {
+			return err
 		}
-		outs, errs := b.outs[:len(b.vas)], b.errs[:len(b.vas)]
-		batchLat := m.walker.WalkBatch(m.now(), b.vas, outs, errs)
-		m.cycles += float64(batchLat) * t.ExposedWalkFrac
 
-		for li := range outs {
-			// Faulted walks replay sequentially after fault service,
-			// as hardware would; faults are rare in steady state, so
-			// the serialization is negligible and its latency is
-			// charged on top of the batch's critical path.
-			if errs[li] != nil {
-				var nm *core.ErrNotMapped
-				if !errors.As(errs[li], &nm) {
-					return errs[li]
-				}
-				if err := m.serviceFault(nm); err != nil {
-					return err
-				}
-				wres, err := m.walk(b.vas[li])
-				if err != nil {
-					return err
-				}
-				m.cycles += float64(wres.Latency) * t.ExposedWalkFrac
-				outs[li] = wres
-			}
-			wres := &outs[li]
-			m.tlb.Fill(b.vas[li], wres.Size, wres.Frame)
+		// Fill and account.
+		for w := range outs {
+			wres := &outs[w]
+			m.tlb.Fill(vas[w], wres.Size, wres.Frame)
 			if measure {
 				m.res.Walks++
 				m.res.WalkCycles += wres.Latency
@@ -429,37 +344,89 @@ func (m *Machine) stepBatch(measure bool, n int) error {
 				m.res.WalkLatency.Observe(wres.Latency)
 			}
 		}
-		for li, i := range b.lanes {
-			wres := &outs[b.laneWalk[li]]
-			b.frames[i], b.sizes[i] = wres.Frame, wres.Size
-		}
-		if measure {
-			m.res.Batches++
-			m.res.BatchWalkCycles += batchLat
+		for i := range lanes {
+			if l := &lanes[i]; l.walk >= 0 {
+				l.frame, l.size = outs[l.walk].Frame, outs[l.walk].Size
+			}
 		}
 	}
 
 	// The data accesses themselves, in program order.
-	for i := range b.accs {
-		pa := m.dataPA(b.frames[i], b.accs[i].VA, b.sizes[i])
+	for i := range lanes {
+		l := &lanes[i]
+		pa := addr.Translate(l.frame, l.acc.VA, l.size)
 		lat, served := m.mem.Access(m.now(), pa, cachesim.SourceCPU)
-		if b.accs[i].Write {
+		if l.acc.Write {
 			m.cycles += float64(lat) * t.ExposedWriteFrac
 		} else {
 			m.cycles += float64(lat) * t.ExposedReadFrac
 		}
+
+		// Co-runner interference: when this core's access reached the
+		// shared L3, the other cores are statistically doing the same, so
+		// inject one shared-level access per co-runner (their private
+		// caches filter the rest).
 		if served >= cachesim.ServedL3 {
 			for _, g := range m.corunners {
-				racc := g.Next()
-				if err := m.injectRemote(racc.VA); err != nil {
+				if err := m.injectRemote(g.Next().VA); err != nil {
 					return err
 				}
 			}
 		}
+
 		if measure {
-			m.res.Instructions += b.accs[i].Gap + 1
+			m.res.Instructions += l.acc.Gap + 1 // the access is an instruction too
 			m.res.MemAccesses++
 		}
+	}
+	return nil
+}
+
+// walkMisses walks a step's unique TLB misses into outs and charges the
+// exposed stall. It is the one place the two kinds of phase differ. An
+// unbatched phase walks each miss on its own, retried across nested
+// faults. A batched phase issues them as one Walker.WalkBatch, so they
+// overlap in the MSHR model and the core stalls for the batch's
+// critical path; a faulted lane replays sequentially after fault
+// service, as hardware would, its latency charged on top of that path
+// (faults are rare in steady state, so the serialization is
+// negligible).
+func (m *Machine) walkMisses(measure, batched bool, vas []addr.GVA, outs []core.WalkResult) error {
+	frac := m.cfg.Timing.ExposedWalkFrac
+	if !batched {
+		for w, va := range vas {
+			var err error
+			if outs[w], err = m.walk(va); err != nil {
+				return err
+			}
+			m.cycles += float64(outs[w].Latency) * frac
+		}
+		return nil
+	}
+
+	errs := m.errs[:len(vas)]
+	batchLat := m.walker.WalkBatch(m.now(), vas, outs, errs)
+	m.cycles += float64(batchLat) * frac
+	for w, werr := range errs {
+		if werr == nil {
+			continue
+		}
+		var nm *core.ErrNotMapped
+		if !errors.As(werr, &nm) {
+			return werr
+		}
+		if err := m.serviceFault(nm); err != nil {
+			return err
+		}
+		var err error
+		if outs[w], err = m.walk(vas[w]); err != nil {
+			return err
+		}
+		m.cycles += float64(outs[w].Latency) * frac
+	}
+	if measure {
+		m.res.Batches++
+		m.res.BatchWalkCycles += batchLat
 	}
 	return nil
 }
@@ -524,15 +491,10 @@ func (m *Machine) RunContext(ctx context.Context) (*Result, error) {
 	if err := m.Prepopulate(); err != nil {
 		return nil, err
 	}
-	for i := uint64(0); i < m.cfg.WarmupAccesses; i++ {
-		if i%ctxCheckInterval == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		if err := m.step(false); err != nil {
-			return nil, fmt.Errorf("sim: warm-up access %d: %w", i, err)
-		}
+	// Warm-up is one access at a time on every machine: it exists to
+	// fill the caches, TLBs and tables, not to be timed.
+	if err := m.phase(ctx, "warm-up", m.cfg.WarmupAccesses, 1, false); err != nil {
+		return nil, err
 	}
 	m.resetStats()
 	if m.rec != nil {
@@ -540,37 +502,35 @@ func (m *Machine) RunContext(ctx context.Context) (*Result, error) {
 	}
 
 	startCycles := m.cycles
-	if m.cfg.BatchSize > 1 {
-		for i := uint64(0); i < m.cfg.MeasureAccesses; {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			n := uint64(m.cfg.BatchSize)
-			if rem := m.cfg.MeasureAccesses - i; rem < n {
-				n = rem
-			}
-			if err := m.stepBatch(true, int(n)); err != nil {
-				return nil, fmt.Errorf("sim: measured access %d: %w", i, err)
-			}
-			i += n
-		}
-	} else {
-		for i := uint64(0); i < m.cfg.MeasureAccesses; i++ {
-			if i%ctxCheckInterval == 0 {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-			}
-			if err := m.step(true); err != nil {
-				return nil, fmt.Errorf("sim: measured access %d: %w", i, err)
-			}
-		}
+	if err := m.phase(ctx, "measured", m.cfg.MeasureAccesses, max(m.cfg.BatchSize, 1), true); err != nil {
+		return nil, err
 	}
 	m.res.Cycles = uint64(m.cycles - startCycles)
 	m.rec.Flush()
 
 	m.collect()
 	return m.res, nil
+}
+
+// phase runs total accesses through step, width at a time (the last
+// step takes what is left), checking ctx every ctxCheckInterval
+// accesses. A phase wider than one access is batched, its tail step
+// included.
+func (m *Machine) phase(ctx context.Context, name string, total uint64, width int, measure bool) error {
+	for i, check := uint64(0), uint64(0); i < total; {
+		if i >= check {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			check = i + ctxCheckInterval
+		}
+		n := min(uint64(width), total-i)
+		if err := m.step(measure, width > 1, int(n)); err != nil {
+			return fmt.Errorf("sim: %s access %d: %w", name, i, err)
+		}
+		i += n
+	}
+	return nil
 }
 
 // resetStats clears warm-up statistics while keeping all cache, TLB

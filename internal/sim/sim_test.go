@@ -2,6 +2,7 @@ package sim
 
 import (
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -190,6 +191,25 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := Run(quickConfig(DesignRadix, "NoSuchApp", false)); err == nil {
 		t.Error("unknown app accepted")
+	}
+	// Odd machine geometry: the first divided the L3 by uint64(-1), the
+	// second built 2^30 co-runner generators, the third panicked in
+	// cachesim.NewHierarchy, the fourth (FuzzConfigNormalize's find)
+	// built a machine whose first walk could not converge.
+	for _, tc := range []struct {
+		name, field string
+		set         func(*Config)
+	}{
+		{"negative cores", "Cores", func(c *Config) { c.Cores = -1 }},
+		{"L3 share under a line", "Cores", func(c *Config) { c.Cores = 1 << 30 }},
+		{"sized level without ways", "Hierarchy.L1.Ways", func(c *Config) { c.Hierarchy.L1.Ways = 0 }},
+		{"more cuckoo ways than a walk may fault", "ECPTWays", func(c *Config) { c.ECPTWays = 64 }},
+	} {
+		cfg := quickConfig(DesignRadix, "BC", false)
+		tc.set(&cfg)
+		if _, err := NewMachine(cfg); err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s: NewMachine returned %v, want an error naming %s", tc.name, err, tc.field)
+		}
 	}
 }
 
