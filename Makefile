@@ -1,7 +1,7 @@
 # Tier-1 checks: everything `make check` runs must pass on every commit.
 #
-#   make check   lint + build + full test suite + proof + escape-hatch
-#                audit (every gate CI's lint matrix runs)
+#   make check   lint + build + full test suite + escape-hatch audit
+#                (every gate CI's lint matrix runs)
 #   make lint    static analysis gate: gofmt (any file `gofmt -l` lists
 #                fails it), go vet, staticcheck (when installed), and
 #                cmd/nestedlint — the custom analyzer
@@ -10,18 +10,13 @@
 #                crossings), and concurrency-discipline (epochguard /
 #                sealedwrite / atomicmix: the epoch/generation
 #                protocol of DESIGN.md §10–11) invariants (README.md,
-#                "Static analysis");
+#                "Static analysis"). One engine judges allocation
+#                freedom statically: each package's hot region is
+#                propagated from its own //nestedlint:hotpath
+#                annotations (DESIGN.md §11); the AllocsPerRun tests
+#                are the runtime check;
 #                `go run ./cmd/nestedlint -analyzer=NAME[,NAME] -json ./...`
 #                isolates a subset with machine-readable output
-#   make prove   whole-program proof: `nestedlint -prove` builds the
-#                cross-package call graph (devirtualizing interface and
-#                callback dispatch), re-checks the propagated hot
-#                region interprocedurally, and reconciles it against
-#                the gc compiler's own escape-analysis and
-#                bounds-check diagnostics (-m=2, -d=ssa/check_bce) —
-#                two independent engines that must agree (DESIGN.md
-#                §12). Writes proof.json, the machine-readable proof
-#                artifact CI uploads
 #   make escapes escape-hatch audit: inventories every
 #                //nestedlint:ignore and //nestedlint:domaincast
 #                directive and fails on stale ones (directives that no
@@ -63,9 +58,9 @@
 
 GO ?= go
 
-.PHONY: check vet build test lint prove escapes race cover bench fuzz profile endbench endbench-compare benchcheck servesmoke serveaudit
+.PHONY: check vet build test lint escapes race cover bench fuzz profile endbench endbench-compare benchcheck servesmoke serveaudit
 
-check: lint build test prove escapes
+check: lint build test escapes
 
 vet:
 	$(GO) vet ./...
@@ -90,15 +85,9 @@ lint: build
 	fi
 	$(GO) run ./cmd/nestedlint ./...
 
-# The whole-program proof is the strongest gate: both engines (static
-# interprocedural propagation and the compiler's own diagnostics) must
-# independently find the hot region allocation-free. The compiler
-# engine replays from the build cache, so repeat runs are cheap.
-prove: build
-	$(GO) run ./cmd/nestedlint -prove -proveout=proof.json ./...
-
 # Escape hatches are standing claims; the audit fails when one goes
-# stale (CI runs it in the lint matrix's concurrency suite).
+# stale (CI runs it in the lint matrix's concurrency suite). It is the
+# only judge of a directive.
 escapes: build
 	$(GO) run ./cmd/nestedlint -escapes ./...
 
@@ -114,9 +103,10 @@ race:
 
 # Coverage ratchet: total statement coverage may grow but not shrink.
 # Raise COVER_BASELINE when a PR meaningfully improves coverage; never
-# lower it to make a failure go away. (Measured 80.4% after PR 20; the
-# half-point slack absorbs timing-dependent serve/churn paths.)
-COVER_BASELINE ?= 80.0
+# lower it to make a failure go away. (Measured 80.7% once the
+# whole-program prover was retired; the half-point slack absorbs
+# timing-dependent serve/churn paths.)
+COVER_BASELINE ?= 80.2
 
 cover:
 	$(GO) test -coverprofile=cover.out -covermode=atomic ./...

@@ -5,8 +5,8 @@
 // design and both entry points, not just a benchmark number. (It is
 // also the tripwire for the one escape the shared radix walk invites:
 // a stack WalkResult handed to the core.HostDim interface moves to the
-// heap, one allocation per walk, which otherwise only `make prove`
-// reports.)
+// heap, one allocation per walk, which no source pattern in `make
+// lint` reports.)
 package nestedecpt
 
 import (

@@ -10,7 +10,6 @@
 // Usage:
 //
 //	nestedlint [-list] [-v] [-analyzer=NAME[,NAME...]] [-json] [-escapes] [packages]
-//	nestedlint -prove [-proveout=FILE] [-strictbce] [packages]
 //
 // Packages default to ./... relative to the enclosing module root.
 // -analyzer restricts the run to a comma-separated subset (CI isolates
@@ -21,17 +20,6 @@
 // //nestedlint:domaincast directive with its location, scope, and
 // reason, flagging stale ones (directives that no longer suppress or
 // whitelist anything) — exit status 1 when any escape is stale.
-//
-// -prove runs the whole-program proof instead of the per-package
-// suite: the interprocedural engine propagates //nestedlint:hotpath
-// across package boundaries (devirtualizing interface calls whose
-// concrete callee set is statically known) and the compiler engine
-// replays `go build -gcflags='-m=2 -d=ssa/check_bce'`, reconciling
-// escape-analysis and bounds-check diagnostics against the same hot
-// region. -proveout writes the JSON proof report (schema
-// nestedlint-prove/v1) for CI to archive; -strictbce promotes hot-path
-// bounds-check advisories to blocking findings. Exit status 1 when the
-// proof fails.
 package main
 
 import (
@@ -60,9 +48,6 @@ func main() {
 	only := flag.String("analyzer", "", "run only the named analyzers (comma-separated; default: all)")
 	jsonOut := flag.Bool("json", false, "emit findings as a JSON array on stdout")
 	escapes := flag.Bool("escapes", false, "inventory //nestedlint:ignore and //nestedlint:domaincast escapes instead of reporting findings")
-	prove := flag.Bool("prove", false, "run the whole-program proof (interprocedural hot region + compiler-diagnostic cross-check)")
-	proveOut := flag.String("proveout", "", "with -prove: write the JSON proof report to this file")
-	strictBCE := flag.Bool("strictbce", false, "with -prove: un-eliminated bounds checks in hot functions block instead of advising")
 	flag.Parse()
 
 	analyzers := analysis.All()
@@ -88,19 +73,6 @@ func main() {
 			picked = append(picked, a)
 		}
 		analyzers = picked
-	}
-
-	if *prove {
-		failed, err := runProve(flag.Args(), *proveOut, *strictBCE, *verbose)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "nestedlint:", err)
-			os.Exit(2)
-		}
-		if failed > 0 {
-			fmt.Fprintf(os.Stderr, "nestedlint: proof failed with %d finding(s)\n", failed)
-			os.Exit(1)
-		}
-		return
 	}
 
 	if *escapes {
@@ -233,57 +205,6 @@ func runEscapes(analyzers []*analysis.Analyzer, patterns []string, jsonOut bool)
 	}
 	fmt.Printf("%d escape(s), %d stale\n", len(escapes), stale)
 	return stale, nil
-}
-
-// runProve runs the whole-program proof, prints its findings and the
-// advisory/agreement summary, optionally writes the JSON report, and
-// returns the blocking-finding count.
-func runProve(patterns []string, outFile string, strictBCE, verbose bool) (int, error) {
-	moduleRoot, err := analysis.FindModuleRoot(".")
-	if err != nil {
-		return 0, err
-	}
-	pkgs, err := analysis.Load(moduleRoot, patterns...)
-	if err != nil {
-		return 0, err
-	}
-	rep, err := analysis.Prove(pkgs, analysis.ProveOptions{
-		ModuleDir: moduleRoot,
-		Patterns:  patterns,
-		StrictBCE: strictBCE,
-	})
-	if err != nil {
-		return 0, err
-	}
-	if outFile != "" {
-		f, err := os.Create(outFile)
-		if err != nil {
-			return 0, err
-		}
-		defer f.Close()
-		if err := rep.WriteJSON(f); err != nil {
-			return 0, err
-		}
-	}
-	for _, fd := range rep.Findings {
-		fmt.Printf("%s:%d:%d: prove[%s/%s]: %s\n", fd.File, fd.Line, fd.Col, fd.Engine, fd.Rule, fd.Message)
-	}
-	fmt.Fprintf(os.Stderr,
-		"# prove: %d function(s), %d edge(s) (%d cross-package), hot region %d function(s) from %d root(s), %d cross-package hot edge(s), %d devirtualized site(s)\n",
-		rep.CallGraph.Functions, rep.CallGraph.Edges, rep.CallGraph.CrossPackageEdges,
-		rep.HotRegion.Functions, rep.HotRegion.Roots, rep.HotRegion.CrossPackageHotEdges,
-		rep.CallGraph.DevirtualizedSites)
-	fmt.Fprintf(os.Stderr,
-		"# prove: compiler saw %d escape(s)/%d move(s)/%d bounds check(s); hot region: %d escape(s), %d bounds advisories; agreement both=%d static=%d compiler=%d\n",
-		rep.Compiler.Escapes, rep.Compiler.Moved, rep.Compiler.Bounds,
-		rep.Compiler.HotEscapes, len(rep.BCEAdvisories),
-		rep.Agreement.Both, rep.Agreement.StaticOnly, rep.Agreement.CompilerOnly)
-	if verbose {
-		for _, a := range rep.BCEAdvisories {
-			fmt.Fprintf(os.Stderr, "# advisory %s:%d: %s (%s)\n", a.File, a.Line, a.Message, a.Func)
-		}
-	}
-	return len(rep.Findings), nil
 }
 
 // loadPackages resolves patterns (default ./...) from the enclosing

@@ -70,12 +70,18 @@ const CacheLineBytes = 64
 var pageShifts = [NumPageSizes]uint8{Page4K: 12, Page2M: 21, Page1G: 30}
 
 // Shift returns log2 of the page size in bytes.
+//
+//nestedlint:hotpath
 func (s PageSize) Shift() uint { return uint(pageShifts[s]) }
 
 // Bytes returns the page size in bytes.
+//
+//nestedlint:hotpath
 func (s PageSize) Bytes() uint64 { return 1 << s.Shift() }
 
 // OffsetMask returns the mask covering the page offset bits.
+//
+//nestedlint:hotpath
 func (s PageSize) OffsetMask() uint64 { return s.Bytes() - 1 }
 
 // String names the page size the way the paper does.
@@ -112,6 +118,8 @@ func Sizes() [NumPageSizes]PageSize { return [NumPageSizes]PageSize{Page4K, Page
 // VPN returns the page number of v for the given page size. A page
 // number indexes hash functions and cache tags, so it is a plain
 // uint64, not an address.
+//
+//nestedlint:hotpath
 func VPN[A Addr](v A, s PageSize) uint64 { return uint64(v) >> s.Shift() }
 
 // FrameBase is the inverse of VPN: the base address, in space A, of
@@ -122,10 +130,14 @@ func FrameBase[A Addr](n uint64, s PageSize) A { return A(n << s.Shift()) }
 
 // PageBase returns the base address of the page containing v, in v's
 // own address space.
+//
+//nestedlint:hotpath
 func PageBase[A Addr](v A, s PageSize) A { return v &^ A(s.OffsetMask()) }
 
 // PageOffset returns the offset of v within its page. Offsets are
 // space-free byte counts.
+//
+//nestedlint:hotpath
 func PageOffset[A Addr](v A, s PageSize) uint64 { return uint64(v) & s.OffsetMask() }
 
 // Translate composes a translated page frame base with the page offset
@@ -133,6 +145,8 @@ func PageOffset[A Addr](v A, s PageSize) uint64 { return uint64(v) & s.OffsetMas
 // space and the offset is space-free, so this is the one sanctioned
 // way to cross between domains: gVA→gPA through a guest frame,
 // gPA→hPA through a host frame.
+//
+//nestedlint:hotpath
 func Translate[D, S Addr](frameBase D, v S, s PageSize) D {
 	return frameBase | D(PageOffset(v, s))
 }
@@ -140,21 +154,29 @@ func Translate[D, S Addr](frameBase D, v S, s PageSize) D {
 // Add offsets an address by a space-free byte count without leaving
 // its address space. Workload generators and table-layout code use it
 // to compose a typed base address with an untyped array offset.
+//
+//nestedlint:hotpath
 func Add[A Addr](v A, off uint64) A { return v + A(off) }
 
 // IdentityHPA crosses gPA→hPA by identity, for native
 // (non-virtualized) designs where the kernel's "guest-physical"
 // addresses are host-physical: there is no hypervisor and no EPT, so
 // the two spaces coincide.
+//
+//nestedlint:hotpath
 func IdentityHPA(pa GPA) HPA { return HPA(pa) }
 
 // CacheLine returns the line number of v: the tag every cache in the
 // hierarchy uses. Line numbers are indices, not addresses.
+//
+//nestedlint:hotpath
 func CacheLine[A Addr](v A) uint64 { return uint64(v) / CacheLineBytes }
 
 // LevelPrefix returns the address bits above level l's index — the tag
 // a page-walk cache keys level-l entries by (the 4KB page offset plus
 // l-1 levels of 9-bit indices are dropped).
+//
+//nestedlint:hotpath
 func LevelPrefix[A Addr](v A, l RadixLevel) uint64 {
 	return uint64(v) >> (PageShift4K + 9*(uint(l)-1))
 }
@@ -192,6 +214,8 @@ func (l RadixLevel) String() string {
 // RadixIndex extracts the 9-bit table index for the given level from a
 // virtual address: bits 47-39 for L4 down to bits 20-12 for L1
 // (Figure 1 of the paper).
+//
+//nestedlint:hotpath
 func RadixIndex[A Addr](v A, l RadixLevel) uint64 {
 	return LevelPrefix(v, l) & 0x1FF
 }
@@ -211,6 +235,8 @@ func LeafLevel(s PageSize) RadixLevel {
 
 // SizeForLeaf is the inverse of LeafLevel. It panics for L4, which can
 // never map a page directly.
+//
+//nestedlint:hotpath
 func SizeForLeaf(l RadixLevel) PageSize {
 	switch l {
 	case L1:

@@ -268,14 +268,7 @@ func checkConversion(pass *Pass, call *ast.CallExpr, argOf map[ast.Expr]argConte
 // checkTranslateDirection flags addr.Translate instantiations whose
 // crossing runs against the gVA→gPA→hPA chain.
 func checkTranslateDirection(pass *Pass, call *ast.CallExpr) {
-	fun := ast.Unparen(call.Fun)
-	switch idx := fun.(type) {
-	case *ast.IndexExpr:
-		fun = ast.Unparen(idx.X)
-	case *ast.IndexListExpr:
-		fun = ast.Unparen(idx.X)
-	}
-	fn := staticCallee(pass.Info, &ast.CallExpr{Fun: fun})
+	fn := staticCallee(pass.Info, call)
 	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != addrPkgPath || fn.Name() != "Translate" {
 		return
 	}

@@ -23,15 +23,13 @@
 //	    on a function's doc comment: the function is a slow path its hot
 //	    callers reach only outside the steady state — first-touch
 //	    allocation, copy-on-write privatization, panic formatting,
-//	    overflow handling. Hot-region propagation (hotpathalloc's
-//	    intra-package fixpoint and `nestedlint -prove`'s whole-program
-//	    graph) stops at it, so its allocations are not findings. The
-//	    trailing justification is mandatory: the directive is a claim
-//	    about dynamic behaviour the static graph cannot see, and the
-//	    claim must be auditable. Pair it with //go:noinline when the
-//	    caller is hot — otherwise the compiler inlines the cold body
-//	    into the hot function and re-attributes its allocations to the
-//	    hot call site, which -prove's compiler engine then flags.
+//	    overflow handling. hotpathalloc's hot-region propagation stops
+//	    at it, so its allocations are not findings. The trailing
+//	    justification is mandatory: the directive is a claim about
+//	    dynamic behaviour the static graph cannot see, and the claim
+//	    must be auditable. Pair it with //go:noinline when the caller
+//	    is hot, so the cold body stays out of the hot function's
+//	    inlined code.
 //
 //	//nestedlint:writer
 //	    on a function's doc comment: the function belongs to the single
@@ -302,15 +300,14 @@ func (s *IgnoreSet) BareDirectives() []Diagnostic {
 	return append([]Diagnostic(nil), s.malformed...)
 }
 
-// deterministicPackages are the packages whose output must be
-// byte-identical across runs and -parallel settings: the sweep engine
-// and everything that renders the evaluation (see detrange).
-var deterministicPackages = map[string]bool{
-	"nestedecpt/internal/sim":      true,
-	"nestedecpt/internal/report":   true,
-	"nestedecpt/internal/runner":   true,
-	"nestedecpt/internal/stats":    true,
-	"nestedecpt/internal/workload": true,
+// deterministicPackages reports whether detrange applies to a package:
+// every module package is part of the byte-deterministic simulation
+// except the commands, this analyzer suite, and internal/serve, which
+// measures wall-clock throughput by design.
+func deterministicPackages(path string) bool {
+	return !strings.HasPrefix(path, "nestedecpt/cmd/") &&
+		!strings.HasPrefix(path, "nestedecpt/internal/analysis") &&
+		path != "nestedecpt/internal/serve"
 }
 
 // All returns the analyzer suite in reporting order.
@@ -333,10 +330,7 @@ var knownAnalyzersCache map[string]bool
 
 func knownAnalyzers() map[string]bool {
 	if knownAnalyzersCache == nil {
-		// "prove" scopes an ignore to the whole-program proof engine
-		// (`nestedlint -prove`), which reuses the per-package analyzers'
-		// checks beyond their package-local reach.
-		m := map[string]bool{"nestedlint": true, "prove": true}
+		m := map[string]bool{"nestedlint": true}
 		for _, a := range All() {
 			m[a.Name] = true
 		}

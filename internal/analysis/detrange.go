@@ -5,12 +5,13 @@ import (
 	"go/types"
 )
 
-// DetRange enforces byte-determinism in the packages that produce the
-// evaluation's output (the sweep engine, reporting, statistics, and
-// workload generation): sweeps must render byte-identical results at
-// any -parallel setting and across runs, which is what makes the
-// committed figures and the engine's determinism regressions
-// trustworthy. Three constructs silently break that:
+// DetRange enforces byte-determinism across the simulation — every
+// module package but the commands, this suite, and the wall-clock serve
+// engine (deterministicPackages): sweeps must render byte-identical
+// results at any -parallel setting and across runs, which is what makes
+// the committed figures, the pinned report digests, and the engine's
+// determinism regressions trustworthy. Three constructs silently break
+// that:
 //
 //   - ranging over a map (iteration order is randomized per run) —
 //     collect keys and sort them instead;
@@ -21,8 +22,8 @@ import (
 //     from runner.Seed so streams depend only on task identity.
 var DetRange = &Analyzer{
 	Name:      "detrange",
-	Doc:       "forbid map iteration, time.Now, and the global math/rand source in deterministic-output packages",
-	AppliesTo: func(path string) bool { return deterministicPackages[path] },
+	Doc:       "forbid map iteration, time.Now, and the global math/rand source in the deterministic simulation packages",
+	AppliesTo: deterministicPackages,
 	Run:       runDetRange,
 }
 
@@ -37,29 +38,21 @@ var randGlobalAllowed = map[string]bool{
 
 func runDetRange(pass *Pass) error {
 	for _, f := range pass.Files {
-		detInspect(pass, f)
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.RangeStmt:
+				if _, isMap := pass.Info.TypeOf(n.X).Underlying().(*types.Map); isMap {
+					pass.Reportf(n.Pos(), "map iteration order is nondeterministic; collect and sort keys instead")
+				}
+			case *ast.Ident:
+				// Covers both qualified uses (rand.Intn — the selector's
+				// Sel ident) and dot-imported bare uses.
+				checkDetUse(pass, n)
+			}
+			return true
+		})
 	}
 	return nil
-}
-
-// detInspect reports every determinism-breaking construct under root.
-// runDetRange applies it to whole files of the deterministic packages;
-// the -prove engine applies it to the bodies of functions any
-// deterministic package reaches, wherever they are declared.
-func detInspect(pass *Pass, root ast.Node) {
-	ast.Inspect(root, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.RangeStmt:
-			if _, isMap := pass.Info.TypeOf(n.X).Underlying().(*types.Map); isMap {
-				pass.Reportf(n.Pos(), "map iteration order is nondeterministic; collect and sort keys instead")
-			}
-		case *ast.Ident:
-			// Covers both qualified uses (rand.Intn — the selector's
-			// Sel ident) and dot-imported bare uses.
-			checkDetUse(pass, n)
-		}
-		return true
-	})
 }
 
 // checkDetUse flags ident when it resolves to time.Now or to a

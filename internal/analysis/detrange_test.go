@@ -11,11 +11,16 @@ func TestDetRange(t *testing.T) {
 	analysistest.Run(t, analysis.DetRange, "testdata/src/detrangetest")
 }
 
-// TestDetRangeAppliesTo pins the deterministic-output package list: a
-// package silently dropping off this list would disable the analyzer
-// for it without any test noticing.
+// TestDetRangeAppliesTo pins the analyzer's scope: every simulation
+// package — the walkers and tables as much as the sweep engine that
+// renders them — is in; only the commands, this suite, and the
+// wall-clock serve engine are out.
 func TestDetRangeAppliesTo(t *testing.T) {
 	for _, path := range []string{
+		"nestedecpt",
+		"nestedecpt/internal/core",
+		"nestedecpt/internal/ecpt",
+		"nestedecpt/internal/cachesim",
 		"nestedecpt/internal/sim",
 		"nestedecpt/internal/report",
 		"nestedecpt/internal/runner",
@@ -27,9 +32,10 @@ func TestDetRangeAppliesTo(t *testing.T) {
 		}
 	}
 	for _, path := range []string{
-		"nestedecpt/internal/core",
-		"nestedecpt/internal/workload/sub",
 		"nestedecpt/cmd/nestedsim",
+		"nestedecpt/internal/analysis",
+		"nestedecpt/internal/analysis/analysistest",
+		"nestedecpt/internal/serve",
 	} {
 		if analysis.DetRange.AppliesTo(path) {
 			t.Errorf("DetRange must not apply to %s", path)

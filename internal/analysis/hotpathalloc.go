@@ -26,12 +26,14 @@ import (
 // before timed walks), //nestedlint:ignore suppresses a line with a
 // stated justification, and //nestedlint:coldpath on a callee stops
 // hot propagation at a justified slow-path boundary (first-touch
-// allocation, copy-on-write, panic formatting). Function literals and method values passed
-// as arguments to a hot function are treated as hot themselves — a
-// callback handed to the hot path is invoked on it. Calls through
-// interfaces are not traced within a package; `nestedlint -prove`
-// devirtualizes them program-wide, so keep hot interface
-// implementations annotated.
+// allocation, copy-on-write, panic formatting). Function literals and
+// method values passed as arguments to a hot function are treated as
+// hot themselves — a callback handed to the hot path is invoked on it.
+// Propagation never crosses a package or an interface call, so a hot
+// function entered that way — an addr helper, a stats update, a
+// HostDim implementation — carries its own //nestedlint:hotpath where
+// it is declared. A function annotated both hotpath and coldpath is a
+// finding: one of the two claims is wrong.
 var HotpathAlloc = &Analyzer{
 	Name: "hotpathalloc",
 	Doc:  "forbid heap allocation in //nestedlint:hotpath functions and their intra-package callees",
@@ -55,6 +57,42 @@ type boundArg struct {
 }
 
 func runHotpathAlloc(pass *Pass) error {
+	root := hotRegion(pass)
+	for _, f := range pass.Files {
+		for _, d := range f.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok || fd.Body == nil {
+				continue
+			}
+			if HasBareColdpathDirective(fd) {
+				pass.Reportf(fd.Name.Pos(), "//nestedlint:coldpath requires a justification explaining why %s is unreachable in the steady state", fd.Name.Name)
+			}
+			if HasHotpathDirective(fd) && HasColdpathDirective(fd) {
+				pass.Reportf(fd.Name.Pos(), "%s carries both //nestedlint:hotpath and //nestedlint:coldpath; pick one", fd.Name.Name)
+			}
+			if from, ok := root[fd]; ok {
+				checkHotDecl(pass, fd, from)
+			}
+		}
+	}
+	// Literals in deterministic order: file position.
+	var lits []*ast.FuncLit
+	for key := range root {
+		if lit, ok := key.(*ast.FuncLit); ok {
+			lits = append(lits, lit)
+		}
+	}
+	sort.Slice(lits, func(i, j int) bool { return lits[i].Pos() < lits[j].Pos() })
+	for _, lit := range lits {
+		checkHotLit(pass, lit, root[lit])
+	}
+	return nil
+}
+
+// hotRegion computes the package's hot set: every declaration and
+// callback literal reachable from a //nestedlint:hotpath annotation,
+// mapped to the name of the annotated root that reached it.
+func hotRegion(pass *Pass) map[ast.Node]string {
 	decls := map[*types.Func]*ast.FuncDecl{}
 	var order []*ast.FuncDecl
 	for _, f := range pass.Files {
@@ -97,9 +135,6 @@ func runHotpathAlloc(pass *Pass) error {
 		queue = append(queue, it)
 	}
 	for _, fd := range order {
-		if HasBareColdpathDirective(fd) {
-			pass.Reportf(fd.Name.Pos(), "//nestedlint:coldpath requires a justification explaining why %s is unreachable in the steady state", fd.Name.Name)
-		}
 		if HasHotpathDirective(fd) {
 			markHot(hotItem{decl: fd}, fd.Name.Name)
 		}
@@ -145,24 +180,7 @@ func runHotpathAlloc(pass *Pass) error {
 			}
 		}
 	}
-
-	for _, fd := range order {
-		if from, ok := root[fd]; ok {
-			checkHotDecl(pass, fd, from)
-		}
-	}
-	// Literals in deterministic order: file position.
-	var lits []*ast.FuncLit
-	for key := range root {
-		if lit, ok := key.(*ast.FuncLit); ok {
-			lits = append(lits, lit)
-		}
-	}
-	sort.Slice(lits, func(i, j int) bool { return lits[i].Pos() < lits[j].Pos() })
-	for _, lit := range lits {
-		checkHotLit(pass, lit, root[lit])
-	}
-	return nil
+	return root
 }
 
 // collectFuncArgBindings indexes, per statically resolved callee, the
@@ -205,17 +223,26 @@ func collectFuncArgBindings(pass *Pass, decls map[*types.Func]*ast.FuncDecl) map
 }
 
 // staticCallee resolves a call to the *types.Func it statically
-// invokes, or nil for builtins, conversions, and dynamic calls.
+// invokes, or nil for builtins, conversions, and dynamic calls. A call
+// of a generic function or method (f[T](…) included) resolves to its
+// origin, the object the declaration's Defs entry holds.
 func staticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
+	fun := ast.Unparen(call.Fun)
+	switch idx := fun.(type) {
+	case *ast.IndexExpr:
+		fun = ast.Unparen(idx.X)
+	case *ast.IndexListExpr:
+		fun = ast.Unparen(idx.X)
+	}
+	var id *ast.Ident
+	switch fun := fun.(type) {
 	case *ast.Ident:
-		if f, ok := info.Uses[fun].(*types.Func); ok {
-			return f
-		}
+		id = fun
 	case *ast.SelectorExpr:
-		if f, ok := info.Uses[fun.Sel].(*types.Func); ok {
-			return f
-		}
+		id = fun.Sel
+	}
+	if f, ok := info.Uses[id].(*types.Func); ok {
+		return f.Origin()
 	}
 	return nil
 }

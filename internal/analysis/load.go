@@ -44,9 +44,8 @@ type listPackage struct {
 // Load lists patterns from moduleDir with the go tool, then parses and
 // type-checks every matched package. Module-internal dependencies are
 // type-checked from source too, in dependency order, so that every
-// package in one Load shares one object world — the property the
-// whole-program call graph (BuildProgram) needs for types.Implements
-// and cross-package *types.Func identity to be meaningful. Standard
+// package in one Load shares one object world, so types.Implements and
+// *types.Func identity hold across package boundaries. Standard
 // library dependencies are resolved from compiler export data, so
 // loading ./... still costs one cached build, not a source type-check
 // of the world.

@@ -16,48 +16,62 @@ import (
 //
 // Reads are unrestricted; constructing a stats value wholesale (a
 // composite literal, or assigning a fresh zero value) is also allowed —
-// that is initialization, not measurement.
+// that is initialization, not measurement. The only writers are the
+// methods of stats-declared types: a free function, even one inside
+// internal/stats, bypasses the API like any other caller.
 var StatsGuard = &Analyzer{
-	Name:      "statsguard",
-	Doc:       "require internal/stats counters to be updated through the stats API, never by direct field writes",
-	AppliesTo: func(path string) bool { return path != statsPkgPath },
-	Run:       runStatsGuard,
+	Name: "statsguard",
+	Doc:  "require internal/stats counters to be updated through the stats API, never by direct field writes",
+	Run:  runStatsGuard,
 }
 
 const statsPkgPath = "nestedecpt/internal/stats"
 
 func runStatsGuard(pass *Pass) error {
-	if pass.Pkg.Path() == statsPkgPath {
-		return nil
-	}
 	for _, f := range pass.Files {
-		statsInspect(pass, f)
+		for _, d := range f.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && statsMethod(pass.Info, fd) {
+				continue
+			}
+			ast.Inspect(d, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						checkStatsWrite(pass, lhs)
+					}
+				case *ast.IncDecStmt:
+					checkStatsWrite(pass, n.X)
+				case *ast.UnaryExpr:
+					// Taking a field's address hands out a write capability.
+					if n.Op == token.AND {
+						checkStatsWrite(pass, n.X)
+					}
+				}
+				return true
+			})
+		}
 	}
 	return nil
 }
 
-// statsInspect reports every direct stats-field write under root.
-// runStatsGuard applies it to whole files of every non-stats package;
-// the -prove engine applies it per function body with the sharper
-// semantic exemption (methods of stats-declared types, not "anything
-// in the stats package").
-func statsInspect(pass *Pass, root ast.Node) {
-	ast.Inspect(root, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.AssignStmt:
-			for _, lhs := range n.Lhs {
-				checkStatsWrite(pass, lhs)
-			}
-		case *ast.IncDecStmt:
-			checkStatsWrite(pass, n.X)
-		case *ast.UnaryExpr:
-			// Taking a field's address hands out a write capability.
-			if n.Op == token.AND {
-				checkStatsWrite(pass, n.X)
-			}
-		}
-		return true
-	})
+// statsMethod reports whether fd is a method whose receiver type is
+// declared in internal/stats — the holders of the invariants the
+// fields encode.
+func statsMethod(info *types.Info, fd *ast.FuncDecl) bool {
+	fn, ok := info.Defs[fd.Name].(*types.Func)
+	if !ok {
+		return false
+	}
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return false
+	}
+	t := recv.Type()
+	if ptr, ok := t.(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	named, ok := t.(*types.Named)
+	return ok && named.Obj().Pkg() != nil && named.Obj().Pkg().Path() == statsPkgPath
 }
 
 // checkStatsWrite flags expr when it denotes a field of a type defined

@@ -112,3 +112,27 @@ func (w *walker) observe(i int) {
 func cleanCallback(i int) {
 	_ = i * 2
 }
+
+// plan is generic: a hot caller reaches its methods through an
+// instantiated *types.Func, which must resolve to the declaration.
+type plan[P any] struct{ probes []P }
+
+//nestedlint:hotpath
+func usePlan(p *plan[uint64], n int) {
+	p.grow(n)
+	first[uint64](p)
+}
+
+func (p *plan[P]) grow(n int) {
+	p.probes = make([]P, n) // want `make allocates in hot path grow \(reached from hotpath usePlan\)`
+}
+
+func first[P any](p *plan[P]) {
+	_ = new(P) // want `new allocates in hot path first \(reached from hotpath usePlan\)`
+}
+
+// torn claims both directions at once.
+//
+//nestedlint:hotpath
+//nestedlint:coldpath first-touch growth only
+func torn() {} // want `torn carries both //nestedlint:hotpath and //nestedlint:coldpath`

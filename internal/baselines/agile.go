@@ -13,6 +13,8 @@ import (
 type freeHost struct{ host *hypervisor.Hypervisor }
 
 // Translate implements core.HostDim.
+//
+//nestedlint:hotpath
 func (f freeHost) Translate(_ uint64, gpa addr.GPA, _ int, _ *core.WalkResult) (addr.HPA, addr.PageSize, uint64, error) {
 	hpa, size, ok := f.host.Translate(gpa)
 	if !ok {

@@ -33,6 +33,8 @@ type flatHost struct {
 
 // Translate implements core.HostDim: it charges one access to the flat
 // table entry for gpa and returns the functional translation.
+//
+//nestedlint:hotpath
 func (f *flatHost) Translate(now uint64, gpa addr.GPA, _ int, res *core.WalkResult) (addr.HPA, addr.PageSize, uint64, error) {
 	entryPA := addr.Add(f.base, addr.VPN(gpa, addr.Page4K)*8)
 	lat, _ := f.mem.Access(now, entryPA, cachesim.SourceMMU)

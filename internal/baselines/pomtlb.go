@@ -90,9 +90,12 @@ func (w *POMTLB) HitRate() float64 {
 // the on-chip TLBs do, so a guest unmap must shoot it down with them.
 func (w *POMTLB) Flush() { clear(w.entries) }
 
+//nestedlint:hotpath
 func (w *POMTLB) setFor(vpn uint64) int { return int(vpn % uint64(w.sets)) }
 
 // Walk implements core.Walker.
+//
+//nestedlint:hotpath
 func (w *POMTLB) Walk(now uint64, va addr.GVA) (core.WalkResult, error) {
 	var res core.WalkResult
 	w.clock++

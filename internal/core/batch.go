@@ -46,10 +46,8 @@ func (b *BatchState) BatchMSHRs() int {
 // grow sizes every stage buffer to n lanes. It is the one place batch
 // scratch may allocate — called once per batch before the hot lane
 // loop, so steady-state batches of a stable width never allocate.
-// noinline keeps the growth make attributed here (where the ignore
-// directive justifies it) instead of inlined into every hot WalkBatch
-// call site, where `nestedlint -prove`'s compiler engine would see an
-// unexplained escape.
+// noinline keeps the cold growth make here, where the ignore directive
+// justifies it, instead of inlined into every hot WalkBatch call site.
 //
 //go:noinline
 func (b *BatchState) grow(n int) {

@@ -112,6 +112,8 @@ func (w *NativeECPT) WalkBatch(now uint64, gvas []addr.GVA, out []WalkResult, er
 }
 
 // stages implements stagedLane.
+//
+//nestedlint:hotpath
 func (w *NativeECPT) stages() []uint64 { return w.stageLat[:] }
 
 // walkInto is the walk lane shared by Walk and WalkBatch: one full

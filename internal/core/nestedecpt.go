@@ -249,6 +249,8 @@ func (w *NestedECPT) WalkBatch(now uint64, gvas []addr.GVA, out []WalkResult, er
 }
 
 // stages implements stagedLane.
+//
+//nestedlint:hotpath
 func (w *NestedECPT) stages() []uint64 { return w.stageLat[:] }
 
 // hostFault reports a walk that ended on a gPA with no host mapping.

@@ -117,6 +117,8 @@ func (h *hostRadix) setRecorder(r *trace.Recorder, kind trace.WalkerKind) {
 }
 
 // Translate implements HostDim.
+//
+//nestedlint:hotpath
 func (h *hostRadix) Translate(now uint64, gpa addr.GPA, _ int, res *WalkResult) (hpa addr.HPA, size addr.PageSize, lat uint64, err error) {
 	var ok bool
 	h.steps, ok = h.ept.AppendWalk(h.steps[:0], gpa)

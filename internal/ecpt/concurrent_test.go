@@ -316,3 +316,35 @@ func TestConcurrentCWTRefill(t *testing.T) {
 		t.Fatal("writer-side EntryPA of a live entry is zero")
 	}
 }
+
+// TestMidResizeProbesAllocationFree pins the read paths of a table
+// caught mid-resize, where a way contributes its unmigrated
+// old-generation twin: AppendProbes over every way and over one way,
+// and SnapshotLookup, all allocation-free with a reused buffer.
+func TestMidResizeProbesAllocationFree(t *testing.T) {
+	tb, _, _ := newConcurrentTable(t, 64, false)
+	vpn := uint64(0)
+	for ; !tb.Resizing(); vpn++ {
+		tb.Insert(vpn*8, 0x1000+vpn*0x1000)
+	}
+	tb.Publish()
+	buf := make([]Probe[uint64], 0, 2*tb.cfg.Ways)
+	// Find a key and a way whose old-generation bucket is unmigrated.
+	key, way := uint64(0), -1
+	for v := uint64(0); v < vpn && way < 0; v++ {
+		for w := 0; w < tb.cfg.Ways && way < 0; w++ {
+			if len(tb.AppendProbes(buf[:0], v*8, w)) == 2 {
+				key, way = v*8, w
+			}
+		}
+	}
+	if way < 0 {
+		t.Fatal("no probe reached the old generation; the resize finished too early")
+	}
+	allWays := testing.AllocsPerRun(100, func() { buf = tb.AppendProbes(buf[:0], key, AllWays) })
+	oneWay := testing.AllocsPerRun(100, func() { buf = tb.AppendProbes(buf[:0], key, way) })
+	snapshot := testing.AllocsPerRun(100, func() { tb.SnapshotLookup(key) })
+	if allWays != 0 || oneWay != 0 || snapshot != 0 {
+		t.Errorf("mid-resize allocs/op: all ways %v, one way %v, SnapshotLookup %v; want 0", allWays, oneWay, snapshot)
+	}
+}

@@ -308,6 +308,8 @@ func (t *Table[P]) MemoryBytes() uint64 {
 }
 
 // CWT returns the table's cuckoo walk table, or nil.
+//
+//nestedlint:hotpath
 func (t *Table[P]) CWT() *CWT[P] { return t.cwt }
 
 func lineTag(vpn uint64) uint64 { return vpn / TranslationsPerLine }
@@ -479,6 +481,8 @@ func (t *Table[P]) Lookup(vpn uint64) (frame P, ok bool) {
 // SnapshotLookup resolves vpn against the latest published view — the
 // form safe to call from concurrent reader goroutines. In sequential
 // mode (nothing published) it falls back to Lookup.
+//
+//nestedlint:hotpath
 func (t *Table[P]) SnapshotLookup(vpn uint64) (frame P, ok bool) {
 	v := t.pub.Load()
 	if v == nil {

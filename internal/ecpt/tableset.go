@@ -77,6 +77,8 @@ func NewSet[V, P addr.Addr](cfg SetConfig, alloc *memsim.Allocator[P], hashSpace
 }
 
 // Table returns the ECPT for one page size.
+//
+//nestedlint:hotpath
 func (s *Set[V, P]) Table(size addr.PageSize) *Table[P] { return s.tables[size] }
 
 // SetRecorder attaches a trace recorder to every table's structural

@@ -275,6 +275,7 @@ func (c *CWT[P]) publish() {
 	if c.pub.Load() != nil && !c.dirty {
 		return
 	}
+	//nestedlint:ignore detrange: order-independent, every page is sealed
 	for _, pg := range c.pages {
 		pg.sealed = true
 	}
@@ -344,6 +345,8 @@ func (c *CWT[P]) privatizeMap() {
 // concurrent mode a missing entry's refill reports address zero — a
 // negative-caching fetch that costs one access and caches the absence,
 // which is also what the hardware would see for a never-touched range.
+//
+//nestedlint:hotpath
 func (c *CWT[P]) RefillPA(info *Info[P]) P {
 	if info.EntryExists {
 		return info.EntryPA

@@ -165,6 +165,8 @@ func (h *Hypervisor) mapPage(base addr.GPA, size addr.PageSize, frame addr.HPA) 
 }
 
 // Translate resolves gPA → hPA functionally.
+//
+//nestedlint:hotpath
 func (h *Hypervisor) Translate(gpa addr.GPA) (hpa addr.HPA, size addr.PageSize, ok bool) {
 	if h.ecpts != nil {
 		frame, sz, hit := h.ecpts.Lookup(gpa)

@@ -17,12 +17,18 @@ type Counter struct {
 }
 
 // Hit records a hit.
+//
+//nestedlint:hotpath
 func (c *Counter) Hit() { c.Hits++ }
 
 // Miss records a miss.
+//
+//nestedlint:hotpath
 func (c *Counter) Miss() { c.Misses++ }
 
 // Record records either a hit or a miss.
+//
+//nestedlint:hotpath
 func (c *Counter) Record(hit bool) {
 	if hit {
 		c.Hits++
@@ -32,9 +38,13 @@ func (c *Counter) Record(hit bool) {
 }
 
 // Total returns the number of recorded events.
+//
+//nestedlint:hotpath
 func (c *Counter) Total() uint64 { return c.Hits + c.Misses }
 
 // HitRate returns the fraction of hits, or 0 when nothing was recorded.
+//
+//nestedlint:hotpath
 func (c *Counter) HitRate() float64 {
 	t := c.Total()
 	if t == 0 {
@@ -50,6 +60,8 @@ func (c *Counter) Add(o Counter) {
 }
 
 // Reset zeroes the counter.
+//
+//nestedlint:hotpath
 func (c *Counter) Reset() { *c = Counter{} }
 
 // String renders the counter as "hits/total (rate)".
@@ -166,6 +178,8 @@ type Series struct {
 }
 
 // Append adds one interval sample.
+//
+//nestedlint:hotpath
 func (s *Series) Append(v float64) { s.Points = append(s.Points, v) }
 
 // Mean returns the average of all points, or 0 when empty.
@@ -241,6 +255,8 @@ func NewDistribution() *Distribution {
 }
 
 // Observe counts one event in category name.
+//
+//nestedlint:hotpath
 func (d *Distribution) Observe(name string) {
 	d.total++
 	for i := 0; i < d.hot; i++ {
@@ -326,6 +342,8 @@ type Average struct {
 }
 
 // Observe records one sample.
+//
+//nestedlint:hotpath
 func (a *Average) Observe(v uint64) {
 	a.Sum += v
 	a.Count++

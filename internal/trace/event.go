@@ -287,6 +287,8 @@ func UnpackIDs(v uint64) (hi, lo uint32) { return uint32(v >> 32), uint32(v) }
 // typed address without erasing its domain: the instantiated type
 // picks the field. Instantiations over bare uint64 (domain-free test
 // fixtures) leave the address fields zero.
+//
+//nestedlint:hotpath
 func SetAddr[A addr.Addr](ev *Event, v A) {
 	switch a := any(v).(type) {
 	case addr.GVA:

@@ -95,6 +95,8 @@ type Collector struct {
 }
 
 // Batch implements Sink by copying the batch.
+//
+//nestedlint:hotpath
 func (c *Collector) Batch(events []Event) {
 	c.mu.Lock()
 	c.events = append(c.events, events...)
