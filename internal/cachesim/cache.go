@@ -62,19 +62,16 @@ type LevelStats struct {
 	MSHRMax       int
 }
 
-// way is one cache way. key is the line number plus one, so the zero
-// value is an empty way; use is the level's clock at the last touch, 0
-// while empty and at least 1 afterwards.
-type way struct{ key, use uint64 }
-
-// cacheLevel is one set-associative, LRU, write-allocate cache: each
-// set is a contiguous run of cfg.Ways ways.
+// cacheLevel is one set-associative, LRU, write-allocate cache. keys
+// holds each set as a contiguous run of cfg.Ways keys in LRU-stack
+// order, most recently used first. A key is the line number plus one,
+// so 0 marks an empty slot; empty slots gather at a set's tail, and the
+// last slot holds the victim a miss on a full set evicts.
 type cacheLevel struct {
-	cfg      LevelConfig
-	setMask  uint64
-	ways     []way
-	useClock uint64
-	stats    LevelStats
+	cfg     LevelConfig
+	setMask uint64
+	keys    []uint64
+	stats   LevelStats
 }
 
 func newCacheLevel(cfg LevelConfig) *cacheLevel {
@@ -86,43 +83,51 @@ func newCacheLevel(cfg LevelConfig) *cacheLevel {
 	if sets&(sets-1) != 0 {
 		panic(fmt.Sprintf("cachesim: %s set count %d is not a power of two", cfg.Name, sets))
 	}
-	return &cacheLevel{cfg: cfg, setMask: uint64(sets - 1), ways: make([]way, lines)}
+	return &cacheLevel{cfg: cfg, setMask: uint64(sets - 1), keys: make([]uint64, lines)}
 }
 
-// probe scans line's set once, changing nothing. It returns the way
-// holding the line, or on a miss the way a fill replaces: the first
-// with the least recency, which is the first empty way (recency 0) if
-// there is one and the least recently used otherwise.
-func (c *cacheLevel) probe(line uint64) (*way, bool) {
+// set returns line's set, most recently used key first.
+func (c *cacheLevel) set(line uint64) []uint64 {
 	base := int(line&c.setMask) * c.cfg.Ways
-	set := c.ways[base : base+c.cfg.Ways]
-	victim, least := 0, set[0].use
-	for i, w := range set {
-		if w.key == line+1 {
-			return &set[i], true
-		}
-		if w.use < least {
-			victim, least = i, w.use
+	return c.keys[base : base+c.cfg.Ways]
+}
+
+// probe reports whether line is present, changing nothing.
+func (c *cacheLevel) probe(line uint64) bool {
+	for _, k := range c.set(line) {
+		if k == line+1 {
+			return true
 		}
 	}
-	return &set[victim], false
+	return false
 }
 
-// touch makes w hold line as the most recently used way of its set.
-func (c *cacheLevel) touch(w *way, line uint64) {
-	c.useClock++
-	*w = way{key: line + 1, use: c.useClock}
+// touch makes line the most recently used key of its set and reports
+// whether it was present. One pass pushes line in at the front and
+// shifts each key it passes down a slot, stopping at line's old slot
+// on a hit; on a miss the last key, an empty slot or the LRU victim,
+// falls off the end.
+func (c *cacheLevel) touch(line uint64) bool {
+	set, key := c.set(line), line+1
+	prev := key
+	for i, k := range set {
+		set[i] = prev
+		if k == key {
+			return true
+		}
+		prev = k
+	}
+	return false
 }
 
 // access looks line up on behalf of src and leaves it present and most
 // recently used: refreshed on a hit, filled over the victim on a miss.
 func (c *cacheLevel) access(line uint64, src Source) bool {
 	c.stats.Accesses[src]++
-	w, hit := c.probe(line)
+	hit := c.touch(line)
 	if !hit {
 		c.stats.Misses[src]++
 	}
-	c.touch(w, line)
 	return hit
 }
 
@@ -299,10 +304,7 @@ func (h *Hierarchy) sampleMSHR(lvl *cacheLevel, misses int) {
 // replacement state or statistics (used by tests).
 func (h *Hierarchy) Probe(pa addr.HPA) (inL1, inL2, inL3 bool) {
 	line := addr.CacheLine(pa)
-	_, inL1 = h.l1.probe(line)
-	_, inL2 = h.l2.probe(line)
-	_, inL3 = h.l3.probe(line)
-	return inL1, inL2, inL3
+	return h.l1.probe(line), h.l2.probe(line), h.l3.probe(line)
 }
 
 // AccessRemote models a request from another core sharing the L3: it
@@ -314,9 +316,7 @@ func (h *Hierarchy) AccessRemote(now uint64, pa addr.HPA) uint64 {
 	line := addr.CacheLine(pa)
 	h.remote.Accesses++
 	// The per-source statistics count only this core's requests.
-	w, hit := h.l3.probe(line)
-	h.l3.touch(w, line)
-	if hit {
+	if h.l3.touch(line) {
 		return h.cfg.L3.LatencyRT
 	}
 	h.remote.Misses++

@@ -291,7 +291,7 @@ func runAgainstReference(t *testing.T, cfg HierarchyConfig, span, seed uint64, o
 }
 
 // FuzzHierarchyAgainstReference is the differential proof that the
-// fused single-scan cache level replaces the same lines in the same
+// recency-ordered cache level replaces the same lines in the same
 // order as the reference model: the seed corpus runs every geometry
 // over every working set.
 func FuzzHierarchyAgainstReference(f *testing.F) {
@@ -304,21 +304,6 @@ func FuzzHierarchyAgainstReference(f *testing.F) {
 		cfg := refGeometries[int(geom)%len(refGeometries)]
 		runAgainstReference(t, cfg, refSpans[int(span)%len(refSpans)], seed, 4000)
 	})
-}
-
-// TestEmptyWaysFillInIndexOrder pins the cold-set half of the victim
-// rule: while a set has empty ways, fills take them lowest index first.
-func TestEmptyWaysFillInIndexOrder(t *testing.T) {
-	c := newCacheLevel(LevelConfig{Name: "L", SizeBytes: 4 * addr.CacheLineBytes, Ways: 4})
-	lines := []uint64{9, 0, 7, 3}
-	for _, line := range lines {
-		c.access(line, SourceCPU)
-	}
-	for i, line := range lines {
-		if c.ways[i].key != line+1 {
-			t.Errorf("way %d holds key %d, want line %d", i, c.ways[i].key, line)
-		}
-	}
 }
 
 // TestRemoteHitRefreshesRecency pins AccessRemote's hit path: the line

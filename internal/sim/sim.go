@@ -32,6 +32,8 @@ type Machine struct {
 	// and their shared-L3/DRAM traffic is what keeps page-table lines
 	// from parking in the last-level cache.
 	corunners []workload.Generator
+	// remote is step's co-runner scratch: one address per co-runner.
+	remote []addr.HPA
 
 	// cycles is the core clock, tracked fractionally so issue-width
 	// division does not lose time.
@@ -166,6 +168,7 @@ func NewMachine(cfg Config) (*Machine, error) {
 		}
 		m.corunners = append(m.corunners, g)
 	}
+	m.remote = make([]addr.HPA, len(m.corunners))
 
 	// BatchSize is outside input: size the scratch for the widest step
 	// this run can reach, not for the width it asked for.
@@ -286,7 +289,11 @@ func (m *Machine) serviceFault(nm *core.ErrNotMapped) error {
 // page that missed misses too and rides the first one's walk instead of
 // TLB-hitting, and the core stalls for the walks' overlapped critical
 // path instead of their sum. batched says which walk engine the phase
-// uses (see walkMisses); functional behaviour per lane is the same.
+// uses (see walkMisses); functional behaviour per lane is the same. A
+// data access that reaches the L3 brings one co-runner group with it:
+// every co-runner's next address is resolved first, then each goes to
+// the shared L3 in co-runner order, so the memo loads overlap instead
+// of each waiting on the previous one's tag scan.
 func (m *Machine) step(measure, batched bool, n int) error {
 	t := &m.cfg.Timing
 	lanes := m.lanes[:n]
@@ -365,12 +372,19 @@ func (m *Machine) step(measure, batched bool, n int) error {
 		// Co-runner interference: when this core's access reached the
 		// shared L3, the other cores are statistically doing the same, so
 		// inject one shared-level access per co-runner (their private
-		// caches filter the rest).
+		// caches filter the rest). Resolving the whole group first
+		// changes no order: resolve touches no cache state and no
+		// cycles pass.
 		if served >= cachesim.ServedL3 {
-			for _, g := range m.corunners {
-				if err := m.injectRemote(g.Next().VA); err != nil {
+			for j, g := range m.corunners {
+				hpa, _, _, _, err := m.resolve(g.Next().VA)
+				if err != nil {
 					return err
 				}
+				m.remote[j] = hpa
+			}
+			for _, hpa := range m.remote {
+				m.mem.AccessRemote(m.now(), hpa)
 			}
 		}
 
@@ -455,17 +469,6 @@ func (m *Machine) Prepopulate() error {
 		}
 	}
 	m.populated = true
-	return nil
-}
-
-// injectRemote charges one co-runner access at va to the shared cache
-// level, demand-mapping it (untimed) if needed.
-func (m *Machine) injectRemote(va addr.GVA) error {
-	hpa, _, _, _, err := m.resolve(va)
-	if err != nil {
-		return err
-	}
-	m.mem.AccessRemote(m.now(), hpa)
 	return nil
 }
 

@@ -92,35 +92,43 @@ func TestRunContextCancellation(t *testing.T) {
 }
 
 // TestStepAllocationFree pins that a step allocates nothing at either
-// width on a warm machine: its scratch is sized once, in NewMachine.
-// TestWalkAllocationFree (root package) covers the walkers alone. The
-// pin is dynamic only: step's fault paths map pages, which allocates,
-// so step cannot join the static hot region, and the measured function
-// is passed by name because analysis.TestAllocsPerRunPinsAreHot asks
-// for a //nestedlint:hotpath on whatever an AllocsPerRun literal calls.
+// width on a warm machine, alone (Cores 1, no co-runners) and with the
+// default seven co-runners: its scratch, the co-runner group's
+// included, is sized once, in NewMachine. TestWalkAllocationFree (root
+// package) covers the walkers alone. The pin is dynamic only: step's
+// fault paths map pages, which allocates, so step cannot join the
+// static hot region, and the measured function is passed by name
+// because analysis.TestAllocsPerRunPinsAreHot asks for a
+// //nestedlint:hotpath on whatever an AllocsPerRun literal calls.
 func TestStepAllocationFree(t *testing.T) {
-	cfg := DefaultConfig(DesignNestedECPT, "GUPS", false)
-	cfg.WorkloadOpts.Scale = 512
-	cfg.WarmupAccesses, cfg.MeasureAccesses = 30_000, 10_000
-	cfg.BatchSize = 8
-	m, err := NewMachine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Run(); err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range []struct {
-		batched bool
-		n       int
-	}{{false, 1}, {true, cfg.BatchSize}} {
-		oneStep := func() {
-			if err := m.step(true, tc.batched, tc.n); err != nil {
-				t.Fatal(err)
-			}
+	for _, cores := range []int{1, 8} {
+		cfg := DefaultConfig(DesignNestedECPT, "GUPS", false)
+		cfg.WorkloadOpts.Scale = 512
+		cfg.WarmupAccesses, cfg.MeasureAccesses = 30_000, 10_000
+		cfg.BatchSize = 8
+		cfg.Cores = cores
+		m, err := NewMachine(cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if allocs := testing.AllocsPerRun(500, oneStep); allocs != 0 {
-			t.Errorf("step(width %d, batched=%v) allocates %v times a step, want 0", tc.n, tc.batched, allocs)
+		if got := len(m.corunners); got != cores-1 {
+			t.Fatalf("Cores %d: %d co-runners, want %d", cores, got, cores-1)
+		}
+		if _, err := m.Run(); err != nil {
+			t.Fatal(err)
+		}
+		for _, tc := range []struct {
+			batched bool
+			n       int
+		}{{false, 1}, {true, cfg.BatchSize}} {
+			oneStep := func() {
+				if err := m.step(true, tc.batched, tc.n); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if allocs := testing.AllocsPerRun(500, oneStep); allocs != 0 {
+				t.Errorf("Cores %d: step(width %d, batched=%v) allocates %v times a step, want 0", cores, tc.n, tc.batched, allocs)
+			}
 		}
 	}
 }
