@@ -230,6 +230,18 @@ type Table[P addr.Addr] struct {
 	deferred []func()
 	dirty    bool
 	pubGen   uint64
+
+	// cursor names the slot findLine last found, or tryPlace last filled
+	// without a kick, so a run of consecutive pages searches its line
+	// once. Writer-private: findLine validates it before every use, and
+	// no reader path reads it.
+	cursor lineCursor[P]
+}
+
+// lineCursor names line idx of way w of generation g.
+type lineCursor[P addr.Addr] struct {
+	g      *generation[P]
+	w, idx int
 }
 
 // SetRecorder attaches a trace recorder to the table's structural
@@ -257,6 +269,8 @@ func New[P addr.Addr](size addr.PageSize, cfg Config, alloc *memsim.Allocator[P]
 		rng:       vhash.NewRNG(seed ^ 0xEC97EC97),
 	}
 	t.cur = t.newGeneration(cfg.InitialLinesPerWay)
+	// An empty slot of a live generation: never nil, and holds no tag.
+	t.cursor.g = t.cur
 	return t, nil
 }
 
@@ -315,11 +329,21 @@ func (t *Table[P]) CWT() *CWT[P] { return t.cwt }
 func lineTag(vpn uint64) uint64 { return vpn / TranslationsPerLine }
 func lineSlot(vpn uint64) int   { return int(vpn % TranslationsPerLine) }
 
-// findLine locates the line holding tag, if present.
+// findLine locates the line holding tag, if present, trying the cursor
+// before hashing. The cursor needs no invalidation: a tag lives in at
+// most one live slot (migration empties every old-generation slot it
+// passes), so a live slot holding tag is the one the search would find.
+// A slot since emptied or refilled fails the key compare; a generation
+// a resize retired, or a sealed one writable replaced with its clone,
+// fails the generation compare.
 func (t *Table[P]) findLine(tag uint64) (g *generation[P], w, idx int, ok bool) {
+	if c := t.cursor; (c.g == t.cur || c.g == t.old) && keyHolds(c.g.keys[c.w][c.idx], tag) {
+		return c.g, c.w, c.idx, true
+	}
 	for w := 0; w < t.cfg.Ways; w++ {
 		idx := t.cur.index(w, tag)
 		if keyHolds(t.cur.keys[w][idx], tag) {
+			t.cursor = lineCursor[P]{t.cur, w, idx}
 			return t.cur, w, idx, true
 		}
 	}
@@ -330,6 +354,7 @@ func (t *Table[P]) findLine(tag uint64) (g *generation[P], w, idx int, ok bool) 
 				continue // already migrated out
 			}
 			if keyHolds(t.old.keys[w][idx], tag) {
+				t.cursor = lineCursor[P]{t.old, w, idx}
 				return t.old, w, idx, true
 			}
 		}
@@ -398,6 +423,9 @@ func (t *Table[P]) tryPlace(ln line[P]) bool {
 			if tcur.keys[w][idx] == 0 {
 				tcur.store(w, idx, cur)
 				t.notifyPlacement(tag, w)
+				if kick == 0 {
+					t.cursor = lineCursor[P]{tcur, w, idx}
+				}
 				return true
 			}
 		}

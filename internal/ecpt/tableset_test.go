@@ -140,6 +140,112 @@ func TestScaledSetConfigFloors(t *testing.T) {
 	}
 }
 
+// searchLine is findLine without the cursor: the full search the
+// cursor must always agree with.
+func searchLine(t *Table[uint64], tag uint64) (g *generation[uint64], w, idx int, ok bool) {
+	for w := 0; w < t.cfg.Ways; w++ {
+		if idx := t.cur.index(w, tag); keyHolds(t.cur.keys[w][idx], tag) {
+			return t.cur, w, idx, true
+		}
+	}
+	if t.old != nil {
+		for w := 0; w < t.cfg.Ways; w++ {
+			if idx := t.old.index(w, tag); idx >= t.migratePtr[w] && keyHolds(t.old.keys[w][idx], tag) {
+				return t.old, w, idx, true
+			}
+		}
+	}
+	return nil, 0, 0, false
+}
+
+// checkFindLine compares findLine, cursor and all, with searchLine.
+func checkFindLine(tb *Table[uint64], tag uint64) error {
+	g, w, idx, ok := tb.findLine(tag)
+	if wg, ww, widx, wok := searchLine(tb, tag); g != wg || w != ww || idx != widx || ok != wok {
+		return fmt.Errorf("findLine(%#x) = %p/%d/%d/%v, the search finds %p/%d/%d/%v", tag, g, w, idx, ok, wg, ww, widx, wok)
+	}
+	return nil
+}
+
+// keptCursor is a cursor a table once held, with the tag its slot held
+// then and what the latest replay found it to be.
+type keptCursor struct {
+	tb    *Table[uint64]
+	c     lineCursor[uint64]
+	tag   uint64
+	state string
+}
+
+// classify says whether k is still good for its tag and, if not, what
+// made it stale.
+func (k *keptCursor) classify() string {
+	tb, c := k.tb, k.c
+	if c.g != tb.cur && c.g != tb.old {
+		for _, g := range []*generation[uint64]{tb.cur, tb.old} {
+			if g != nil && &g.basePA[0] == &c.g.basePA[0] {
+				return "clone" // writable replaced the sealed generation
+			}
+		}
+		return "resize"
+	}
+	key := c.g.keys[c.w][c.idx]
+	switch _, _, _, found := searchLine(tb, k.tag); {
+	case keyHolds(key, k.tag):
+		return "hit"
+	case found:
+		return "moved" // by a kick or by migration
+	case key == 0:
+		return "emptied"
+	}
+	return "reused"
+}
+
+// cursorOracle replays cursors the tables have held long after they
+// moved on, so every way a cursor goes stale meets findLine: each kept
+// cursor is installed, findLine asked for its tag and checked against
+// the full search, and the table's own cursor put back. It keeps a
+// table's current cursor whenever no good kept cursor names the same
+// generation, and drops a kept cursor once its generation is gone.
+type cursorOracle struct {
+	kept   []*keptCursor
+	states map[string]int // state changes seen, by the state entered
+}
+
+func (o *cursorOracle) replay(tables []*Table[uint64]) error {
+	live := o.kept[:0]
+	for _, k := range o.kept {
+		if st := k.classify(); st != k.state {
+			o.states[st]++
+			k.state = st
+		}
+		own := k.tb.cursor
+		k.tb.cursor = k.c
+		err := checkFindLine(k.tb, k.tag)
+		k.tb.cursor = own
+		if err != nil {
+			return fmt.Errorf("kept cursor (%s): %v", k.state, err)
+		}
+		if k.state != "resize" && k.state != "clone" {
+			live = append(live, k)
+		}
+	}
+	o.kept = live
+	for _, tb := range tables {
+		c := tb.cursor
+		if c.g != tb.cur && c.g != tb.old || c.g.keys[c.w][c.idx] == 0 {
+			continue
+		}
+		covered := false
+		for _, k := range o.kept {
+			covered = covered || k.tb == tb && k.c.g == c.g && k.state == "hit"
+		}
+		if !covered {
+			o.kept = append(o.kept, &keptCursor{tb: tb, c: c, tag: keyTag(c.g.keys[c.w][c.idx]), state: "hit"})
+		}
+	}
+	return nil
+}
+
 // TestSetLookupOracle checks Set.Lookup against a plain map across the
 // transitions its empty-table skip depends on: random Map/Unmap/Lookup
 // over all three sizes, with cycles that drain one table to zero
@@ -147,6 +253,12 @@ func TestScaledSetConfigFloors(t *testing.T) {
 // it. In concurrent mode the same sequence runs between Publish calls,
 // where the writer must see its own staged maps and unmaps while the
 // published view still answers readers with the old state.
+//
+// It also holds each table's line cursor to the full search: a
+// sequential-run op maps consecutive pages and looks each up, the way
+// Prepopulate does, and must find the cursor holding the line; after
+// every op a cursorOracle replays old cursors, and the run must see one
+// rejected after each way it can go stale.
 func TestSetLookupOracle(t *testing.T) {
 	for _, concurrent := range []bool{false, true} {
 		for _, seed := range []uint64{1, 7} {
@@ -189,6 +301,27 @@ func testSetLookupOracle(t *testing.T, concurrent bool, seed uint64) {
 	}
 	model := make(map[key]uint64)
 	rng := vhash.NewRNG(seed)
+	var tables []*Table[uint64]
+	for _, size := range addr.Sizes() {
+		tables = append(tables, set.Table(size))
+	}
+	oracle := cursorOracle{states: make(map[string]int)}
+	replay := func(when string) {
+		t.Helper()
+		if err := oracle.replay(tables); err != nil {
+			t.Fatalf("%s: %v", when, err)
+		}
+	}
+	// runs holds every page a sequential run mapped, for the drain.
+	var runs [addr.NumPageSizes][]uint64
+	runHits, runLookups := 0, 0
+	// cursorHolds reports whether va's table would answer va from its
+	// cursor.
+	cursorHolds := func(size addr.PageSize, va uint64) bool {
+		tb := set.Table(size)
+		c := tb.cursor
+		return (c.g == tb.cur || c.g == tb.old) && keyHolds(c.g.keys[c.w][c.idx], lineTag(addr.VPN(va, size)))
+	}
 
 	check := func(when string, va uint64) {
 		t.Helper()
@@ -202,22 +335,30 @@ func testSetLookupOracle(t *testing.T, concurrent bool, seed uint64) {
 		if f, size, ok := set.Lookup(va); ok != want || f != wantFrame || size != wantSize {
 			t.Fatalf("%s: Lookup(%#x) = %#x,%v,%v; model has %#x,%v,%v", when, va, f, size, ok, wantFrame, wantSize, want)
 		}
+		for _, size := range addr.Sizes() {
+			if err := checkFindLine(set.Table(size), lineTag(addr.VPN(va, size))); err != nil {
+				t.Fatalf("%s: %v table: %v", when, size, err)
+			}
+		}
 	}
-	mapPage := func(size addr.PageSize, idx int) {
-		va := pageVA(size, idx)
+	mapVA := func(size addr.PageSize, va uint64) {
 		frame := rng.Uint64() &^ size.OffsetMask()
 		set.Map(va, size, frame)
 		model[key{size, addr.VPN(va, size)}] = frame
 	}
-	unmapPage := func(when string, size addr.PageSize, idx int) {
+	mapPage := func(size addr.PageSize, idx int) { mapVA(size, pageVA(size, idx)) }
+	unmapVA := func(when string, size addr.PageSize, va uint64) {
 		t.Helper()
-		va := pageVA(size, idx)
 		k := key{size, addr.VPN(va, size)}
 		_, live := model[k]
 		if set.Unmap(va, size) != live {
 			t.Fatalf("%s: Unmap(%#x, %v) disagrees with the model (live=%v)", when, va, size, live)
 		}
 		delete(model, k)
+	}
+	unmapPage := func(when string, size addr.PageSize, idx int) {
+		t.Helper()
+		unmapVA(when, size, pageVA(size, idx))
 	}
 	sweep := func(when string) {
 		t.Helper()
@@ -239,6 +380,23 @@ func testSetLookupOracle(t *testing.T, concurrent bool, seed uint64) {
 			mapPage(size, idx)
 		case op < 8:
 			unmapPage(when, size, idx)
+		case op < 9:
+			// A sequential run: consecutive pages mapped, then each
+			// looked up along with the page past the end.
+			n := 1 + rng.Intn(3*TranslationsPerLine)
+			for j := 0; j < n; j++ {
+				va := pageVA(size, idx) + uint64(j)*size.Bytes()
+				mapVA(size, va)
+				runs[size] = append(runs[size], va)
+			}
+			for j := 0; j <= n; j++ {
+				va := pageVA(size, idx) + uint64(j)*size.Bytes() + rng.Uint64n(size.Bytes())
+				if cursorHolds(size, va) {
+					runHits++
+				}
+				runLookups++
+				check(when+", run", va)
+			}
 		}
 		check(when, pageVA(size, idx)+rng.Uint64n(size.Bytes()))
 		other := addr.Sizes()[rng.Intn(addr.NumPageSizes)]
@@ -246,6 +404,7 @@ func testSetLookupOracle(t *testing.T, concurrent bool, seed uint64) {
 		if concurrent && i%97 == 0 {
 			set.Publish()
 		}
+		replay(when)
 		if i%500 != 499 {
 			continue
 		}
@@ -261,6 +420,7 @@ func testSetLookupOracle(t *testing.T, concurrent bool, seed uint64) {
 		if concurrent {
 			set.Publish()
 		}
+		replay(when + ", grown")
 		witness := -1
 		for idx := 0; idx < universe[size]; idx++ {
 			if _, live := model[key{size, addr.VPN(pageVA(size, idx), size)}]; live {
@@ -268,6 +428,11 @@ func testSetLookupOracle(t *testing.T, concurrent bool, seed uint64) {
 			}
 			unmapPage(when, size, idx)
 		}
+		for _, va := range runs[size] {
+			unmapVA(when, size, va)
+		}
+		runs[size] = nil
+		replay(when + ", drained")
 		if tb.Entries() != 0 {
 			t.Fatalf("%s: %d entries left", when, tb.Entries())
 		}
@@ -292,10 +457,60 @@ func testSetLookupOracle(t *testing.T, concurrent bool, seed uint64) {
 			check(when+", refill", pageVA(size, idx))
 		}
 		sweep(when + ", refilled")
+		replay(when + ", refilled")
 	}
 	sweep("final")
 	if drainedResizing == 0 {
 		t.Fatal("no table was ever drained during a resize; property not exercised")
 	}
 	t.Logf("%d of %d drains happened during a resize", drainedResizing, ops/500)
+	t.Logf("cursor held the line for %d of %d run lookups; kept cursors went %v", runHits, runLookups, oracle.states)
+	if runHits == 0 {
+		t.Fatal("no run lookup found its line at the cursor")
+	}
+	stale := []string{"emptied", "moved", "resize"}
+	if concurrent {
+		stale = append(stale, "clone")
+	}
+	for _, st := range stale {
+		if oracle.states[st] == 0 {
+			t.Errorf("no kept cursor was ever rejected as %s", st)
+		}
+	}
+}
+
+// TestCursorSkipsSealedGeneration is the witness for findLine's
+// generation compare. A Publish seals the generation the cursor names;
+// the next Insert into that line clones it, and the cursor, still naming
+// the sealed original, holds the right tag in a generation the writer no
+// longer owns. Trusting it would send the following Insert into a
+// detached copy: the writer would lose the page, and so would readers
+// after the next Publish.
+func TestCursorSkipsSealedGeneration(t *testing.T) {
+	tb, _, _ := newConcurrentTable(t, 64, false)
+	tb.Insert(0x100, 0xA000)
+	tb.Publish()
+	sealed := tb.cur
+	tb.Insert(0x101, 0xB000)
+	if tb.cursor.g != sealed || tb.cur == sealed {
+		t.Fatal("the cursor does not name a sealed generation the writer replaced; the witness needs one")
+	}
+	tb.Insert(0x102, 0xC000)
+
+	frames := map[uint64]uint64{0x100: 0xA000, 0x101: 0xB000, 0x102: 0xC000}
+	for _, vpn := range []uint64{0x100, 0x101, 0x102} {
+		if f, ok := tb.Lookup(vpn); !ok || f != frames[vpn] {
+			t.Errorf("writer Lookup(%#x) = %#x,%v; want %#x", vpn, f, ok, frames[vpn])
+		}
+		f, ok := tb.SnapshotLookup(vpn)
+		if published := vpn == 0x100; ok != published || (ok && f != frames[vpn]) {
+			t.Errorf("before Publish, SnapshotLookup(%#x) = %#x,%v; readers must see only the published page", vpn, f, ok)
+		}
+	}
+	tb.Publish()
+	for _, vpn := range []uint64{0x100, 0x101, 0x102} {
+		if f, ok := tb.SnapshotLookup(vpn); !ok || f != frames[vpn] {
+			t.Errorf("after Publish, SnapshotLookup(%#x) = %#x,%v; want %#x", vpn, f, ok, frames[vpn])
+		}
+	}
 }

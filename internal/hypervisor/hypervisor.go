@@ -63,7 +63,8 @@ type Hypervisor struct {
 	radix *radix.Table[addr.GPA, addr.HPA] // gPA → hPA (EPT / NPT)
 	ecpts *ecpt.Set[addr.GPA, addr.HPA]
 	// small2m marks 2MB-aligned gPA regions that already contain 4KB
-	// host mappings and therefore can never be huge-mapped.
+	// host mappings and therefore can never be huge-mapped. Kept only
+	// under THP.
 	small2m map[addr.GPA]bool
 	stats   Stats
 }
@@ -128,8 +129,11 @@ func (h *Hypervisor) Resolve(gpa addr.GPA, isPageTable bool) (hpa addr.HPA, size
 	}
 	h.stats.NestedFaults++
 
+	// 2MB-region state exists only under THP: with it off nothing reads
+	// small2m, so a 4KB fault costs no map access.
 	region := addr.PageBase(gpa, addr.Page2M)
-	if h.cfg.THP && !isPageTable && !h.small2m[region] {
+	small := h.cfg.THP && h.small2m[region]
+	if h.cfg.THP && !isPageTable && !small {
 		if frame, ok := h.alloc.Alloc(addr.Page2M, memsim.PurposeData); ok {
 			h.mapPage(region, addr.Page2M, frame)
 			h.stats.HugeMaps++
@@ -142,7 +146,9 @@ func (h *Hypervisor) Resolve(gpa addr.GPA, isPageTable bool) (hpa addr.HPA, size
 		return 0, 0, false, fmt.Errorf("hypervisor: host out of memory mapping gPA %#x", gpa)
 	}
 	h.mapPage(addr.PageBase(gpa, addr.Page4K), addr.Page4K, frame)
-	h.small2m[region] = true
+	if h.cfg.THP && !small {
+		h.small2m[region] = true
+	}
 	return addr.Translate(frame, gpa, addr.Page4K), addr.Page4K, true, nil
 }
 

@@ -115,6 +115,28 @@ func TestHugeFallbackUnderFragmentation(t *testing.T) {
 	if h.Stats().HugeFallback == 0 {
 		t.Error("fallback not counted")
 	}
+	// The region fell back to 4KB pages; it stays small even once huge
+	// frames are available again.
+	h.Allocator().SetHugePageFailureRate(0)
+	for gpa := addr.GPA(0x7000_1000); gpa < 0x7020_0000; gpa += 0x3_3000 {
+		if _, size, _, err := h.Resolve(gpa, false); err != nil || size != addr.Page4K {
+			t.Fatalf("resolve of %#x in a fallen-back region: size=%v err=%v, want 4KB", gpa, size, err)
+		}
+	}
+}
+
+// TestTHPOffKeepsNoRegionState pins that a THP-off host records nothing
+// per 2MB region: with THP off nothing would read it.
+func TestTHPOffKeepsNoRegionState(t *testing.T) {
+	h := newHyp(t, false, false)
+	for gpa := addr.GPA(0); gpa < 8<<20; gpa += 0x1000 {
+		if _, size, _, err := h.Resolve(gpa, gpa%(1<<20) == 0); err != nil || size != addr.Page4K {
+			t.Fatalf("THP-off resolve of %#x: size=%v err=%v", gpa, size, err)
+		}
+	}
+	if len(h.small2m) != 0 {
+		t.Errorf("THP off, yet %d 2MB regions carry state", len(h.small2m))
+	}
 }
 
 func TestPageTableMemoryAccounting(t *testing.T) {

@@ -83,7 +83,7 @@ type Kernel struct {
 	radix   *radix.Table[addr.GVA, addr.GPA]
 	ecpts   *ecpt.Set[addr.GVA, addr.GPA]
 	vmas    []VMA
-	regions map[addr.GVA]regionState
+	regions map[addr.GVA]regionState // THP decisions; empty with THP off
 	stats   Stats
 	unmaps  uint64 // successful Unmaps; see Unmaps
 }
@@ -174,8 +174,13 @@ func (k *Kernel) Resolve(va addr.GVA) (gpa addr.GPA, size addr.PageSize, faulted
 	}
 	k.stats.MinorFaults++
 
+	// 2MB-region state exists only under THP: with it off nothing reads
+	// it, so a 4KB fault costs no map access.
 	region := addr.PageBase(va, addr.Page2M)
-	st := k.regions[region]
+	var st regionState
+	if k.cfg.THP {
+		st = k.regions[region]
+	}
 	wantHuge := k.cfg.THP && v.THPEligible && st != regionSmall &&
 		// The whole 2MB region must lie inside the VMA.
 		region >= v.Base && addr.Add(region, addr.Page2M.Bytes()) <= addr.Add(v.Base, v.Size)
@@ -194,7 +199,9 @@ func (k *Kernel) Resolve(va addr.GVA) (gpa addr.GPA, size addr.PageSize, faulted
 		return 0, 0, false, fmt.Errorf("kernel: guest out of memory at %#x", va)
 	}
 	k.mapPage(addr.PageBase(va, addr.Page4K), addr.Page4K, frame)
-	k.regions[region] = regionSmall
+	if k.cfg.THP && st != regionSmall {
+		k.regions[region] = regionSmall
+	}
 	k.stats.SmallMaps++
 	return addr.Translate(frame, va, addr.Page4K), addr.Page4K, true, nil
 }

@@ -81,6 +81,16 @@ func TestTHPOffUses4K(t *testing.T) {
 	if size != addr.Page4K {
 		t.Errorf("THP-off touch mapped %v", size)
 	}
+	// A 4KB footprint over several 2MB regions records no THP decision:
+	// with THP off nothing would read one.
+	for va := addr.GVA(0x1000_0000); va < 0x1080_0000; va += 0x1000 {
+		if _, size, err := k.Touch(va); err != nil || size != addr.Page4K {
+			t.Fatalf("THP-off touch of %#x: size=%v err=%v", va, size, err)
+		}
+	}
+	if len(k.regions) != 0 {
+		t.Errorf("THP off, yet %d 2MB regions carry state", len(k.regions))
+	}
 }
 
 func TestTHPFragmentationFallback(t *testing.T) {
@@ -103,6 +113,14 @@ func TestTHPFragmentationFallback(t *testing.T) {
 	}
 	if k.Stats().HugeFallback == 0 {
 		t.Error("fallback not counted")
+	}
+	// The region fell back to 4KB pages; it stays small even once huge
+	// frames are available again.
+	k.Allocator().SetHugePageFailureRate(0)
+	for va := addr.GVA(0x1020_1000); va < 0x1040_0000; va += 0x3_3000 {
+		if _, size, err := k.Touch(va); err != nil || size != addr.Page4K {
+			t.Fatalf("touch of %#x in a fallen-back region: size=%v err=%v, want 4KB", va, size, err)
+		}
 	}
 }
 
