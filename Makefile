@@ -55,10 +55,14 @@
 #   make serveaudit audited sharded serve run: 48 guests, 2 churn
 #                shards, every churn probe traced and replayed through
 #                the serve-mode conformance auditor; any finding fails
+#   make clismoke  both sweep CLIs end to end: nestedsim (audited,
+#                traced) and experiments output byte-identical at
+#                -parallel 1 and 2, and -run-timeout failing a width-1
+#                sweep
 
 GO ?= go
 
-.PHONY: check vet build test lint escapes race cover bench fuzz profile endbench endbench-compare benchcheck servesmoke serveaudit
+.PHONY: check vet build test lint escapes race cover bench fuzz profile endbench endbench-compare benchcheck servesmoke serveaudit clismoke
 
 check: lint build test escapes
 
@@ -200,3 +204,29 @@ serveaudit:
 	@mkdir -p $(dir $(SERVE_TRACE))
 	$(GO) run ./cmd/nestedserve -vms 48 -shards 2 -duration 2s -audit \
 		-trace $(SERVE_TRACE) -minrate $(SERVE_MINRATE)
+
+# CLI smoke: the one sweep engine behind both CLIs, driven end to end in
+# seconds. Stdout and the trace file must be byte-identical at
+# -parallel 1 and 2, and a 1ms -run-timeout must fail a width-1 sweep
+# (every run's set-up alone outlasts it). Outputs land under the ignored
+# out/ directory.
+CLISMOKE_DIR ?= out/clismoke
+NESTEDSIM_SMOKE = -design all -warmup 1000 -accesses 3000 -audit
+EXPERIMENTS_SMOKE = -exp fig10 -quick -apps GUPS,BC -warmup 2000 -measure 6000
+
+clismoke:
+	@mkdir -p $(CLISMOKE_DIR)
+	$(GO) build -o $(CLISMOKE_DIR)/ ./cmd/nestedsim ./cmd/experiments
+	@for p in 1 2; do \
+		echo "nestedsim $(NESTEDSIM_SMOKE) -parallel $$p; experiments $(EXPERIMENTS_SMOKE) -parallel $$p"; \
+		$(CLISMOKE_DIR)/nestedsim $(NESTEDSIM_SMOKE) -parallel $$p \
+			-trace $(CLISMOKE_DIR)/ns-$$p.jsonl > $(CLISMOKE_DIR)/ns-$$p.txt || exit 1; \
+		$(CLISMOKE_DIR)/experiments $(EXPERIMENTS_SMOKE) -parallel $$p > $(CLISMOKE_DIR)/exp-$$p.txt || exit 1; \
+	done
+	cmp $(CLISMOKE_DIR)/ns-1.txt $(CLISMOKE_DIR)/ns-2.txt
+	cmp $(CLISMOKE_DIR)/ns-1.jsonl $(CLISMOKE_DIR)/ns-2.jsonl
+	cmp $(CLISMOKE_DIR)/exp-1.txt $(CLISMOKE_DIR)/exp-2.txt
+	@if $(CLISMOKE_DIR)/experiments $(EXPERIMENTS_SMOKE) -parallel 1 -run-timeout 1ms > /dev/null 2>&1; then \
+		echo "experiments -parallel 1 -run-timeout 1ms exited 0; want a timeout failure"; exit 1; \
+	fi
+	@echo "clismoke: outputs identical at -parallel 1 and 2; -run-timeout fails a width-1 sweep"

@@ -22,8 +22,8 @@ import (
 
 // benchSettings keeps each benchmark's simulation volume small enough
 // for `go test -bench=.` to complete in minutes. The suite sweeps its
-// runs on the parallel engine (all figures print identically; see
-// report.Settings.Parallelism).
+// runs GOMAXPROCS wide (all figures print identically at any width;
+// see report.Settings.Parallelism).
 func benchSettings(apps ...string) report.Settings {
 	return report.Settings{Warmup: 10_000, Measure: 30_000, Scale: 16, Seed: 42, Apps: apps,
 		Parallelism: runtime.GOMAXPROCS(0)}
@@ -147,8 +147,8 @@ func BenchmarkSection96OtherDesigns(b *testing.B) {
 }
 
 // benchSweep runs a fixed small design×app matrix (Figure 10's) on a
-// fresh suite each iteration, so the sequential and parallel engines
-// can be compared directly: the speedup of BenchmarkSweepEngineParallel
+// fresh suite each iteration, so the sweep engine at width 1 and at
+// GOMAXPROCS can be compared directly: the speedup of BenchmarkSweepEngineParallel
 // over BenchmarkSweepEngineSequential is the sweep engine's scaling on
 // this host (runs are independent, so it approaches min(GOMAXPROCS,
 // runs) on multi-core machines).

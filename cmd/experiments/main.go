@@ -44,7 +44,7 @@ func main() {
 	scale := flag.Uint64("scale", 0, "override footprint scale divisor")
 	batch := flag.Int("batch", 0, "accesses per pipeline step; >1 batches page walks through the MSHR overlap model")
 	mshrs := flag.Int("mshrs", 0, "in-flight walker probes per batched stage (0 = default, 1 = serialized)")
-	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "concurrent simulations (1 = sequential engine)")
+	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "concurrent simulations (0 = GOMAXPROCS)")
 	runTimeout := flag.Duration("run-timeout", 0, "per-simulation timeout (0 = none), e.g. 10m")
 	verbose := flag.Bool("v", false, "print per-run progress and ETA")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -136,7 +136,7 @@ func main() {
 		if ferr != nil {
 			log.Fatal(ferr)
 		}
-		if werr := suite.WriteTraces(f); werr != nil {
+		if werr := report.WriteTraces(f, suite.Traces()); werr != nil {
 			f.Close()
 			log.Fatal(werr)
 		}

@@ -7,10 +7,11 @@
 //	nestedsim -design nested-radix,nested-ecpt -app GUPS   # comparison
 //	nestedsim -design all -parallel 4                      # full sweep
 //
-// Multiple designs (comma-separated, or "all") run concurrently on the
-// parallel sweep engine; results print in the order given, regardless
-// of completion order. Every run derives its randomness from its own
-// seed, so outputs are identical at any -parallel value.
+// Multiple designs (comma-separated, or "all") run concurrently through
+// report.Simulate, the sweep engine cmd/experiments uses; results print
+// in the order given, regardless of completion order. Every run
+// derives its randomness from its own seed, so outputs are identical at
+// any -parallel value.
 package main
 
 import (
@@ -29,7 +30,6 @@ import (
 	"nestedecpt/internal/report"
 	"nestedecpt/internal/runner"
 	"nestedecpt/internal/sim"
-	"nestedecpt/internal/trace"
 	"nestedecpt/internal/traceaudit"
 	"nestedecpt/internal/workload"
 )
@@ -80,9 +80,8 @@ func main() {
 	} else {
 		names = strings.Split(*design, ",")
 	}
-	tasks := make([]runner.Task[*sim.Result], len(names))
-	specs := make([]traceaudit.Spec, len(names))
-	collectors := make([]*trace.Collector, len(names))
+	runNames := make([]string, len(names))
+	cfgs := make([]sim.Config, len(names))
 	for i, name := range names {
 		d, ok := designNames[strings.TrimSpace(name)]
 		if !ok {
@@ -98,24 +97,7 @@ func main() {
 			cfg.Tech = core.PlainTechniques()
 			cfg.NestedECPT = core.DefaultNestedECPTConfig(cfg.Tech)
 		}
-		specs[i] = sim.AuditSpec(cfg)
-		run := func(ctx context.Context) (*sim.Result, error) {
-			return sim.RunContext(ctx, cfg)
-		}
-		if tracing {
-			// Each run records into its own collector; serialization
-			// happens afterwards in task order, so the trace file is
-			// byte-identical at every -parallel value.
-			rec, col := trace.NewCollected()
-			collectors[i] = col
-			run = func(ctx context.Context) (*sim.Result, error) {
-				return sim.RunTraced(ctx, cfg, rec)
-			}
-		}
-		tasks[i] = runner.Task[*sim.Result]{
-			Name: fmt.Sprintf("%v/%s", d, *app),
-			Run:  run,
-		}
+		runNames[i], cfgs[i] = fmt.Sprintf("%v/%s", d, *app), cfg
 	}
 
 	stopProf, err := profiling.Start(*cpuprofile, *memprofile)
@@ -129,12 +111,15 @@ func main() {
 	if *verbose {
 		opts.Progress = os.Stderr
 	}
-	results := runner.Run(ctx, tasks, opts)
+	results, traces, err := report.Simulate(ctx, runNames, cfgs, tracing, opts)
 
 	// Flush profiles before reporting so a failed run still yields a
 	// readable CPU profile of the simulation that preceded it.
 	if perr := stopProf(); perr != nil {
 		log.Print(perr)
+	}
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	violations := 0
@@ -142,52 +127,38 @@ func main() {
 		if i > 0 {
 			fmt.Println()
 		}
-		if r.Err != nil {
-			log.Fatalf("%s: %v", r.Name, r.Err)
+		printResult(r)
+		if !tracing {
+			continue
 		}
-		printResult(r.Value)
-		if tracing {
-			events := collectors[i].Events()
-			report.WriteTraceSummary(os.Stdout, report.Summarize(events))
-			if *audit {
-				vs := traceaudit.Audit(events, specs[i])
-				violations += len(vs)
-				for _, v := range vs {
-					fmt.Fprintf(os.Stderr, "audit %s: %v\n", r.Name, v)
-				}
-				if len(vs) == 0 {
-					fmt.Printf("audit             clean (%d events)\n", len(events))
-				}
+		rt := traces[i]
+		report.WriteTraceSummary(os.Stdout, report.Summarize(rt.Events))
+		if *audit {
+			vs := traceaudit.Audit(rt.Events, rt.Spec)
+			violations += len(vs)
+			for _, v := range vs {
+				fmt.Fprintf(os.Stderr, "audit %s: %v\n", rt.Name, v)
+			}
+			if len(vs) == 0 {
+				fmt.Printf("audit             clean (%d events)\n", len(rt.Events))
 			}
 		}
 	}
 	if *tracePath != "" {
-		if err := writeTrace(*tracePath, results, collectors); err != nil {
+		f, err := os.Create(*tracePath)
+		if err != nil {
+			log.Fatal(err)
+		}
+		if err := report.WriteTraces(f, traces); err != nil {
+			log.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
 			log.Fatal(err)
 		}
 	}
 	if violations > 0 {
 		log.Fatalf("%d audit violations", violations)
 	}
-}
-
-// writeTrace serializes every run's events, in task order, as JSONL
-// with one run-header line per run.
-func writeTrace(path string, results []runner.Result[*sim.Result], collectors []*trace.Collector) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	tw := trace.NewWriter(f)
-	for i, r := range results {
-		tw.RunHeader(r.Name)
-		tw.Events(collectors[i].Events())
-	}
-	if err := tw.Flush(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 func printResult(r *sim.Result) {

@@ -1,14 +1,23 @@
 package report
 
-// Regression tests for the parallel sweep engine's core guarantee:
-// report output and simulation results are a pure function of the
-// settings, never of the parallelism level or scheduling order.
+// Regression tests for the sweep engine's core guarantee: report
+// output, simulation results and failure behaviour are a pure function
+// of the settings, never of the parallelism level or scheduling order.
 
 import (
 	"bytes"
+	"context"
+	"errors"
+	"fmt"
 	"io"
 	"reflect"
+	"regexp"
+	"strconv"
+	"strings"
 	"testing"
+	"time"
+
+	"nestedecpt/internal/sim"
 )
 
 // render produces Figure 10 (a design × app sweep with shared runs)
@@ -92,8 +101,8 @@ func TestPlanMatchesRender(t *testing.T) {
 }
 
 // TestPlannedSuiteReusesCache checks a second figure rendered on the
-// same suite only prefetches runs the first figure did not already
-// simulate (the shared-run memoization the sequential engine has).
+// same suite only simulates runs the first figure did not already
+// simulate, and rendering a figure again simulates nothing.
 func TestPlannedSuiteReusesCache(t *testing.T) {
 	set := tinySettings()
 	set.Parallelism = 4
@@ -111,7 +120,82 @@ func TestPlannedSuiteReusesCache(t *testing.T) {
 	if err := s.Figure9(io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := len(s.results), cached+len(planned); got != want {
-		t.Fatalf("second figure grew the cache to %d runs, want %d", got, want)
+	cached += len(planned)
+	if got := len(s.results); got != cached {
+		t.Fatalf("second figure grew the cache to %d runs, want %d", got, cached)
+	}
+
+	if again := s.plan(s.figure9); len(again) != 0 {
+		t.Fatalf("re-rendering Figure 9 planned %d runs, want 0", len(again))
+	}
+	if err := s.Figure9(io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(s.results); got != cached {
+		t.Fatalf("re-rendering Figure 9 grew the cache to %d runs, want %d", got, cached)
+	}
+	if _, err := s.run(runKey{design: sim.DesignNestedECPT, app: "GUPS", stc: 3}); err == nil {
+		t.Fatal("an unplanned run outside planning returned no error")
+	}
+}
+
+// TestSweepSameAtEveryWidth checks width 1 is the same engine as any
+// other width: a per-run timeout fails the render with an error naming
+// the run, and progress comes from the runner, one line per planned
+// run.
+func TestSweepSameAtEveryWidth(t *testing.T) {
+	progressLine := regexp.MustCompile(`^# sweep (\d+)/(\d+) (done|FAIL) (.+?) +\d+\.\d+s elapsed +\d+\.\ds eta +\d+\.\ds$`)
+	cases := []struct {
+		name    string
+		timeout time.Duration
+		check   func(t *testing.T, planned []runKey, err error, progress string)
+	}{
+		{"run-timeout", time.Nanosecond, func(t *testing.T, planned []runKey, err error, _ string) {
+			if !errors.Is(err, context.DeadlineExceeded) {
+				t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+			}
+			if name := planned[0].String(); !strings.Contains(err.Error(), name) {
+				t.Fatalf("err = %v, want it to name the first run %q", err, name)
+			}
+		}},
+		{"progress", 0, func(t *testing.T, planned []runKey, err error, progress string) {
+			if err != nil {
+				t.Fatal(err)
+			}
+			lines := strings.Split(strings.TrimSuffix(progress, "\n"), "\n")
+			if len(lines) != len(planned) {
+				t.Fatalf("%d progress lines for %d planned runs:\n%s", len(lines), len(planned), progress)
+			}
+			names := make(map[string]bool, len(planned))
+			for _, k := range planned {
+				names[k.String()] = true
+			}
+			for _, line := range lines {
+				m := progressLine.FindStringSubmatch(line)
+				if m == nil {
+					t.Fatalf("progress line %q is not the runner's sweep form", line)
+				}
+				if m[2] != strconv.Itoa(len(planned)) || m[3] != "done" || !names[m[4]] {
+					t.Fatalf("progress line %q: want a done line of %d naming a planned run", line, len(planned))
+				}
+				delete(names, m[4])
+			}
+		}},
+	}
+	for _, c := range cases {
+		for _, width := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%s/width%d", c.name, width), func(t *testing.T) {
+				set := tinySettings()
+				set.Apps = []string{"GUPS"}
+				set.Parallelism = width
+				set.RunTimeout = c.timeout
+				var progress bytes.Buffer
+				set.Progress = &progress
+				s := NewSuite(set)
+				planned := s.plan(s.figure10)
+				err := s.Figure10(io.Discard)
+				c.check(t, planned, err, progress.String())
+			})
+		}
 	}
 }

@@ -19,7 +19,7 @@ func speedup(base, x *sim.Result) float64 {
 // Figure9 prints the speedups of every configuration over Nested Radix
 // (4KB), per application and as a geometric mean, including the
 // Advanced-technique breakdown of the Nested ECPT bars.
-func (s *Suite) Figure9(w io.Writer) error { return s.parallelized(w, s.figure9) }
+func (s *Suite) Figure9(w io.Writer) error { return s.sweep(w, s.figure9) }
 
 func (s *Suite) figure9(w io.Writer) error {
 	fmt.Fprintln(w, "Figure 9: Speedup over Nested Radix (4KB pages)")
@@ -107,7 +107,7 @@ func fmtRow(vals []float64) string {
 
 // Figure10 prints MMU busy cycles of the four nested configurations
 // normalized to Nested Radix.
-func (s *Suite) Figure10(w io.Writer) error { return s.parallelized(w, s.figure10) }
+func (s *Suite) Figure10(w io.Writer) error { return s.sweep(w, s.figure10) }
 
 func (s *Suite) figure10(w io.Writer) error {
 	fmt.Fprintln(w, "Figure 10: MMU busy cycles, normalized to Nested Radix (4KB)")
@@ -142,7 +142,7 @@ func (s *Suite) figure10(w io.Writer) error {
 
 // Figure11 prints the page-walk latency histograms for MUMmer under
 // Nested Radix THP and Nested ECPTs THP.
-func (s *Suite) Figure11(w io.Writer) error { return s.parallelized(w, s.figure11) }
+func (s *Suite) Figure11(w io.Writer) error { return s.sweep(w, s.figure11) }
 
 func (s *Suite) figure11(w io.Writer) error {
 	fmt.Fprintln(w, "Figure 11: Nested page-walk latency histogram (MUMmer, THP)")
@@ -186,7 +186,7 @@ func (s *Suite) figure11(w io.Writer) error {
 
 // Figure12 prints the per-interval PTE- and PMD-hCWT hit rates in the
 // Step-3 hCWC for Nested ECPTs THP.
-func (s *Suite) Figure12(w io.Writer) error { return s.parallelized(w, s.figure12) }
+func (s *Suite) Figure12(w io.Writer) error { return s.sweep(w, s.figure12) }
 
 func (s *Suite) figure12(w io.Writer) error {
 	fmt.Fprintln(w, "Figure 12: hCWC hit rates of PTE (left) and PMD (right) hCWT entries")
@@ -214,7 +214,7 @@ func (s *Suite) figure12(w io.Writer) error {
 }
 
 // Figure13 prints the MMU RPKI and L2/L3 MPKI characterization.
-func (s *Suite) Figure13(w io.Writer) error { return s.parallelized(w, s.figure13) }
+func (s *Suite) Figure13(w io.Writer) error { return s.sweep(w, s.figure13) }
 
 func (s *Suite) figure13(w io.Writer) error {
 	fmt.Fprintln(w, "Figure 13: MMU requests and cache misses per kilo instruction")
@@ -256,7 +256,7 @@ func (s *Suite) figure13(w io.Writer) error {
 
 // Figure14 prints the Direct/Size/Partial/Complete walk breakdown for
 // the host (left) and guest (right) under Nested ECPTs THP.
-func (s *Suite) Figure14(w io.Writer) error { return s.parallelized(w, s.figure14) }
+func (s *Suite) Figure14(w io.Writer) error { return s.sweep(w, s.figure14) }
 
 func (s *Suite) figure14(w io.Writer) error {
 	fmt.Fprintln(w, "Figure 14: Walk-type breakdown, Nested ECPTs THP (host | guest), %")

@@ -11,7 +11,7 @@ import (
 // Section94 prints the nested ECPT walk characterization of §9.4: the
 // STC size sweep, the average parallel accesses per step, and the CWC
 // hit rates.
-func (s *Suite) Section94(w io.Writer) error { return s.parallelized(w, s.section94) }
+func (s *Suite) Section94(w io.Writer) error { return s.sweep(w, s.section94) }
 
 func (s *Suite) section94(w io.Writer) error {
 	fmt.Fprintln(w, "Section 9.4: Characterizing nested ECPT walks (THP)")
@@ -56,7 +56,7 @@ func (s *Suite) section94(w io.Writer) error {
 }
 
 // Section95 prints the memory consumed by translation structures.
-func (s *Suite) Section95(w io.Writer) error { return s.parallelized(w, s.section95) }
+func (s *Suite) Section95(w io.Writer) error { return s.sweep(w, s.section95) }
 
 func (s *Suite) section95(w io.Writer) error {
 	fmt.Fprintln(w, "Section 9.5: Memory consumption of translation structures")
@@ -91,7 +91,7 @@ func (s *Suite) section95(w io.Writer) error {
 
 // Section96 compares Nested ECPTs against the other advanced designs:
 // ideal Agile Paging, POM-TLB, and flat nested page tables.
-func (s *Suite) Section96(w io.Writer) error { return s.parallelized(w, s.section96) }
+func (s *Suite) Section96(w io.Writer) error { return s.sweep(w, s.section96) }
 
 func (s *Suite) section96(w io.Writer) error {
 	fmt.Fprintln(w, "Section 9.6: Comparison to other advanced designs (4KB pages)")
@@ -127,11 +127,10 @@ func (s *Suite) section96(w io.Writer) error {
 	return nil
 }
 
-// All runs every experiment in paper order. With the parallel engine
-// it plans the union of every figure's and section's runs up front, so
-// the whole evaluation fans out as one sweep instead of one sweep per
-// figure.
-func (s *Suite) All(w io.Writer) error { return s.parallelized(w, s.all) }
+// All runs every experiment in paper order. It plans the union of
+// every figure's and section's runs up front, so the whole evaluation
+// fans out as one sweep instead of one sweep per figure.
+func (s *Suite) All(w io.Writer) error { return s.sweep(w, s.all) }
 
 func (s *Suite) all(w io.Writer) error {
 	Table1(w)

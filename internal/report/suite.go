@@ -3,15 +3,13 @@
 // simulation results so that figures sharing configurations (e.g.
 // Figures 9, 10 and 13) reuse runs instead of repeating them.
 //
-// With Settings.Parallelism > 1 the suite becomes a parallel sweep:
-// before rendering, each experiment's exact run set is enumerated by
+// Every figure is one sweep. Its exact run set is enumerated by
 // replaying its renderer against placeholder results (so the set can
-// never drift from what the renderer actually asks for), simulated
-// concurrently on the runner engine, and memoized; rendering then
-// reads the cache sequentially, making the report byte-identical to a
-// sequential sweep. Every run's randomness derives from its own
-// config, never from shared generator state, so results are equal in
-// every mode.
+// never drift from what the renderer actually asks for); Simulate runs
+// the uncached ones on the runner engine at Settings.Parallelism
+// width; rendering then reads the cache sequentially. Every run's
+// randomness derives from its own config, never from shared generator
+// state, so the report is byte-identical at every width.
 package report
 
 import (
@@ -89,15 +87,15 @@ type Settings struct {
 	Seed    uint64
 	// Apps selects the applications; nil means all of Table 4.
 	Apps []string
-	// Progress, when non-nil, receives one line per completed run.
+	// Progress, when non-nil, receives the runner's "# sweep i/n" line
+	// per completed run.
 	Progress io.Writer
-	// Parallelism selects the sweep engine: values > 1 simulate that
-	// many runs concurrently (report output stays byte-identical);
-	// 0 or 1 keeps the sequential lazy engine.
+	// Parallelism bounds concurrent simulations exactly as
+	// runner.Options.Parallelism does: <= 0 means GOMAXPROCS. Report
+	// output is byte-identical at every width.
 	Parallelism int
 	// RunTimeout, when positive, bounds each simulation run's wall
-	// clock in the parallel engine; an expired run fails the sweep
-	// instead of hanging it.
+	// clock; an expired run fails the sweep instead of hanging it.
 	RunTimeout time.Duration
 	// Trace records a walk trace of every run's measured phase;
 	// retrieve them with Suite.Traces. Traces accumulate in run-plan
@@ -215,41 +213,21 @@ func (s *Suite) config(k runKey) sim.Config {
 	return cfg
 }
 
-// run returns the cached result for key, simulating on first use.
-// During planning it records the key and returns a placeholder
-// instead, so renderers double as their own run-set enumerators.
+// run returns the cached result for key. During planning it records
+// the key and returns a placeholder instead, so renderers double as
+// their own run-set enumerators; outside planning a miss is an error.
 func (s *Suite) run(k runKey) (*sim.Result, error) {
 	if r, ok := s.results[k]; ok {
 		return r, nil
 	}
-	if s.planning {
-		if !s.planSeen[k] {
-			s.planSeen[k] = true
-			s.planKeys = append(s.planKeys, k)
-		}
-		return planResult(), nil
+	if !s.planning {
+		return nil, fmt.Errorf("report: run %v was not planned", k)
 	}
-	cfg := s.config(k)
-	var r *sim.Result
-	var err error
-	if s.Settings.Trace {
-		rec, col := trace.NewCollected()
-		r, err = sim.RunTraced(s.ctx, cfg, rec)
-		if err == nil {
-			s.traces = append(s.traces, RunTrace{Name: k.String(), Events: col.Events(), Spec: sim.AuditSpec(cfg)})
-		}
-	} else {
-		r, err = sim.RunContext(s.ctx, cfg)
+	if !s.planSeen[k] {
+		s.planSeen[k] = true
+		s.planKeys = append(s.planKeys, k)
 	}
-	if err != nil {
-		return nil, fmt.Errorf("report: %v/%s thp=%v tech=%v: %w", k.design, k.app, k.thp, k.tech, err)
-	}
-	s.results[k] = r
-	if s.Settings.Progress != nil {
-		fmt.Fprintf(s.Settings.Progress, "# done %-13v %-9s thp=%-5v tech=%v cycles=%d\n",
-			k.design, k.app, k.thp, k.tech, r.Cycles)
-	}
-	return r, nil
+	return planResult(), nil
 }
 
 // planResult returns a placeholder a renderer can format without
@@ -292,78 +270,77 @@ func (s *Suite) plan(render func(io.Writer) error) []runKey {
 	return keys
 }
 
-// prefetch simulates keys concurrently on the runner engine and
-// memoizes their results. Each run is an independent task with
-// identity-derived configuration; a panicking or failing run fails
-// the sweep's rendering, not the process.
-func (s *Suite) prefetch(keys []runKey) error {
-	if len(keys) == 0 {
-		return nil
+// Simulate runs every config as one task on the runner engine, named
+// by names[i], and returns the results and, when traced, each run's
+// walk trace, both in cfgs order. Runs are independent and derive
+// their randomness from their own configs, so the results do not
+// depend on opts.Parallelism. The first failed run, in cfgs order,
+// fails the call; a panicking run fails it too, not the process.
+func Simulate(ctx context.Context, names []string, cfgs []sim.Config, traced bool, opts runner.Options) ([]*sim.Result, []RunTrace, error) {
+	tasks := make([]runner.Task[*sim.Result], len(cfgs))
+	collectors := make([]*trace.Collector, len(cfgs))
+	for i, cfg := range cfgs {
+		// A nil recorder runs the simulation untraced.
+		var rec *trace.Recorder
+		if traced {
+			rec, collectors[i] = trace.NewCollected()
+		}
+		tasks[i] = runner.Task[*sim.Result]{Name: names[i], Run: func(ctx context.Context) (*sim.Result, error) {
+			return sim.RunTraced(ctx, cfg, rec)
+		}}
 	}
-	tasks := make([]runner.Task[*sim.Result], len(keys))
-	collectors := make([]*trace.Collector, len(keys))
-	for i, k := range keys {
-		cfg := s.config(k)
-		run := func(ctx context.Context) (*sim.Result, error) {
-			return sim.RunContext(ctx, cfg)
-		}
-		if s.Settings.Trace {
-			// Per-run recorders; traces append below in plan order, so
-			// the collected set matches the sequential engine's.
-			rec, col := trace.NewCollected()
-			collectors[i] = col
-			run = func(ctx context.Context) (*sim.Result, error) {
-				return sim.RunTraced(ctx, cfg, rec)
-			}
-		}
-		tasks[i] = runner.Task[*sim.Result]{Name: k.String(), Run: run}
+	out := runner.Run(ctx, tasks, opts)
+	if err := runner.FirstError(out); err != nil {
+		return nil, nil, err
 	}
-	results := runner.Run(s.ctx, tasks, runner.Options{
-		Parallelism: s.Settings.Parallelism,
-		Timeout:     s.Settings.RunTimeout,
-		Progress:    s.Settings.Progress,
-		Label:       "sweep",
-	})
-	for i, r := range results {
-		if r.Err != nil {
-			k := keys[i]
-			return fmt.Errorf("report: %v/%s thp=%v tech=%v: %w", k.design, k.app, k.thp, k.tech, r.Err)
-		}
-		s.results[keys[i]] = r.Value
-		if s.Settings.Trace {
-			s.traces = append(s.traces, RunTrace{
-				Name: keys[i].String(), Events: collectors[i].Events(), Spec: sim.AuditSpec(s.config(keys[i])),
-			})
+	results := make([]*sim.Result, len(out))
+	var traces []RunTrace
+	for i, r := range out {
+		results[i] = r.Value
+		if traced {
+			traces = append(traces, RunTrace{Name: names[i], Events: collectors[i].Events(), Spec: sim.AuditSpec(cfgs[i])})
 		}
 	}
-	return nil
+	return results, traces, nil
 }
 
 // Traces returns every collected run trace (Settings.Trace), in the
 // order the runs were first simulated.
 func (s *Suite) Traces() []RunTrace { return s.traces }
 
-// WriteTraces serializes every collected run trace as JSONL, one
-// run-header line per run, in collection order.
-func (s *Suite) WriteTraces(w io.Writer) error {
+// WriteTraces serializes traces as JSONL, one run-header line per run,
+// in slice order.
+func WriteTraces(w io.Writer, traces []RunTrace) error {
 	tw := trace.NewWriter(w)
-	for _, rt := range s.traces {
+	for _, rt := range traces {
 		tw.RunHeader(rt.Name)
 		tw.Events(rt.Events)
 	}
 	return tw.Flush()
 }
 
-// parallelized wraps a renderer: with the parallel engine selected it
-// first plans and prefetches the renderer's runs concurrently, then
-// renders from the cache; otherwise it renders directly (the lazy
-// sequential engine). Output is byte-identical either way.
-func (s *Suite) parallelized(w io.Writer, render func(io.Writer) error) error {
-	if s.Settings.Parallelism > 1 && !s.planning {
-		if err := s.prefetch(s.plan(render)); err != nil {
-			return err
-		}
+// sweep plans render's uncached runs, simulates them, memoizes their
+// results and traces in plan order, then renders from the cache.
+func (s *Suite) sweep(w io.Writer, render func(io.Writer) error) error {
+	keys := s.plan(render)
+	names := make([]string, len(keys))
+	cfgs := make([]sim.Config, len(keys))
+	for i, k := range keys {
+		names[i], cfgs[i] = k.String(), s.config(k)
 	}
+	results, traces, err := Simulate(s.ctx, names, cfgs, s.Settings.Trace, runner.Options{
+		Parallelism: s.Settings.Parallelism,
+		Timeout:     s.Settings.RunTimeout,
+		Progress:    s.Settings.Progress,
+		Label:       "sweep",
+	})
+	if err != nil {
+		return err
+	}
+	for i, k := range keys {
+		s.results[k] = results[i]
+	}
+	s.traces = append(s.traces, traces...)
 	return render(w)
 }
 

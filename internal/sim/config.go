@@ -322,11 +322,12 @@ func (c *Config) normalize(footprint uint64) error {
 	return nil
 }
 
-// scaleMMUCaches divides every MMU caching structure by the same
-// factor as the TLB. Scaled-down footprints shrink page tables and
-// CWTs; without this, Table 2's PWC/NPWC/NTLB/CWC sizes would cover
-// the entire (scaled) tables and hide the very walk costs the paper
-// measures. Floors keep each structure functional.
+// scaleMMUCaches divides the radix and Hybrid walkers' PWC, NPWC and
+// NTLB entry counts by CacheScale, with a floor of one entry, and
+// leaves the CWCs at their Table 2 sizes. Scaled-down footprints
+// shrink page tables; without this, Table 2's PWC/NPWC/NTLB sizes
+// would cover the entire (scaled) tables and hide the very walk costs
+// the paper measures.
 func (c *Config) scaleMMUCaches() {
 	// PWC, NPWC and NTLB entries each cover a fixed number of page-
 	// table pages or entries, and the number of those scales with the

@@ -595,16 +595,12 @@ func Run(cfg Config) (*Result, error) {
 // RunContext builds the machine for cfg and runs it to completion,
 // honoring ctx's cancellation and deadline.
 func RunContext(ctx context.Context, cfg Config) (*Result, error) {
-	m, err := NewMachine(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return m.RunContext(ctx)
+	return RunTraced(ctx, cfg, nil)
 }
 
 // RunTraced is RunContext with a walk-trace recorder attached: the
 // measured phase emits events into rec, which is flushed before the
-// result returns.
+// result returns. A nil rec runs untraced.
 func RunTraced(ctx context.Context, cfg Config, rec *trace.Recorder) (*Result, error) {
 	m, err := NewMachine(cfg)
 	if err != nil {
