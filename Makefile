@@ -56,9 +56,9 @@
 #                shards, every churn probe traced and replayed through
 #                the serve-mode conformance auditor; any finding fails
 #   make clismoke  both sweep CLIs end to end: nestedsim (audited,
-#                traced) and experiments output byte-identical at
-#                -parallel 1 and 2, and -run-timeout failing a width-1
-#                sweep
+#                traced) and experiments output (Figure 9 traced, its
+#                shared set-ups forked) byte-identical at -parallel 1
+#                and 2, and -run-timeout failing a width-1 sweep
 
 GO ?= go
 
@@ -206,13 +206,15 @@ serveaudit:
 		-trace $(SERVE_TRACE) -minrate $(SERVE_MINRATE)
 
 # CLI smoke: the one sweep engine behind both CLIs, driven end to end in
-# seconds. Stdout and the trace file must be byte-identical at
-# -parallel 1 and 2, and a 1ms -run-timeout must fail a width-1 sweep
-# (every run's set-up alone outlasts it). Outputs land under the ignored
-# out/ directory.
+# seconds. Stdout and the trace files must be byte-identical at
+# -parallel 1 and 2 — Figure 9's technique breakdown included, whose
+# Nested ECPT runs share one set-up and run on forks of it — and a 1ms
+# -run-timeout must fail a width-1 sweep (every run's set-up alone
+# outlasts it). Outputs land under the ignored out/ directory.
 CLISMOKE_DIR ?= out/clismoke
 NESTEDSIM_SMOKE = -design all -warmup 1000 -accesses 3000 -audit
 EXPERIMENTS_SMOKE = -exp fig10 -quick -apps GUPS,BC -warmup 2000 -measure 6000
+FIG9_SMOKE = -exp fig9 -quick -apps GUPS,BC -warmup 2000 -measure 6000
 
 clismoke:
 	@mkdir -p $(CLISMOKE_DIR)
@@ -222,10 +224,15 @@ clismoke:
 		$(CLISMOKE_DIR)/nestedsim $(NESTEDSIM_SMOKE) -parallel $$p \
 			-trace $(CLISMOKE_DIR)/ns-$$p.jsonl > $(CLISMOKE_DIR)/ns-$$p.txt || exit 1; \
 		$(CLISMOKE_DIR)/experiments $(EXPERIMENTS_SMOKE) -parallel $$p > $(CLISMOKE_DIR)/exp-$$p.txt || exit 1; \
+		echo "experiments $(FIG9_SMOKE) -parallel $$p -trace"; \
+		$(CLISMOKE_DIR)/experiments $(FIG9_SMOKE) -parallel $$p \
+			-trace $(CLISMOKE_DIR)/fig9-$$p.jsonl > $(CLISMOKE_DIR)/fig9-$$p.txt || exit 1; \
 	done
 	cmp $(CLISMOKE_DIR)/ns-1.txt $(CLISMOKE_DIR)/ns-2.txt
 	cmp $(CLISMOKE_DIR)/ns-1.jsonl $(CLISMOKE_DIR)/ns-2.jsonl
 	cmp $(CLISMOKE_DIR)/exp-1.txt $(CLISMOKE_DIR)/exp-2.txt
+	cmp $(CLISMOKE_DIR)/fig9-1.txt $(CLISMOKE_DIR)/fig9-2.txt
+	cmp $(CLISMOKE_DIR)/fig9-1.jsonl $(CLISMOKE_DIR)/fig9-2.jsonl
 	@if $(CLISMOKE_DIR)/experiments $(EXPERIMENTS_SMOKE) -parallel 1 -run-timeout 1ms > /dev/null 2>&1; then \
 		echo "experiments -parallel 1 -run-timeout 1ms exited 0; want a timeout failure"; exit 1; \
 	fi

@@ -13,6 +13,7 @@ package hypervisor
 
 import (
 	"fmt"
+	"maps"
 
 	"nestedecpt/internal/addr"
 	"nestedecpt/internal/ecpt"
@@ -100,6 +101,30 @@ func MustNew(cfg Config) *Hypervisor {
 		panic(err)
 	}
 	return h
+}
+
+// Fork returns an independent copy of the hypervisor: the same
+// mappings, 4KB-region marks and allocator state, over host page tables
+// forked from h's (radix.Table.Fork, ecpt.Set.Fork). Mapping on either
+// hypervisor never shows in the other.
+func (h *Hypervisor) Fork() (*Hypervisor, error) {
+	f := &Hypervisor{
+		cfg:     h.cfg,
+		alloc:   h.alloc.Fork(),
+		small2m: maps.Clone(h.small2m),
+		stats:   h.stats,
+	}
+	if h.radix != nil {
+		f.radix = h.radix.Fork(f.alloc)
+	}
+	if h.ecpts != nil {
+		set, err := h.ecpts.Fork(f.alloc)
+		if err != nil {
+			return nil, err
+		}
+		f.ecpts = set
+	}
+	return f, nil
 }
 
 // Radix returns the host radix table (EPT), or nil.

@@ -8,6 +8,8 @@ package kernel
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"nestedecpt/internal/addr"
 	"nestedecpt/internal/ecpt"
@@ -119,6 +121,32 @@ func MustNew(cfg Config) *Kernel {
 		panic(err)
 	}
 	return k
+}
+
+// Fork returns an independent copy of the kernel: the same VMAs,
+// mappings, THP decisions and allocator state, over page tables forked
+// from k's (radix.Table.Fork, ecpt.Set.Fork). Paging on either kernel
+// never shows in the other.
+func (k *Kernel) Fork() (*Kernel, error) {
+	f := &Kernel{
+		cfg:     k.cfg,
+		alloc:   k.alloc.Fork(),
+		vmas:    slices.Clone(k.vmas),
+		regions: maps.Clone(k.regions),
+		stats:   k.stats,
+		unmaps:  k.unmaps,
+	}
+	if k.radix != nil {
+		f.radix = k.radix.Fork(f.alloc)
+	}
+	if k.ecpts != nil {
+		set, err := k.ecpts.Fork(f.alloc)
+		if err != nil {
+			return nil, err
+		}
+		f.ecpts = set
+	}
+	return f, nil
 }
 
 // Radix returns the guest radix table, or nil.

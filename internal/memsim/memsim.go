@@ -8,6 +8,7 @@ package memsim
 
 import (
 	"fmt"
+	"slices"
 
 	"nestedecpt/internal/addr"
 	"nestedecpt/internal/vhash"
@@ -94,6 +95,21 @@ func NewAllocatorAt[P addr.Addr](base, capacity uint64, seed uint64) *Allocator[
 		metaNext: base + capacity,
 		rng:      vhash.NewRNG(seed),
 	}
+}
+
+// Fork returns an independent copy of the allocator: the same frames
+// in use and free, the same fragmentation stream from here on, and no
+// storage shared with a, so either side may allocate and free without
+// the other seeing it.
+func (a *Allocator[P]) Fork() *Allocator[P] {
+	f := *a
+	for s := range f.free {
+		f.free[s] = slices.Clone(a.free[s])
+	}
+	f.metaFree = slices.Clone(a.metaFree)
+	rng := *a.rng
+	f.rng = &rng
+	return &f
 }
 
 // Base returns the first byte of the allocator's address window.

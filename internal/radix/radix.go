@@ -58,6 +58,25 @@ func (t *Table[V, P]) newNode() *node[P] {
 	return &node[P]{pa: pa}
 }
 
+// Fork returns a copy of the table whose further table pages come from
+// alloc, a fork of t's allocator. Every node is copied: the two tables
+// share nothing, and each maps, unmaps and grows on its own.
+func (t *Table[V, P]) Fork(alloc *memsim.Allocator[P]) *Table[V, P] {
+	return &Table[V, P]{alloc: alloc, root: t.root.clone(), pages: t.pages, entries: t.entries}
+}
+
+// clone copies n and every node below it.
+func (n *node[P]) clone() *node[P] {
+	c := new(node[P])
+	*c = *n
+	for i, child := range n.children {
+		if child != nil {
+			c.children[i] = child.clone()
+		}
+	}
+	return c
+}
+
 // RootPA returns the physical address of the root (CR3 / EPTP).
 func (t *Table[V, P]) RootPA() P { return t.root.pa }
 

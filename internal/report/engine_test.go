@@ -17,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"nestedecpt/internal/runner"
 	"nestedecpt/internal/sim"
 )
 
@@ -141,16 +142,88 @@ func TestPlannedSuiteReusesCache(t *testing.T) {
 
 // TestSweepSameAtEveryWidth checks width 1 is the same engine as any
 // other width: a per-run timeout fails the render with an error naming
-// the run, and progress comes from the runner, one line per planned
-// run.
+// the run, progress comes from the runner, one line per planned run,
+// and a shared set-up that cannot be built fails every run sharing it —
+// with an error, not a hang or a nil dereference — and no other run.
 func TestSweepSameAtEveryWidth(t *testing.T) {
 	progressLine := regexp.MustCompile(`^# sweep (\d+)/(\d+) (done|FAIL) (.+?) +\d+\.\d+s elapsed +\d+\.\ds eta +\d+\.\ds$`)
-	cases := []struct {
+	// progressStatus parses progress into run name → done/FAIL, one
+	// line per planned run.
+	progressStatus := func(t *testing.T, planned []runKey, progress string) map[string]string {
+		t.Helper()
+		lines := strings.Split(strings.TrimSuffix(progress, "\n"), "\n")
+		if len(lines) != len(planned) {
+			t.Fatalf("%d progress lines for %d planned runs:\n%s", len(lines), len(planned), progress)
+		}
+		names := make(map[string]bool, len(planned))
+		for _, k := range planned {
+			names[k.String()] = true
+		}
+		status := make(map[string]string, len(planned))
+		for _, line := range lines {
+			m := progressLine.FindStringSubmatch(line)
+			if m == nil {
+				t.Fatalf("progress line %q is not the runner's sweep form", line)
+			}
+			if m[2] != strconv.Itoa(len(planned)) || !names[m[4]] {
+				t.Fatalf("progress line %q: want a line of %d naming a planned run", line, len(planned))
+			}
+			delete(names, m[4])
+			status[m[4]] = m[3]
+		}
+		return status
+	}
+	// brokenSetup marks the runs whose set-up the set-up-failure case
+	// breaks: Figure 9's five Nested ECPT 4KB runs, which share one.
+	brokenSetup := func(k runKey) bool { return k.design == sim.DesignNestedECPT && !k.thp }
+	type sweepCase struct {
 		name    string
 		timeout time.Duration
-		check   func(t *testing.T, planned []runKey, err error, progress string)
-	}{
-		{"run-timeout", time.Nanosecond, func(t *testing.T, planned []runKey, err error, _ string) {
+		// fig selects the figure whose plan the case sweeps; tweak, when
+		// set, edits the planned configs and sweeps them with Simulate.
+		fig   func(*Suite, io.Writer) error
+		tweak func(runKey, *sim.Config)
+		check func(t *testing.T, planned []runKey, err error, progress string)
+	}
+	// setupFailure is the case whose guests get guestMem bytes in the
+	// runs brokenSetup marks.
+	setupFailure := func(name string, guestMem uint64) sweepCase {
+		return sweepCase{name, 0, (*Suite).figure9, func(k runKey, cfg *sim.Config) {
+			if brokenSetup(k) {
+				cfg.GuestMemBytes = guestMem
+			}
+		}, func(t *testing.T, planned []runKey, err error, progress string) {
+			if err == nil {
+				t.Fatal("a sweep over a set-up that cannot be built succeeded")
+			}
+			var first runKey
+			for _, k := range planned {
+				if brokenSetup(k) {
+					first = k
+					break
+				}
+			}
+			if !strings.Contains(err.Error(), first.String()) || !strings.Contains(err.Error(), "set-up") {
+				t.Fatalf("err = %v, want it to name the run %q and its set-up", err, first)
+			}
+			var pe *runner.PanicError
+			if errors.As(err, &pe) {
+				t.Fatalf("err = %v is a panic, want the set-up's error", err)
+			}
+			status := progressStatus(t, planned, progress)
+			for _, k := range planned {
+				want := "done"
+				if brokenSetup(k) {
+					want = "FAIL"
+				}
+				if got := status[k.String()]; got != want {
+					t.Fatalf("run %v: %s, want %s", k, got, want)
+				}
+			}
+		}}
+	}
+	cases := []sweepCase{
+		{"run-timeout", time.Nanosecond, (*Suite).figure10, nil, func(t *testing.T, planned []runKey, err error, _ string) {
 			if !errors.Is(err, context.DeadlineExceeded) {
 				t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 			}
@@ -158,29 +231,22 @@ func TestSweepSameAtEveryWidth(t *testing.T) {
 				t.Fatalf("err = %v, want it to name the first run %q", err, name)
 			}
 		}},
-		{"progress", 0, func(t *testing.T, planned []runKey, err error, progress string) {
+		{"progress", 0, (*Suite).figure10, nil, func(t *testing.T, planned []runKey, err error, progress string) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			lines := strings.Split(strings.TrimSuffix(progress, "\n"), "\n")
-			if len(lines) != len(planned) {
-				t.Fatalf("%d progress lines for %d planned runs:\n%s", len(lines), len(planned), progress)
-			}
-			names := make(map[string]bool, len(planned))
-			for _, k := range planned {
-				names[k.String()] = true
-			}
-			for _, line := range lines {
-				m := progressLine.FindStringSubmatch(line)
-				if m == nil {
-					t.Fatalf("progress line %q is not the runner's sweep form", line)
+			for name, status := range progressStatus(t, planned, progress) {
+				if status != "done" {
+					t.Fatalf("run %s: %s, want done", name, status)
 				}
-				if m[2] != strconv.Itoa(len(planned)) || m[3] != "done" || !names[m[4]] {
-					t.Fatalf("progress line %q: want a done line of %d naming a planned run", line, len(planned))
-				}
-				delete(names, m[4])
 			}
 		}},
+		// A guest too small for the data: pre-populating the shared
+		// set-up returns an error.
+		setupFailure("setup-error", 1<<20),
+		// A guest too small for its own page tables: building the
+		// shared set-up panics in memsim.
+		setupFailure("setup-panic", 64<<10),
 	}
 	for _, c := range cases {
 		for _, width := range []int{1, 2} {
@@ -192,8 +258,22 @@ func TestSweepSameAtEveryWidth(t *testing.T) {
 				var progress bytes.Buffer
 				set.Progress = &progress
 				s := NewSuite(set)
-				planned := s.plan(s.figure10)
-				err := s.Figure10(io.Discard)
+				fig := func(w io.Writer) error { return c.fig(s, w) }
+				planned := s.plan(fig)
+				var err error
+				if c.tweak == nil {
+					err = s.sweep(io.Discard, fig)
+				} else {
+					names := make([]string, len(planned))
+					cfgs := make([]sim.Config, len(planned))
+					for i, k := range planned {
+						names[i], cfgs[i] = k.String(), s.config(k)
+						c.tweak(k, &cfgs[i])
+					}
+					_, _, err = Simulate(context.Background(), names, cfgs, false, runner.Options{
+						Parallelism: width, Progress: &progress, Label: "sweep",
+					})
+				}
 				c.check(t, planned, err, progress.String())
 			})
 		}

@@ -7,15 +7,18 @@
 // replaying its renderer against placeholder results (so the set can
 // never drift from what the renderer actually asks for); Simulate runs
 // the uncached ones on the runner engine at Settings.Parallelism
-// width; rendering then reads the cache sequentially. Every run's
-// randomness derives from its own config, never from shared generator
-// state, so the report is byte-identical at every width.
+// width, building each distinct set-up (sim.SetupKey) once per sweep
+// and running every run that shares it on its own copy-on-write fork;
+// rendering then reads the cache sequentially. Every run's randomness
+// derives from its own config, never from shared generator state, so
+// the report is byte-identical at every width.
 package report
 
 import (
 	"context"
 	"fmt"
 	"io"
+	"sync"
 	"time"
 
 	"nestedecpt/internal/core"
@@ -276,7 +279,15 @@ func (s *Suite) plan(render func(io.Writer) error) []runKey {
 // their randomness from their own configs, so the results do not
 // depend on opts.Parallelism. The first failed run, in cfgs order,
 // fails the call; a panicking run fails it too, not the process.
+//
+// Runs that share a set-up (sim.SetupOf: same address space, same
+// guest and host configs, differing only in what they simulate over
+// it) build and pre-populate it once: the first of them to start builds
+// it, and each runs on its own copy-on-write fork (sim.Machine.Fork),
+// which runs exactly as a fresh build would. A run alone with its
+// set-up builds its own machine.
 func Simulate(ctx context.Context, names []string, cfgs []sim.Config, traced bool, opts runner.Options) ([]*sim.Result, []RunTrace, error) {
+	groups := setupGroups(cfgs)
 	tasks := make([]runner.Task[*sim.Result], len(cfgs))
 	collectors := make([]*trace.Collector, len(cfgs))
 	for i, cfg := range cfgs {
@@ -285,8 +296,17 @@ func Simulate(ctx context.Context, names []string, cfgs []sim.Config, traced boo
 		if traced {
 			rec, collectors[i] = trace.NewCollected()
 		}
+		g := groups[i]
 		tasks[i] = runner.Task[*sim.Result]{Name: names[i], Run: func(ctx context.Context) (*sim.Result, error) {
-			return sim.RunTraced(ctx, cfg, rec)
+			if g == nil {
+				return sim.RunTraced(ctx, cfg, rec)
+			}
+			m, err := g.fork(cfg)
+			if err != nil {
+				return nil, err
+			}
+			m.SetRecorder(rec)
+			return m.RunContext(ctx)
 		}}
 	}
 	out := runner.Run(ctx, tasks, opts)
@@ -302,6 +322,83 @@ func Simulate(ctx context.Context, names []string, cfgs []sim.Config, traced boo
 		}
 	}
 	return results, traces, nil
+}
+
+// setupGroup is one set-up several runs of a sweep share.
+type setupGroup struct {
+	mu sync.Mutex
+	// built is set once a member has tried to build template; err is
+	// that build's failure, which every member reports.
+	built    bool
+	template *sim.Machine
+	err      error
+	// forks counts the members yet to fork; the last drops template.
+	forks int
+}
+
+// setupGroups returns each config's shared set-up, nil for a config
+// alone with its set-up or one whose design cannot share it (a config
+// SetupOf rejects fails in its own run, as it would unshared).
+func setupGroups(cfgs []sim.Config) []*setupGroup {
+	groups := make([]*setupGroup, len(cfgs))
+	byKey := make(map[sim.SetupKey]*setupGroup)
+	for i, cfg := range cfgs {
+		key, shares, err := sim.SetupOf(cfg)
+		if err != nil || !shares {
+			continue
+		}
+		g := byKey[key]
+		if g == nil {
+			g = new(setupGroup)
+			byKey[key] = g
+		}
+		g.forks++
+		groups[i] = g
+	}
+	for i, g := range groups {
+		if g != nil && g.forks < 2 {
+			groups[i] = nil
+		}
+	}
+	return groups
+}
+
+// fork returns a machine for cfg over the group's set-up, building and
+// pre-populating the set-up first if no member has yet.
+func (g *setupGroup) fork(cfg sim.Config) (*sim.Machine, error) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if !g.built {
+		g.built = true
+		g.template, g.err = buildSetup(cfg)
+	}
+	if g.err != nil {
+		return nil, g.err
+	}
+	m, err := g.template.Fork(cfg)
+	if g.forks--; g.forks == 0 {
+		g.template = nil
+	}
+	return m, err
+}
+
+// buildSetup builds and pre-populates cfg's machine as a fork
+// template. A panic becomes the build's error: every member of the
+// group reports it, not only the one that happened to build.
+func buildSetup(cfg sim.Config) (m *sim.Machine, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			m, err = nil, fmt.Errorf("report: building the shared set-up panicked: %v", r)
+		}
+	}()
+	m, err = sim.NewMachine(cfg)
+	if err == nil {
+		err = m.Prepopulate()
+	}
+	if err != nil {
+		return nil, fmt.Errorf("report: building the shared set-up: %w", err)
+	}
+	return m, nil
 }
 
 // Traces returns every collected run trace (Settings.Trace), in the

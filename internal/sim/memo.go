@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"slices"
 
 	"nestedecpt/internal/addr"
 	"nestedecpt/internal/kernel"
@@ -60,6 +61,13 @@ func newMemo(vmas []kernel.VMA, thp bool) memo {
 		mm.spans = append(mm.spans, sp)
 	}
 	mm.pfn = make([]uint32, n)
+	return mm
+}
+
+// fork returns a copy of the memo with its own frame numbers; the
+// spans never change after newMemo and stay shared.
+func (mm memo) fork() memo {
+	mm.pfn = slices.Clone(mm.pfn)
 	return mm
 }
 

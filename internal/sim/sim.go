@@ -21,6 +21,7 @@ import (
 // Machine is one fully-wired simulated system.
 type Machine struct {
 	cfg    Config
+	key    SetupKey
 	gen    workload.Generator
 	kern   *kernel.Kernel
 	hyp    *hypervisor.Hypervisor // nil for native designs
@@ -39,8 +40,10 @@ type Machine struct {
 	// division does not lose time.
 	cycles float64
 
-	// populated records that Prepopulate completed.
-	populated bool
+	// populated records that Prepopulate completed, started that
+	// RunContext went past it: a machine is a fork template only in
+	// between.
+	populated, started bool
 
 	// memo backs resolve, the functional side's single entry point.
 	memo memo
@@ -75,20 +78,52 @@ type lane struct {
 	walk int
 }
 
-// NewMachine builds the system for cfg without running it.
-func NewMachine(cfg Config) (*Machine, error) {
+// SetupKey is everything a machine's pre-populated state is built
+// from: the workload's address space and the configs of the guest
+// kernel and the hypervisor managing it. NewMachine builds the kernel
+// and hypervisor from the key's own configs, so two configs with equal
+// keys pre-populate identical kernels, hypervisors and memos, whatever
+// walker, TLB, caches or run lengths they go on to simulate — the
+// technique matrix of Figure 9 and the §9.4 STC sweep run over one
+// address space. A key is comparable: it can index a map.
+type SetupKey struct {
+	Workload     string
+	WorkloadOpts workload.Options
+	Kernel       kernel.Config
+	// Hypervisor is zero for native designs.
+	Hypervisor hypervisor.Config
+}
+
+// SetupOf returns cfg's set-up key and whether runs of cfg may share a
+// set-up: whether a Fork of a populated machine with the same key runs
+// exactly as a machine NewMachine built for cfg. It fails where
+// NewMachine would fail to size cfg.
+func SetupOf(cfg Config) (SetupKey, bool, error) {
 	gen, err := workload.New(cfg.Workload, cfg.WorkloadOpts)
 	if err != nil {
-		return nil, err
+		return SetupKey{}, false, err
 	}
+	key, err := setupOf(&cfg, gen)
+	if err != nil {
+		return SetupKey{}, false, err
+	}
+	return key, cfg.Design.sharesSetup(), nil
+}
+
+// sharesSetup reports whether the design's walker leaves the set-up
+// alone. POM-TLB and flat nested tables reserve their host structures
+// from the host allocator when the walker is built, before
+// pre-population, so a machine of theirs neither forks into another
+// design's run nor starts from another design's set-up.
+func (d Design) sharesSetup() bool {
+	return d != DesignPOMTLB && d != DesignFlatNested
+}
+
+// setupOf normalizes cfg for gen's footprint and derives its key.
+func setupOf(cfg *Config, gen workload.Generator) (SetupKey, error) {
 	if err := cfg.normalize(gen.Footprint()); err != nil {
-		return nil, err
+		return SetupKey{}, err
 	}
-
-	m := &Machine{cfg: cfg, gen: gen, res: new(Result)}
-	m.tlb = tlbsim.New(cfg.TLB)
-	m.mem = cachesim.NewHierarchy(cfg.Hierarchy)
-
 	guestECPT := ecpt.ScaledSetConfig(false, cfg.WorkloadOpts.Scale)
 	hostECPT := ecpt.ScaledSetConfig(true, cfg.WorkloadOpts.Scale)
 	if cfg.ECPTWays > 0 {
@@ -97,26 +132,21 @@ func NewMachine(cfg Config) (*Machine, error) {
 			hostECPT.PerSize[i].Ways = cfg.ECPTWays
 		}
 	}
-	kcfg := kernel.Config{
-		GuestMemBytes:       cfg.GuestMemBytes,
-		THP:                 cfg.THP,
-		BuildRadix:          cfg.Design.UsesGuestRadix(),
-		BuildECPT:           cfg.Design.UsesGuestECPT(),
-		ECPT:                guestECPT,
-		Seed:                cfg.WorkloadOpts.Seed + 101,
-		HugePageFailureRate: cfg.HugePageFailureRate,
+	key := SetupKey{
+		Workload:     cfg.Workload,
+		WorkloadOpts: cfg.WorkloadOpts,
+		Kernel: kernel.Config{
+			GuestMemBytes:       cfg.GuestMemBytes,
+			THP:                 cfg.THP,
+			BuildRadix:          cfg.Design.UsesGuestRadix(),
+			BuildECPT:           cfg.Design.UsesGuestECPT(),
+			ECPT:                guestECPT,
+			Seed:                cfg.WorkloadOpts.Seed + 101,
+			HugePageFailureRate: cfg.HugePageFailureRate,
+		},
 	}
-	m.kern, err = kernel.New(kcfg)
-	if err != nil {
-		return nil, err
-	}
-	for _, v := range gen.VMAs() {
-		m.kern.DefineVMA(v)
-	}
-	m.memo = newMemo(gen.VMAs(), cfg.THP)
-
 	if cfg.Design.Nested() {
-		hcfg := hypervisor.Config{
+		key.Hypervisor = hypervisor.Config{
 			HostMemBytes:        cfg.HostMemBytes,
 			THP:                 cfg.THP,
 			BuildRadix:          !cfg.Design.UsesHostECPT(),
@@ -125,11 +155,85 @@ func NewMachine(cfg Config) (*Machine, error) {
 			Seed:                cfg.WorkloadOpts.Seed + 202,
 			HugePageFailureRate: cfg.HugePageFailureRate,
 		}
-		m.hyp, err = hypervisor.New(hcfg)
-		if err != nil {
+	}
+	return key, nil
+}
+
+// NewMachine builds the system for cfg without running it.
+func NewMachine(cfg Config) (*Machine, error) {
+	gen, err := workload.New(cfg.Workload, cfg.WorkloadOpts)
+	if err != nil {
+		return nil, err
+	}
+	key, err := setupOf(&cfg, gen)
+	if err != nil {
+		return nil, err
+	}
+	kern, err := kernel.New(key.Kernel)
+	if err != nil {
+		return nil, err
+	}
+	for _, v := range gen.VMAs() {
+		kern.DefineVMA(v)
+	}
+	var hyp *hypervisor.Hypervisor
+	if cfg.Design.Nested() {
+		if hyp, err = hypervisor.New(key.Hypervisor); err != nil {
 			return nil, err
 		}
 	}
+	return newMachine(cfg, key, gen, kern, hyp, newMemo(gen.VMAs(), key.Kernel.THP))
+}
+
+// Fork builds a machine for cfg over a copy-on-write fork of m's
+// pre-populated set-up: its own generator, co-runners, TLB, caches,
+// walker, scratch and Result, and forks of m's kernel, hypervisor and
+// memo. The fork runs exactly as NewMachine(cfg) would, at the cost of
+// a copy instead of a pre-population; m and the fork never see each
+// other's paging. m must be pre-populated and not yet run, and cfg must
+// have m's set-up key, with a design SetupOf allows to share it.
+func (m *Machine) Fork(cfg Config) (*Machine, error) {
+	if !m.populated || m.started {
+		return nil, errors.New("sim: fork of a machine that is not freshly pre-populated")
+	}
+	gen, err := workload.New(cfg.Workload, cfg.WorkloadOpts)
+	if err != nil {
+		return nil, err
+	}
+	key, err := setupOf(&cfg, gen)
+	if err != nil {
+		return nil, err
+	}
+	if key != m.key {
+		return nil, fmt.Errorf("sim: %v/%s does not have the set-up of the %v/%s machine", cfg.Design, cfg.Workload, m.cfg.Design, m.cfg.Workload)
+	}
+	if !cfg.Design.sharesSetup() || !m.cfg.Design.sharesSetup() {
+		return nil, fmt.Errorf("sim: a %v machine cannot share a set-up with a %v run", m.cfg.Design, cfg.Design)
+	}
+	kern, err := m.kern.Fork()
+	if err != nil {
+		return nil, err
+	}
+	var hyp *hypervisor.Hypervisor
+	if m.hyp != nil {
+		if hyp, err = m.hyp.Fork(); err != nil {
+			return nil, err
+		}
+	}
+	f, err := newMachine(cfg, key, gen, kern, hyp, m.memo.fork())
+	if err != nil {
+		return nil, err
+	}
+	f.populated = true
+	return f, nil
+}
+
+// newMachine wires the per-run parts — TLB, caches, walker, co-runners,
+// scratch — around a normalized cfg's set-up.
+func newMachine(cfg Config, key SetupKey, gen workload.Generator, kern *kernel.Kernel, hyp *hypervisor.Hypervisor, mm memo) (*Machine, error) {
+	m := &Machine{cfg: cfg, key: key, gen: gen, kern: kern, hyp: hyp, memo: mm, res: new(Result)}
+	m.tlb = tlbsim.New(cfg.TLB)
+	m.mem = cachesim.NewHierarchy(cfg.Hierarchy)
 
 	switch cfg.Design {
 	case DesignRadix:
@@ -494,6 +598,7 @@ func (m *Machine) RunContext(ctx context.Context) (*Result, error) {
 	if err := m.Prepopulate(); err != nil {
 		return nil, err
 	}
+	m.started = true
 	// Warm-up is one access at a time on every machine: it exists to
 	// fill the caches, TLBs and tables, not to be timed.
 	if err := m.phase(ctx, "warm-up", m.cfg.WarmupAccesses, 1, false); err != nil {
