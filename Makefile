@@ -58,7 +58,8 @@
 #   make clismoke  both sweep CLIs end to end: nestedsim (audited,
 #                traced) and experiments output (Figure 9 traced, its
 #                shared set-ups forked) byte-identical at -parallel 1
-#                and 2, and -run-timeout failing a width-1 sweep
+#                and 2 (at the default seed and at -seed 7), and
+#                -run-timeout failing a width-1 sweep
 
 GO ?= go
 
@@ -133,6 +134,7 @@ FUZZ_TARGETS = \
 	FuzzHashStability:./internal/vhash \
 	FuzzRNGStreams:./internal/vhash \
 	FuzzHierarchyAgainstReference:./internal/cachesim \
+	FuzzTLBAgainstReference:./internal/tlbsim \
 	FuzzTraceAudit:./internal/traceaudit \
 	FuzzWalkBatch:./internal/sim \
 	FuzzMachineResolve:./internal/sim \
@@ -214,6 +216,7 @@ serveaudit:
 CLISMOKE_DIR ?= out/clismoke
 NESTEDSIM_SMOKE = -design all -warmup 1000 -accesses 3000 -audit
 EXPERIMENTS_SMOKE = -exp fig10 -quick -apps GUPS,BC -warmup 2000 -measure 6000
+SEED_SMOKE = $(EXPERIMENTS_SMOKE) -seed 7
 FIG9_SMOKE = -exp fig9 -quick -apps GUPS,BC -warmup 2000 -measure 6000
 
 clismoke:
@@ -224,6 +227,8 @@ clismoke:
 		$(CLISMOKE_DIR)/nestedsim $(NESTEDSIM_SMOKE) -parallel $$p \
 			-trace $(CLISMOKE_DIR)/ns-$$p.jsonl > $(CLISMOKE_DIR)/ns-$$p.txt || exit 1; \
 		$(CLISMOKE_DIR)/experiments $(EXPERIMENTS_SMOKE) -parallel $$p > $(CLISMOKE_DIR)/exp-$$p.txt || exit 1; \
+		echo "experiments $(SEED_SMOKE) -parallel $$p"; \
+		$(CLISMOKE_DIR)/experiments $(SEED_SMOKE) -parallel $$p > $(CLISMOKE_DIR)/seed-$$p.txt || exit 1; \
 		echo "experiments $(FIG9_SMOKE) -parallel $$p -trace"; \
 		$(CLISMOKE_DIR)/experiments $(FIG9_SMOKE) -parallel $$p \
 			-trace $(CLISMOKE_DIR)/fig9-$$p.jsonl > $(CLISMOKE_DIR)/fig9-$$p.txt || exit 1; \
@@ -231,9 +236,13 @@ clismoke:
 	cmp $(CLISMOKE_DIR)/ns-1.txt $(CLISMOKE_DIR)/ns-2.txt
 	cmp $(CLISMOKE_DIR)/ns-1.jsonl $(CLISMOKE_DIR)/ns-2.jsonl
 	cmp $(CLISMOKE_DIR)/exp-1.txt $(CLISMOKE_DIR)/exp-2.txt
+	cmp $(CLISMOKE_DIR)/seed-1.txt $(CLISMOKE_DIR)/seed-2.txt
+	@if cmp -s $(CLISMOKE_DIR)/exp-1.txt $(CLISMOKE_DIR)/seed-1.txt; then \
+		echo "experiments -seed 7 printed the seed-42 output"; exit 1; \
+	fi
 	cmp $(CLISMOKE_DIR)/fig9-1.txt $(CLISMOKE_DIR)/fig9-2.txt
 	cmp $(CLISMOKE_DIR)/fig9-1.jsonl $(CLISMOKE_DIR)/fig9-2.jsonl
 	@if $(CLISMOKE_DIR)/experiments $(EXPERIMENTS_SMOKE) -parallel 1 -run-timeout 1ms > /dev/null 2>&1; then \
 		echo "experiments -parallel 1 -run-timeout 1ms exited 0; want a timeout failure"; exit 1; \
 	fi
-	@echo "clismoke: outputs identical at -parallel 1 and 2; -run-timeout fails a width-1 sweep"
+	@echo "clismoke: outputs identical at -parallel 1 and 2, -seed 7 differs from the default; -run-timeout fails a width-1 sweep"

@@ -7,6 +7,7 @@
 //	experiments -quick           # reduced workloads and run length
 //	experiments -apps GUPS,BC    # subset of applications
 //	experiments -parallel 8      # sweep 8 simulations concurrently
+//	experiments -seed 7          # another workload seed (default 42)
 //
 // The sweep fans the design × workload × configuration matrix out
 // over -parallel worker goroutines (default: GOMAXPROCS). Report
@@ -42,6 +43,7 @@ func main() {
 	warmup := flag.Uint64("warmup", 0, "override warm-up accesses")
 	measure := flag.Uint64("measure", 0, "override measured accesses")
 	scale := flag.Uint64("scale", 0, "override footprint scale divisor")
+	seed := flag.Uint64("seed", 42, "workload seed; every run's kernel and hypervisor seeds derive from it")
 	batch := flag.Int("batch", 0, "accesses per pipeline step; >1 batches page walks through the MSHR overlap model")
 	mshrs := flag.Int("mshrs", 0, "in-flight walker probes per batched stage (0 = default, 1 = serialized)")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "concurrent simulations (0 = GOMAXPROCS)")
@@ -76,6 +78,7 @@ func main() {
 	if *verbose {
 		settings.Progress = os.Stderr
 	}
+	settings.Seed = *seed
 	settings.BatchSize = *batch
 	settings.BatchMSHRs = *mshrs
 	settings.Parallelism = *parallel

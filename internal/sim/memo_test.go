@@ -135,12 +135,20 @@ func (h *resolveHarness) apply(op byte) {
 	}
 }
 
-// cachedElements counts the memo's non-empty elements.
+// cachedElements counts the memo's cached elements: the unsplit
+// elements holding a frame and the pages of every live split block.
 func cachedElements(m *Machine) int {
 	n := 0
 	for _, f := range m.memo.pfn {
-		if f != 0 {
+		if f != 0 && f < splitMark {
 			n++
+		}
+	}
+	for i := range m.memo.split {
+		for _, f := range m.memo.split[i].pfn {
+			if f != 0 {
+				n++
+			}
 		}
 	}
 	return n
@@ -200,22 +208,25 @@ func (h *resolveHarness) checkTLB() {
 }
 
 // checkMemo requires every cached element to be the frame number the
-// tables hold, behind pages no smaller than the granule on both sides.
+// tables hold, behind a host page no smaller than the element's and a
+// guest page of the size a hit reports: the granule, or a split
+// block's recorded guest size.
 func (h *resolveHarness) checkMemo() {
 	h.t.Helper()
 	mm := &h.m.memo
-	g := mm.granule
-	for _, sp := range mm.spans {
-		for va := sp.base; va < sp.limit; va = addr.Add(addr.PageBase(va, g), g.Bytes()) {
-			slot := mm.slot(va)
-			if *slot == 0 {
-				continue
+	for i := range mm.spans {
+		sp := &mm.spans[i]
+		for va := sp.base; va < sp.limit; {
+			e, g, _ := mm.slot(sp, va)
+			if *e != 0 {
+				got, size, _ := mm.lookup(sp, va)
+				hpa, guest, host, ok := tablesTranslate(h.m, va)
+				if !ok || got != hpa || size != guest || host < g {
+					h.t.Fatalf("op %d: memo serves (%#x, %v) for %#x from a %v element; tables map %#x with %v/%v pages (ok=%v)",
+						h.ops, got, size, va, g, hpa, guest, host, ok)
+				}
 			}
-			hpa, guest, host, ok := tablesTranslate(h.m, va)
-			if !ok || guest < g || host < g || addr.VPN(hpa, g)+1 != uint64(*slot) {
-				h.t.Fatalf("op %d: memo holds frame %#x for %#x at granule %v; tables map %#x with %v/%v pages (ok=%v)",
-					h.ops, *slot-1, va, g, hpa, guest, host, ok)
-			}
+			va = addr.Add(addr.PageBase(va, g), g.Bytes())
 		}
 	}
 }
@@ -260,6 +271,11 @@ func FuzzMachineResolve(f *testing.F) {
 	f.Add([]byte{3 | 8, 43, 2, 43, 7, 8, 19, 14, 25, 31, 43})      // THP: widths 8, 8, 2, 4, 5, 6, 8 with unmaps between
 	f.Add([]byte{6 | 16, 43, 43, 2, 43, 8, 43, 0, 14, 1})          // POM-TLB, fragmented: batched and unbatched steps mixed
 	f.Add([]byte{4 | 8 | 16, 13, 2, 13, 8, 13, 14, 13, 20, 13, 0}) // Nested Hybrid, THP, fragmented: width 3 after every unmap
+	// Nested ECPTs, THP, fragmented: BC's property array is THP-ineligible
+	// (4KB elements under THP) and the fallback regions of the other two
+	// split their 2MB elements; direct maps and resolves between steps
+	// and unmaps.
+	f.Add([]byte{3 | 8 | 16, 0, 5, 3, 5, 43, 4, 5, 2, 5, 0, 8, 5, 3, 43})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
@@ -277,6 +293,63 @@ func FuzzMachineResolve(f *testing.F) {
 		}
 		h.checkMemo()
 	})
+}
+
+// TestMemoServesEveryMappedPage is the witness for the memo's reach
+// under THP: after Prepopulate and a short run, a second resolve of
+// every 4KB page of every VMA is served from the memo with the frame and
+// guest page size the tables give — on BC and PR, whose property
+// arrays are THP-ineligible, and on GUPS with a 30% huge-page failure
+// rate, whose fallback regions hold 4KB pages on either side. The memo
+// used to keep only 2MB granules under THP and answered every such page
+// from the tables.
+func TestMemoServesEveryMappedPage(t *testing.T) {
+	for _, tc := range []struct {
+		app      string
+		hugeFail float64
+	}{{"BC", 0}, {"PR", 0}, {"GUPS", 0.3}} {
+		t.Run(tc.app, func(t *testing.T) {
+			t.Parallel()
+			cfg := DefaultConfig(DesignNestedECPT, tc.app, true)
+			cfg.WorkloadOpts.Scale = 256
+			cfg.WarmupAccesses, cfg.MeasureAccesses = 2_000, 2_000
+			cfg.HugePageFailureRate = tc.hugeFail
+			m, err := NewMachine(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := m.Prepopulate(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := m.Run(); err != nil {
+				t.Fatal(err)
+			}
+			var small int
+			for _, v := range m.gen.VMAs() {
+				for off := uint64(0); off < v.Size; off += addr.Page4K.Bytes() {
+					va := addr.Add(v.Base, off)
+					if _, _, _, _, err := m.resolve(va); err != nil {
+						t.Fatal(err)
+					}
+					want, guest, host, ok := tablesTranslate(m, va)
+					if !ok {
+						t.Fatalf("%#x unmapped after resolve", va)
+					}
+					if min(guest, host) == addr.Page4K {
+						small++
+					}
+					got, size, hit := m.memo.lookup(m.memo.span(va), va)
+					if !hit || got != want || size != guest {
+						t.Fatalf("second resolve(%#x): memo serves (%#x, %v, hit=%v), tables map (%#x, %v/%v)",
+							va, got, size, hit, want, guest, host)
+					}
+				}
+			}
+			if small == 0 {
+				t.Error("no page is 4KB on either side: the test does not exercise 4KB elements or split blocks")
+			}
+		})
+	}
 }
 
 // TestUnmapShootsDownTLB is the witness for the missing shootdown: with
@@ -364,8 +437,9 @@ func TestResolveOutsideVMAs(t *testing.T) {
 // TestResolveUnalignedVMA pins the indexing of VMAs whose base and
 // limit are not granule-aligned: two areas sharing one 2MB granule each
 // own an element for it, every page resolves to what the tables hold on
-// the first (filling) and second (cached) pass, and only the 2MB
-// regions lying wholly inside an area are cached.
+// the first (filling) and second (cached) pass, and every page is
+// cached — the 2MB regions lying wholly inside an area as one element
+// each, the 4KB pages of the partial granules in split blocks.
 func TestResolveUnalignedVMA(t *testing.T) {
 	for _, thp := range []bool{false, true} {
 		vmas := []kernel.VMA{
@@ -390,10 +464,12 @@ func TestResolveUnalignedVMA(t *testing.T) {
 		}
 		// 4KB granule: every page of both areas. 2MB granule: the one
 		// whole region inside the first area (0x1020_0000) and the one
-		// inside the second (0x1060_0000).
+		// inside the second (0x1060_0000), plus the 4KB pages of the
+		// four partial granules — 509 at 0x1000_0000, 261 + 251 at
+		// 0x1040_0000 (one block for each area) and 6 at 0x1080_0000.
 		want := int((vmas[0].Size + vmas[1].Size) / addr.Page4K.Bytes())
 		if thp {
-			want = 2
+			want = 2 + 509 + 261 + 251 + 6
 		}
 		if cached := cachedElements(m); cached != want {
 			t.Errorf("thp=%v: %d elements cached, want %d", thp, cached, want)
@@ -428,28 +504,35 @@ func TestResolveWideFrameUncached(t *testing.T) {
 	}
 }
 
-// BenchmarkMachineResolve times the functional entry point on the GUPS
-// table: a hit (one range check and one load), a miss (both tables and
-// the fill; the element is cleared before every call), and the refill
-// after an unmap (the drop itself plus the lookups that follow it).
+// BenchmarkMachineResolve times the functional entry point: on the
+// GUPS table a hit (one range check and one load), a miss (both tables
+// and the fill; the element is cleared before every call), and the
+// refill after an unmap (the drop itself plus the lookups that follow
+// it); and a hit on BC's THP-ineligible property array under THP, whose
+// 4KB pages have 4KB elements of their own.
 func BenchmarkMachineResolve(b *testing.B) {
-	cfg := DefaultConfig(DesignNestedECPT, "GUPS", false)
-	cfg.WorkloadOpts.Scale = 64
-	m, err := NewMachine(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := m.Prepopulate(); err != nil {
-		b.Fatal(err)
-	}
-	v := m.gen.VMAs()[0]
-	rng := vhash.NewRNG(1)
-	vas := make([]addr.GVA, 1<<14)
-	for i := range vas {
-		vas[i] = addr.Add(v.Base, rng.Uint64n(v.Size))
-	}
 	var sink addr.HPA
-	run := func(b *testing.B, before func(i int)) {
+	// machine builds a populated machine and samples addresses in its
+	// VMA numbered vma.
+	machine := func(b *testing.B, app string, thp bool, vma int) (*Machine, []addr.GVA) {
+		cfg := DefaultConfig(DesignNestedECPT, app, thp)
+		cfg.WorkloadOpts.Scale = 64
+		m, err := NewMachine(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := m.Prepopulate(); err != nil {
+			b.Fatal(err)
+		}
+		v := m.gen.VMAs()[vma]
+		rng := vhash.NewRNG(1)
+		vas := make([]addr.GVA, 1<<14)
+		for i := range vas {
+			vas[i] = addr.Add(v.Base, rng.Uint64n(v.Size))
+		}
+		return m, vas
+	}
+	run := func(b *testing.B, m *Machine, vas []addr.GVA, before func(i int)) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if before != nil {
@@ -463,18 +546,30 @@ func BenchmarkMachineResolve(b *testing.B) {
 		}
 		benchSink = sink
 	}
-	b.Run("hit", func(b *testing.B) { run(b, nil) })
+	m, vas := machine(b, "GUPS", false, 0)
+	b.Run("hit", func(b *testing.B) { run(b, m, vas, nil) })
 	b.Run("miss", func(b *testing.B) {
-		run(b, func(i int) { *m.memo.slot(vas[i%len(vas)]) = 0 })
+		run(b, m, vas, func(i int) {
+			va := vas[i%len(vas)]
+			e, _, _ := m.memo.slot(m.memo.span(va), va)
+			*e = 0
+		})
 	})
 	b.Run("post-unmap-refill", func(b *testing.B) {
 		// One unmap every 1024 resolves: each drops the memo and the
 		// TLB, and the resolves after it refill from the tables.
-		run(b, func(i int) {
+		run(b, m, vas, func(i int) {
 			if i%1024 == 0 {
 				m.Kernel().Unmap(vas[i%len(vas)])
 			}
 		})
+	})
+	b.Run("hit-thp-ineligible", func(b *testing.B) {
+		m, vas := machine(b, "BC", true, 2)
+		if m.gen.VMAs()[2].THPEligible {
+			b.Fatal("BC's third VMA is THP-eligible")
+		}
+		run(b, m, vas, nil)
 	})
 }
 

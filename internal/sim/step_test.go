@@ -93,26 +93,34 @@ func TestRunContextCancellation(t *testing.T) {
 
 // TestStepAllocationFree pins that a step allocates nothing at either
 // width on a warm machine, alone (Cores 1, no co-runners) and with the
-// default seven co-runners: its scratch, the co-runner group's
-// included, is sized once, in NewMachine. TestWalkAllocationFree (root
-// package) covers the walkers alone. The pin is dynamic only: step's
-// fault paths map pages, which allocates, so step cannot join the
-// static hot region, and the measured function is passed by name
-// because analysis.TestAllocsPerRunPinsAreHot asks for a
-// //nestedlint:hotpath on whatever an AllocsPerRun literal calls.
+// default seven co-runners — and under THP on BC with a 30% huge-page
+// failure rate, where every co-runner resolve goes through 4KB elements
+// and split blocks: its scratch, the co-runner group's included, is
+// sized once, in NewMachine, and the memo's blocks in Prepopulate.
+// TestWalkAllocationFree (root package) covers the walkers alone. The
+// pin is dynamic only: step's fault paths map pages, which allocates,
+// so step cannot join the static hot region, and the measured function
+// is passed by name because analysis.TestAllocsPerRunPinsAreHot asks
+// for a //nestedlint:hotpath on whatever an AllocsPerRun literal calls.
 func TestStepAllocationFree(t *testing.T) {
-	for _, cores := range []int{1, 8} {
-		cfg := DefaultConfig(DesignNestedECPT, "GUPS", false)
+	for _, row := range []struct {
+		app      string
+		thp      bool
+		hugeFail float64
+		cores    int
+	}{{"GUPS", false, 0, 1}, {"GUPS", false, 0, 8}, {"BC", true, 0.3, 8}} {
+		cfg := DefaultConfig(DesignNestedECPT, row.app, row.thp)
 		cfg.WorkloadOpts.Scale = 512
 		cfg.WarmupAccesses, cfg.MeasureAccesses = 30_000, 10_000
 		cfg.BatchSize = 8
-		cfg.Cores = cores
+		cfg.Cores = row.cores
+		cfg.HugePageFailureRate = row.hugeFail
 		m, err := NewMachine(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := len(m.corunners); got != cores-1 {
-			t.Fatalf("Cores %d: %d co-runners, want %d", cores, got, cores-1)
+		if got := len(m.corunners); got != row.cores-1 {
+			t.Fatalf("Cores %d: %d co-runners, want %d", row.cores, got, row.cores-1)
 		}
 		if _, err := m.Run(); err != nil {
 			t.Fatal(err)
@@ -127,7 +135,8 @@ func TestStepAllocationFree(t *testing.T) {
 				}
 			}
 			if allocs := testing.AllocsPerRun(500, oneStep); allocs != 0 {
-				t.Errorf("Cores %d: step(width %d, batched=%v) allocates %v times a step, want 0", cores, tc.n, tc.batched, allocs)
+				t.Errorf("%s thp=%v Cores %d: step(width %d, batched=%v) allocates %v times a step, want 0",
+					row.app, row.thp, row.cores, tc.n, tc.batched, allocs)
 			}
 		}
 	}

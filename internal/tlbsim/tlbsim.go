@@ -96,8 +96,13 @@ type tlbEntry struct {
 
 // subTLB is one set-associative structure for a single page size.
 type subTLB struct {
-	size    addr.PageSize
-	sets    int
+	size addr.PageSize
+	sets int
+	// setMask is sets-1 when sets is a power of two (pow2), as it is at
+	// every geometry but some Scaled ones, whose set counts setFor
+	// reduces by modulo instead.
+	setMask uint64
+	pow2    bool
 	ways    int
 	entries []tlbEntry
 	clock   uint64
@@ -107,15 +112,23 @@ func newSubTLB(size addr.PageSize, cfg SubTLBConfig) *subTLB {
 	if cfg.Entries <= 0 || cfg.Ways <= 0 || cfg.Entries%cfg.Ways != 0 {
 		panic(fmt.Sprintf("tlbsim: bad sub-TLB geometry %+v", cfg))
 	}
+	sets := cfg.Entries / cfg.Ways
 	return &subTLB{
 		size:    size,
-		sets:    cfg.Entries / cfg.Ways,
+		sets:    sets,
+		setMask: uint64(sets - 1),
+		pow2:    sets&(sets-1) == 0,
 		ways:    cfg.Ways,
 		entries: make([]tlbEntry, cfg.Entries),
 	}
 }
 
-func (t *subTLB) setFor(vpn uint64) int { return int(vpn % uint64(t.sets)) }
+func (t *subTLB) setFor(vpn uint64) int {
+	if t.pow2 {
+		return int(vpn & t.setMask)
+	}
+	return int(vpn % uint64(t.sets))
+}
 
 func (t *subTLB) lookup(vpn uint64) (frame addr.HPA, ok bool) {
 	t.clock++

@@ -79,8 +79,8 @@ func FuzzRNGStreams(f *testing.F) {
 				t.Fatalf("Float64() = %v out of [0,1)", v)
 			}
 			for _, theta := range []float64{0, 0.6, 0.99} {
-				if v := r.Zipf(n, theta); v >= n {
-					t.Fatalf("Zipf(%d, %v) = %d out of range", n, theta, v)
+				if z := NewZipf(n, theta); z.Draw(r) >= n {
+					t.Fatalf("Zipf(%d, %v) drew out of range", n, theta)
 				}
 			}
 		}

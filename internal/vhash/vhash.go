@@ -140,25 +140,38 @@ func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
-// Zipf returns a value in [0, n) drawn from a Zipf-like distribution
-// with skew parameter theta (0 = uniform; typical graph workloads use
-// 0.6–0.99). It uses the standard inverse-CDF approximation, which is
-// accurate enough for workload modelling and allocation-free.
-func (r *RNG) Zipf(n uint64, theta float64) uint64 {
+// Zipf draws values in [0, n) from a Zipf-like distribution with skew
+// parameter theta (0 = uniform; typical graph workloads use 0.6–0.99).
+// It uses the standard inverse-CDF approximation, which is accurate
+// enough for workload modelling and allocation-free; NewZipf computes
+// the constants of n and theta once, so a draw costs one Pow.
+type Zipf struct {
+	n     uint64
+	theta float64
+	// v is n^(1-theta) and inv 1/(1-theta).
+	v, inv float64
+}
+
+// NewZipf returns the sampler for n and theta. It panics if n == 0.
+func NewZipf(n uint64, theta float64) Zipf {
 	if n == 0 {
 		panic("vhash: Zipf with zero n")
 	}
-	if theta <= 0 {
-		return r.Uint64n(n)
+	alpha := 1 - theta
+	return Zipf{n: n, theta: theta, v: math.Pow(float64(n), alpha), inv: 1 / alpha}
+}
+
+// Draw returns the next value, drawing from r.
+func (z *Zipf) Draw(r *RNG) uint64 {
+	if z.theta <= 0 {
+		return r.Uint64n(z.n)
 	}
 	u := r.Float64()
 	// Inverse CDF of a bounded Pareto approximating Zipf ranks.
-	alpha := 1 - theta
-	v := math.Pow(float64(n), alpha)
-	x := math.Pow(u*(v-1)+1, 1/alpha)
+	x := math.Pow(u*(z.v-1)+1, z.inv)
 	idx := uint64(x) - 1
-	if idx >= n {
-		idx = n - 1
+	if idx >= z.n {
+		idx = z.n - 1
 	}
 	return idx
 }

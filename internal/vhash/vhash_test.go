@@ -143,8 +143,8 @@ func TestZipfBoundsProperty(t *testing.T) {
 	f := func(n uint64, theta float64) bool {
 		n = n%100000 + 1
 		theta = math.Mod(math.Abs(theta), 1.2)
-		v := r.Zipf(n, theta)
-		return v < n
+		z := NewZipf(n, theta)
+		return z.Draw(r) < n
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
@@ -154,12 +154,13 @@ func TestZipfBoundsProperty(t *testing.T) {
 func TestZipfSkewsLow(t *testing.T) {
 	r := NewRNG(4)
 	const n = 1 << 20
+	skewed, uniform := NewZipf(n, 0.9), NewZipf(n, 0)
 	lowSkewed, lowUniform := 0, 0
 	for i := 0; i < 20000; i++ {
-		if r.Zipf(n, 0.9) < n/100 {
+		if skewed.Draw(r) < n/100 {
 			lowSkewed++
 		}
-		if r.Zipf(n, 0) < n/100 {
+		if uniform.Draw(r) < n/100 {
 			lowUniform++
 		}
 	}
@@ -171,10 +172,47 @@ func TestZipfSkewsLow(t *testing.T) {
 func TestZipfZeroPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Zipf(0, ...) did not panic")
+			t.Fatal("NewZipf(0, ...) did not panic")
 		}
 	}()
-	NewRNG(1).Zipf(0, 0.5)
+	NewZipf(0, 0.5)
+}
+
+// zipfFormula is the draw as RNG.Zipf computed it before the sampler
+// hoisted its constants: both Pows on every draw.
+func zipfFormula(r *RNG, n uint64, theta float64) uint64 {
+	if theta <= 0 {
+		return r.Uint64n(n)
+	}
+	u := r.Float64()
+	alpha := 1 - theta
+	v := math.Pow(float64(n), alpha)
+	x := math.Pow(u*(v-1)+1, 1/alpha)
+	idx := uint64(x) - 1
+	if idx >= n {
+		idx = n - 1
+	}
+	return idx
+}
+
+// TestZipfSamplerMatchesFormula pins the sampler draw for draw to the
+// formula it replaced, over seeds, sizes and skews — the graph
+// workloads' thetas, the uniform theta 0 and the degenerate theta 1
+// among them — so the workloads' access streams stay what they were.
+func TestZipfSamplerMatchesFormula(t *testing.T) {
+	for _, seed := range []uint64{1, 7, 42, 1337} {
+		for _, n := range []uint64{1, 2, 3, 1000, 1 << 20, 1<<40 + 7} {
+			for _, theta := range []float64{0, 0.4, 0.6, 0.65, 0.7, 0.75, 0.8, 0.9, 0.99, 1, 1.1} {
+				z := NewZipf(n, theta)
+				a, b := NewRNG(seed), NewRNG(seed)
+				for i := 0; i < 2000; i++ {
+					if got, want := z.Draw(a), zipfFormula(b, n, theta); got != want {
+						t.Fatalf("seed %d n %d theta %v draw %d: sampler %d, formula %d", seed, n, theta, i, got, want)
+					}
+				}
+			}
+		}
+	}
 }
 
 func TestLatencyConstant(t *testing.T) {

@@ -59,6 +59,8 @@ type graphGen struct {
 	name   string
 	params graphParams
 	rng    *vhash.RNG
+	// zipf draws neighbour IDs over the property array.
+	zipf vhash.Zipf
 
 	offBase  addr.GVA
 	offSize  uint64
@@ -95,6 +97,7 @@ func newGraph(name string, opts Options) *graphGen {
 		propBase: graphPropBase,
 		propSize: alignUp(total*3/10, 1<<21),
 	}
+	g.zipf = vhash.NewZipf(g.propSize/elemBytes, p.theta)
 	return g
 }
 
@@ -151,7 +154,7 @@ func (g *graphGen) Next() Access {
 	default:
 		// Irregular gather/scatter on a neighbour's property.
 		props := g.propSize / elemBytes
-		idx := g.rng.Zipf(props, g.params.theta)
+		idx := g.zipf.Draw(g.rng)
 		// Scatter hot IDs across the array so skew does not collapse
 		// into one page.
 		idx = (idx * 0x9E3779B97F4A7C15) % props
