@@ -76,16 +76,7 @@ func (g *generation[P]) share() *generation[P] {
 	for w := range g.shared {
 		g.shared[w] = true
 	}
-	return &generation[P]{
-		linesPerWay: g.linesPerWay,
-		mask:        g.mask,
-		pow2:        g.pow2,
-		keys:        slices.Clone(g.keys),
-		frames:      slices.Clone(g.frames),
-		hash:        g.hash,   // immutable after construction
-		basePA:      g.basePA, // both headers model the same region
-		shared:      slices.Clone(g.shared),
-	}
+	return g.cowHeader()
 }
 
 // fork copies the CWT page by page; the copy allocates from alloc.

@@ -2,6 +2,7 @@ package ecpt
 
 import (
 	"maps"
+	"slices"
 
 	"nestedecpt/internal/addr"
 	"nestedecpt/internal/memsim"
@@ -149,24 +150,34 @@ func (t *Table[P]) writable(g *generation[P]) *generation[P] {
 	if t.dom == nil || !g.sealed {
 		return g
 	}
-	ng := &generation[P]{
-		linesPerWay: g.linesPerWay,
-		mask:        g.mask,
-		pow2:        g.pow2,
-		keys:        append([][]uint64(nil), g.keys...),
-		frames:      append([][]frameGroup[P](nil), g.frames...),
-		hash:        g.hash,   // immutable after construction
-		basePA:      g.basePA, // the clone models the same physical region
-		shared:      make([]bool, len(g.keys)),
-	}
-	for i := range ng.shared {
-		ng.shared[i] = true
-	}
+	ng := g.cowHeader()
 	switch g {
 	case t.cur:
 		t.cur = ng
 	case t.old:
 		t.old = ng
+	}
+	return ng
+}
+
+// cowHeader returns a second header over g's way arrays with every way
+// marked shared, so the header's first write to a way copies it: the
+// outer key and frame slices are copied, the ways themselves are not.
+// share hands one to a fork, writable to the writer of a sealed
+// generation.
+func (g *generation[P]) cowHeader() *generation[P] {
+	ng := &generation[P]{
+		linesPerWay: g.linesPerWay,
+		mask:        g.mask,
+		pow2:        g.pow2,
+		keys:        slices.Clone(g.keys),
+		frames:      slices.Clone(g.frames),
+		hash:        g.hash,   // immutable after construction
+		basePA:      g.basePA, // both headers model the same region
+		shared:      make([]bool, len(g.keys)),
+	}
+	for w := range ng.shared {
+		ng.shared[w] = true
 	}
 	return ng
 }

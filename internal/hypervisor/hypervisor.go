@@ -18,6 +18,7 @@ import (
 	"nestedecpt/internal/addr"
 	"nestedecpt/internal/ecpt"
 	"nestedecpt/internal/memsim"
+	"nestedecpt/internal/paging"
 	"nestedecpt/internal/radix"
 )
 
@@ -59,10 +60,8 @@ type Stats struct {
 
 // Hypervisor manages host memory for one VM.
 type Hypervisor struct {
-	cfg   Config
-	alloc *memsim.Allocator[addr.HPA]
-	radix *radix.Table[addr.GPA, addr.HPA] // gPA → hPA (EPT / NPT)
-	ecpts *ecpt.Set[addr.GPA, addr.HPA]
+	cfg    Config
+	tables *paging.Tables[addr.GPA, addr.HPA] // gPA → hPA (EPT / NPT, hECPTs)
 	// small2m marks 2MB-aligned gPA regions that already contain 4KB
 	// host mappings and therefore can never be huge-mapped. Kept only
 	// under THP.
@@ -72,26 +71,13 @@ type Hypervisor struct {
 
 // New builds a hypervisor from cfg.
 func New(cfg Config) (*Hypervisor, error) {
-	if !cfg.BuildRadix && !cfg.BuildECPT {
-		return nil, fmt.Errorf("hypervisor: must build at least one page-table kind")
+	alloc := memsim.NewAllocator[addr.HPA](cfg.HostMemBytes, cfg.Seed)
+	alloc.SetHugePageFailureRate(cfg.HugePageFailureRate)
+	tables, err := paging.New[addr.GPA](alloc, cfg.BuildRadix, cfg.BuildECPT, cfg.ECPT, 2, cfg.Seed)
+	if err != nil {
+		return nil, err
 	}
-	h := &Hypervisor{
-		cfg:     cfg,
-		alloc:   memsim.NewAllocator[addr.HPA](cfg.HostMemBytes, cfg.Seed),
-		small2m: make(map[addr.GPA]bool),
-	}
-	h.alloc.SetHugePageFailureRate(cfg.HugePageFailureRate)
-	if cfg.BuildRadix {
-		h.radix = radix.New[addr.GPA](h.alloc)
-	}
-	if cfg.BuildECPT {
-		set, err := ecpt.NewSet[addr.GPA](cfg.ECPT, h.alloc, 2, cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
-		h.ecpts = set
-	}
-	return h, nil
+	return &Hypervisor{cfg: cfg, tables: tables, small2m: make(map[addr.GPA]bool)}, nil
 }
 
 // MustNew is New but panics on configuration errors.
@@ -105,36 +91,24 @@ func MustNew(cfg Config) *Hypervisor {
 
 // Fork returns an independent copy of the hypervisor: the same
 // mappings, 4KB-region marks and allocator state, over host page tables
-// forked from h's (radix.Table.Fork, ecpt.Set.Fork). Mapping on either
-// hypervisor never shows in the other.
+// forked from h's (paging.Tables.Fork). Mapping on either hypervisor
+// never shows in the other.
 func (h *Hypervisor) Fork() (*Hypervisor, error) {
-	f := &Hypervisor{
-		cfg:     h.cfg,
-		alloc:   h.alloc.Fork(),
-		small2m: maps.Clone(h.small2m),
-		stats:   h.stats,
+	tables, err := h.tables.Fork()
+	if err != nil {
+		return nil, err
 	}
-	if h.radix != nil {
-		f.radix = h.radix.Fork(f.alloc)
-	}
-	if h.ecpts != nil {
-		set, err := h.ecpts.Fork(f.alloc)
-		if err != nil {
-			return nil, err
-		}
-		f.ecpts = set
-	}
-	return f, nil
+	return &Hypervisor{cfg: h.cfg, tables: tables, small2m: maps.Clone(h.small2m), stats: h.stats}, nil
 }
 
 // Radix returns the host radix table (EPT), or nil.
-func (h *Hypervisor) Radix() *radix.Table[addr.GPA, addr.HPA] { return h.radix }
+func (h *Hypervisor) Radix() *radix.Table[addr.GPA, addr.HPA] { return h.tables.Radix() }
 
 // ECPTs returns the host ECPT set, or nil.
-func (h *Hypervisor) ECPTs() *ecpt.Set[addr.GPA, addr.HPA] { return h.ecpts }
+func (h *Hypervisor) ECPTs() *ecpt.Set[addr.GPA, addr.HPA] { return h.tables.ECPTs() }
 
 // Allocator exposes the host-physical allocator.
-func (h *Hypervisor) Allocator() *memsim.Allocator[addr.HPA] { return h.alloc }
+func (h *Hypervisor) Allocator() *memsim.Allocator[addr.HPA] { return h.tables.Allocator() }
 
 // Stats returns a copy of the mapping statistics.
 func (h *Hypervisor) Stats() Stats { return h.stats }
@@ -159,18 +133,18 @@ func (h *Hypervisor) Resolve(gpa addr.GPA, isPageTable bool) (hpa addr.HPA, size
 	region := addr.PageBase(gpa, addr.Page2M)
 	small := h.cfg.THP && h.small2m[region]
 	if h.cfg.THP && !isPageTable && !small {
-		if frame, ok := h.alloc.Alloc(addr.Page2M, memsim.PurposeData); ok {
-			h.mapPage(region, addr.Page2M, frame)
+		if frame, ok := h.tables.Allocator().Alloc(addr.Page2M, memsim.PurposeData); ok {
+			h.tables.Map(region, addr.Page2M, frame)
 			h.stats.HugeMaps++
 			return addr.Translate(frame, gpa, addr.Page2M), addr.Page2M, true, nil
 		}
 		h.stats.HugeFallback++
 	}
-	frame, ok := h.alloc.Alloc(addr.Page4K, memsim.PurposeData)
+	frame, ok := h.tables.Allocator().Alloc(addr.Page4K, memsim.PurposeData)
 	if !ok {
 		return 0, 0, false, fmt.Errorf("hypervisor: host out of memory mapping gPA %#x", gpa)
 	}
-	h.mapPage(addr.PageBase(gpa, addr.Page4K), addr.Page4K, frame)
+	h.tables.Map(addr.PageBase(gpa, addr.Page4K), addr.Page4K, frame)
 	if h.cfg.THP && !small {
 		h.small2m[region] = true
 	}
@@ -184,37 +158,13 @@ func (h *Hypervisor) EnsureMapped(gpa addr.GPA, isPageTable bool) (faulted bool,
 	return faulted, err
 }
 
-func (h *Hypervisor) mapPage(base addr.GPA, size addr.PageSize, frame addr.HPA) {
-	if h.radix != nil {
-		if err := h.radix.Map(base, size, frame); err != nil {
-			panic(fmt.Sprintf("hypervisor: radix map: %v", err))
-		}
-	}
-	if h.ecpts != nil {
-		h.ecpts.Map(base, size, frame)
-	}
-}
-
 // Translate resolves gPA → hPA functionally.
 //
 //nestedlint:hotpath
 func (h *Hypervisor) Translate(gpa addr.GPA) (hpa addr.HPA, size addr.PageSize, ok bool) {
-	if h.ecpts != nil {
-		frame, sz, hit := h.ecpts.Lookup(gpa)
-		if !hit {
-			return 0, sz, false
-		}
-		return addr.Translate(frame, gpa, sz), sz, true
-	}
-	frame, sz, hit := h.radix.Lookup(gpa)
-	if !hit {
-		return 0, sz, false
-	}
-	return addr.Translate(frame, gpa, sz), sz, true
+	return h.tables.Translate(gpa)
 }
 
 // PageTableMemoryBytes reports the host bytes held by host page tables
 // and CWTs (§9.5 host structures).
-func (h *Hypervisor) PageTableMemoryBytes() uint64 {
-	return h.alloc.Used(memsim.PurposePageTable) + h.alloc.Used(memsim.PurposeCWT)
-}
+func (h *Hypervisor) PageTableMemoryBytes() uint64 { return h.tables.PageTableMemoryBytes() }

@@ -14,6 +14,7 @@ import (
 	"nestedecpt/internal/addr"
 	"nestedecpt/internal/ecpt"
 	"nestedecpt/internal/memsim"
+	"nestedecpt/internal/paging"
 	"nestedecpt/internal/radix"
 )
 
@@ -81,9 +82,7 @@ type Stats struct {
 // Kernel is one guest OS instance managing one address space.
 type Kernel struct {
 	cfg     Config
-	alloc   *memsim.Allocator[addr.GPA]
-	radix   *radix.Table[addr.GVA, addr.GPA]
-	ecpts   *ecpt.Set[addr.GVA, addr.GPA]
+	tables  *paging.Tables[addr.GVA, addr.GPA]
 	vmas    []VMA
 	regions map[addr.GVA]regionState // THP decisions; empty with THP off
 	stats   Stats
@@ -92,26 +91,13 @@ type Kernel struct {
 
 // New builds a kernel from cfg.
 func New(cfg Config) (*Kernel, error) {
-	if !cfg.BuildRadix && !cfg.BuildECPT {
-		return nil, fmt.Errorf("kernel: must build at least one page-table kind")
+	alloc := memsim.NewAllocatorAt[addr.GPA](cfg.GPABase, cfg.GuestMemBytes, cfg.Seed)
+	alloc.SetHugePageFailureRate(cfg.HugePageFailureRate)
+	tables, err := paging.New[addr.GVA](alloc, cfg.BuildRadix, cfg.BuildECPT, cfg.ECPT, 1, cfg.Seed)
+	if err != nil {
+		return nil, err
 	}
-	k := &Kernel{
-		cfg:     cfg,
-		alloc:   memsim.NewAllocatorAt[addr.GPA](cfg.GPABase, cfg.GuestMemBytes, cfg.Seed),
-		regions: make(map[addr.GVA]regionState),
-	}
-	k.alloc.SetHugePageFailureRate(cfg.HugePageFailureRate)
-	if cfg.BuildRadix {
-		k.radix = radix.New[addr.GVA](k.alloc)
-	}
-	if cfg.BuildECPT {
-		set, err := ecpt.NewSet[addr.GVA](cfg.ECPT, k.alloc, 1, cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
-		k.ecpts = set
-	}
-	return k, nil
+	return &Kernel{cfg: cfg, tables: tables, regions: make(map[addr.GVA]regionState)}, nil
 }
 
 // MustNew is New but panics on configuration errors.
@@ -125,39 +111,32 @@ func MustNew(cfg Config) *Kernel {
 
 // Fork returns an independent copy of the kernel: the same VMAs,
 // mappings, THP decisions and allocator state, over page tables forked
-// from k's (radix.Table.Fork, ecpt.Set.Fork). Paging on either kernel
-// never shows in the other.
+// from k's (paging.Tables.Fork). Paging on either kernel never shows in
+// the other.
 func (k *Kernel) Fork() (*Kernel, error) {
-	f := &Kernel{
+	tables, err := k.tables.Fork()
+	if err != nil {
+		return nil, err
+	}
+	return &Kernel{
 		cfg:     k.cfg,
-		alloc:   k.alloc.Fork(),
+		tables:  tables,
 		vmas:    slices.Clone(k.vmas),
 		regions: maps.Clone(k.regions),
 		stats:   k.stats,
 		unmaps:  k.unmaps,
-	}
-	if k.radix != nil {
-		f.radix = k.radix.Fork(f.alloc)
-	}
-	if k.ecpts != nil {
-		set, err := k.ecpts.Fork(f.alloc)
-		if err != nil {
-			return nil, err
-		}
-		f.ecpts = set
-	}
-	return f, nil
+	}, nil
 }
 
 // Radix returns the guest radix table, or nil.
-func (k *Kernel) Radix() *radix.Table[addr.GVA, addr.GPA] { return k.radix }
+func (k *Kernel) Radix() *radix.Table[addr.GVA, addr.GPA] { return k.tables.Radix() }
 
 // ECPTs returns the guest ECPT set, or nil.
-func (k *Kernel) ECPTs() *ecpt.Set[addr.GVA, addr.GPA] { return k.ecpts }
+func (k *Kernel) ECPTs() *ecpt.Set[addr.GVA, addr.GPA] { return k.tables.ECPTs() }
 
 // Allocator exposes the guest-physical allocator (the hypervisor needs
 // its capacity; tests inspect accounting).
-func (k *Kernel) Allocator() *memsim.Allocator[addr.GPA] { return k.alloc }
+func (k *Kernel) Allocator() *memsim.Allocator[addr.GPA] { return k.tables.Allocator() }
 
 // Stats returns a copy of the paging statistics.
 func (k *Kernel) Stats() Stats { return k.stats }
@@ -214,19 +193,19 @@ func (k *Kernel) Resolve(va addr.GVA) (gpa addr.GPA, size addr.PageSize, faulted
 		region >= v.Base && addr.Add(region, addr.Page2M.Bytes()) <= addr.Add(v.Base, v.Size)
 
 	if wantHuge {
-		if frame, ok := k.alloc.Alloc(addr.Page2M, memsim.PurposeData); ok {
-			k.mapPage(region, addr.Page2M, frame)
+		if frame, ok := k.tables.Allocator().Alloc(addr.Page2M, memsim.PurposeData); ok {
+			k.tables.Map(region, addr.Page2M, frame)
 			k.regions[region] = regionHuge
 			k.stats.HugeMaps++
 			return addr.Translate(frame, va, addr.Page2M), addr.Page2M, true, nil
 		}
 		k.stats.HugeFallback++
 	}
-	frame, ok := k.alloc.Alloc(addr.Page4K, memsim.PurposeData)
+	frame, ok := k.tables.Allocator().Alloc(addr.Page4K, memsim.PurposeData)
 	if !ok {
 		return 0, 0, false, fmt.Errorf("kernel: guest out of memory at %#x", va)
 	}
-	k.mapPage(addr.PageBase(va, addr.Page4K), addr.Page4K, frame)
+	k.tables.Map(addr.PageBase(va, addr.Page4K), addr.Page4K, frame)
 	if k.cfg.THP && st != regionSmall {
 		k.regions[region] = regionSmall
 	}
@@ -242,38 +221,18 @@ func (k *Kernel) Touch(va addr.GVA) (faulted bool, size addr.PageSize, err error
 	return faulted, size, err
 }
 
-func (k *Kernel) mapPage(base addr.GVA, size addr.PageSize, frame addr.GPA) {
-	if k.radix != nil {
-		if err := k.radix.Map(base, size, frame); err != nil {
-			panic(fmt.Sprintf("kernel: radix map: %v", err))
-		}
-	}
-	if k.ecpts != nil {
-		k.ecpts.Map(base, size, frame)
-	}
-}
-
 // Unmap removes the mapping for the page containing va, if any,
 // from every maintained structure. Unmapping a 2MB page forgets the
 // region's THP decision; a region backed by 4KB pages stays small (as
 // hypervisor.small2m does), since its other pages may still be live
 // and a 2MB page mapped over them would shadow every one.
 func (k *Kernel) Unmap(va addr.GVA) bool {
-	_, size, ok := k.Translate(va)
+	size, ok := k.tables.Unmap(va)
 	if !ok {
 		return false
 	}
-	base := addr.PageBase(va, size)
-	if k.radix != nil {
-		if err := k.radix.Unmap(base, size); err != nil {
-			panic(fmt.Sprintf("kernel: radix unmap: %v", err))
-		}
-	}
-	if k.ecpts != nil {
-		k.ecpts.Unmap(base, size)
-	}
 	if size == addr.Page2M {
-		delete(k.regions, base)
+		delete(k.regions, addr.PageBase(va, size))
 	}
 	k.unmaps++
 	return true
@@ -282,22 +241,9 @@ func (k *Kernel) Unmap(va addr.GVA) bool {
 // Translate resolves gVA → gPA functionally, preferring whichever
 // structure is built (they are kept identical when both are).
 func (k *Kernel) Translate(va addr.GVA) (gpa addr.GPA, size addr.PageSize, ok bool) {
-	if k.ecpts != nil {
-		frame, sz, hit := k.ecpts.Lookup(va)
-		if !hit {
-			return 0, sz, false
-		}
-		return addr.Translate(frame, va, sz), sz, true
-	}
-	frame, sz, hit := k.radix.Lookup(va)
-	if !hit {
-		return 0, sz, false
-	}
-	return addr.Translate(frame, va, sz), sz, true
+	return k.tables.Translate(va)
 }
 
 // PageTableMemoryBytes reports the guest-physical bytes held by page
 // tables and CWTs (§9.5 guest structures).
-func (k *Kernel) PageTableMemoryBytes() uint64 {
-	return k.alloc.Used(memsim.PurposePageTable) + k.alloc.Used(memsim.PurposeCWT)
-}
+func (k *Kernel) PageTableMemoryBytes() uint64 { return k.tables.PageTableMemoryBytes() }

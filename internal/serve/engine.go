@@ -93,7 +93,7 @@ type engine struct {
 // and any metadata-region growth, then publish the host set.
 type hostRequest struct {
 	data   []addr.GPA // fresh data pages to host-map
-	hpas   []addr.HPA // reply: host frame per data page
+	hpas   []addr.HPA // reply: host frame per data page; nil wants none
 	metaLo addr.GPA   // metadata growth [metaLo, metaHi)
 	metaHi addr.GPA
 	done   chan error
@@ -124,6 +124,13 @@ func build(cfg Config) (*engine, error) {
 	base := sim.DefaultConfig(sim.DesignNestedECPT, cfg.Workload, cfg.THP)
 	base.WorkloadOpts.Scale = cfg.Scale
 	base.WorkloadOpts.Seed = cfg.Seed
+	// Every guest and the host are built as the single-VM simulator
+	// builds its own: from the set-up key, overriding only the window,
+	// the seed and the memory that many guests sharing one host need.
+	key, _, err := sim.SetupOf(base)
+	if err != nil {
+		return nil, err
+	}
 	probe, err := workload.New(cfg.Workload, base.WorkloadOpts)
 	if err != nil {
 		return nil, err
@@ -135,16 +142,10 @@ func build(cfg Config) (*engine, error) {
 
 	// Each guest owns a disjoint 1GB-aligned guest-physical window, so
 	// gPAs from different VMs never collide in the shared host tables.
-	stride := alignUp(simCfg.GuestMemBytes, addr.Page1G.Bytes())
+	stride := alignUp(key.Kernel.GuestMemBytes, addr.Page1G.Bytes())
 
-	hcfg := hypervisor.Config{
-		HostMemBytes:        uint64(cfg.VMs)*simCfg.GuestMemBytes + (2 << 30),
-		THP:                 cfg.THP,
-		BuildECPT:           true,
-		ECPT:                ecpt.ScaledSetConfig(true, cfg.Scale),
-		Seed:                cfg.Seed + 202,
-		HugePageFailureRate: simCfg.HugePageFailureRate,
-	}
+	hcfg := key.Hypervisor
+	hcfg.HostMemBytes = uint64(cfg.VMs)*key.Kernel.GuestMemBytes + (2 << 30)
 	hyp, err := hypervisor.New(hcfg)
 	if err != nil {
 		return nil, err
@@ -169,15 +170,9 @@ func build(cfg Config) (*engine, error) {
 		shardErrs: make([]error, cfg.Shards),
 	}
 	for i := 0; i < cfg.VMs; i++ {
-		kcfg := kernel.Config{
-			GuestMemBytes:       simCfg.GuestMemBytes,
-			GPABase:             uint64(i) * stride,
-			THP:                 cfg.THP,
-			BuildECPT:           true,
-			ECPT:                ecpt.ScaledSetConfig(false, cfg.Scale),
-			Seed:                simCfg.WorkloadOpts.Seed + 101 + uint64(i)*9973,
-			HugePageFailureRate: simCfg.HugePageFailureRate,
-		}
+		kcfg := key.Kernel
+		kcfg.GPABase = uint64(i) * stride
+		kcfg.Seed += uint64(i) * 9973
 		k, err := kernel.New(kcfg)
 		if err != nil {
 			return nil, fmt.Errorf("serve: vm %d: %w", i, err)
@@ -205,11 +200,15 @@ func build(cfg Config) (*engine, error) {
 	return e, nil
 }
 
-// prepopulate installs the complete guest and host mappings for every
-// workload VMA of every guest, then backs each guest's page-table and
-// CWT region with host mappings, so steady-state walks never fault.
+// prepopulate installs the complete guest mappings for every workload
+// VMA of every guest, then hands each guest's data pages — every 4KB
+// granule of them — and its page-table and CWT region to the host, as
+// one churn round's host half, so steady-state walks never fault. The
+// guests take turns with one request's buffers.
 func (e *engine) prepopulate(vmas []kernel.VMA) error {
+	req := &hostRequest{}
 	for i, k := range e.kerns {
+		req.data = req.data[:0]
 		for _, v := range vmas {
 			limit := addr.Add(v.Base, v.Size)
 			for va := v.Base; va < limit; {
@@ -217,24 +216,19 @@ func (e *engine) prepopulate(vmas []kernel.VMA) error {
 				if err != nil {
 					return fmt.Errorf("serve: vm %d prepopulate %#x: %w", i, va, err)
 				}
-				base := addr.PageBase(va, size)
-				gpa = addr.PageBase(gpa, size)
 				// Host-map every 4KB granule of the guest page: a host
 				// huge-page fallback covers only one granule per call,
 				// and a later walk may ask for any of them.
+				gpa = addr.PageBase(gpa, size)
 				for off := uint64(0); off < size.Bytes(); off += addr.Page4K.Bytes() {
-					if _, err := e.hyp.EnsureMapped(addr.Add(gpa, off), false); err != nil {
-						return fmt.Errorf("serve: vm %d: %w", i, err)
-					}
+					req.data = append(req.data, addr.Add(gpa, off))
 				}
-				va = addr.Add(base, size.Bytes())
+				va = addr.Add(addr.PageBase(va, size), size.Bytes())
 			}
 		}
-		lo, hi := e.metaSpan(i)
-		for pa := lo; pa < hi; pa = addr.Add(pa, addr.Page4K.Bytes()) {
-			if _, err := e.hyp.EnsureMapped(pa, true); err != nil {
-				return fmt.Errorf("serve: vm %d metadata map %#x: %w", i, pa, err)
-			}
+		req.metaLo, req.metaHi = e.metaSpan(i)
+		if err := e.hostApply(req); err != nil {
+			return fmt.Errorf("serve: vm %d: %w", i, err)
 		}
 	}
 	return nil
@@ -345,14 +339,16 @@ func (e *engine) hostWriter() {
 
 // hostApply performs one request's host-side mappings and publish.
 //
-//nestedlint:writer the host half of a churn round; called only from the host writer (or inline in single-goroutine replay)
+//nestedlint:writer the host half of a churn round; called only from the host writer, inline in single-goroutine replay, or by build before any reader exists
 func (e *engine) hostApply(req *hostRequest) error {
 	for i, gpa := range req.data {
 		hpa, _, _, err := e.hyp.Resolve(gpa, false)
 		if err != nil {
 			return fmt.Errorf("serve: host map %#x: %w", gpa, err)
 		}
-		req.hpas[i] = hpa
+		if req.hpas != nil {
+			req.hpas[i] = hpa
+		}
 	}
 	for pa := req.metaLo; pa < req.metaHi; pa = addr.Add(pa, addr.Page4K.Bytes()) {
 		if _, err := e.hyp.EnsureMapped(pa, true); err != nil {
@@ -694,7 +690,7 @@ func (e *engine) emitTranslateEnd(id, vm int, va addr.GVA, wres *core.WalkResult
 // spans a snapshot publish can observe a torn guest/host view pair and
 // miss a mapping that the next (fresh) snapshot serves. Mapped
 // workload translations are never unmapped or remapped, so a retry
-// against the latest snapshots always converges; MaxRetries bounds
+// against the latest snapshots always converges; maxRetries bounds
 // pathological schedules.
 func (e *engine) walkRetry(w *core.NestedECPT, rdG, rdHost *ecpt.EpochReader, now uint64, va addr.GVA, retries *uint64) (core.WalkResult, error) {
 	for attempt := 0; ; attempt++ {
@@ -703,7 +699,7 @@ func (e *engine) walkRetry(w *core.NestedECPT, rdG, rdHost *ecpt.EpochReader, no
 			return res, nil
 		}
 		var nm *core.ErrNotMapped
-		if !errors.As(err, &nm) || attempt >= e.cfg.MaxRetries {
+		if !errors.As(err, &nm) || attempt >= maxRetries {
 			return res, err
 		}
 		*retries++
@@ -716,6 +712,10 @@ func (e *engine) walkRetry(w *core.NestedECPT, rdG, rdHost *ecpt.EpochReader, no
 		rdHost.Enter()
 	}
 }
+
+// maxRetries bounds walkRetry's retries of one walk, mirroring the
+// simulator's fault-convergence bound.
+const maxRetries = 64
 
 // alignUp rounds v up to a multiple of a (a power of two).
 func alignUp(v, a uint64) uint64 { return (v + a - 1) &^ (a - 1) }

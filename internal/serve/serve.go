@@ -55,12 +55,6 @@ type Config struct {
 	// 200µs.
 	ChurnInterval time.Duration
 
-	// MaxRetries bounds walk retries on transient faults (a walk that
-	// spans a generation publish can miss once and must retry against
-	// the fresh snapshot). Zero means 64, mirroring the simulator's
-	// fault-convergence bound.
-	MaxRetries int
-
 	// Shards is the number of independent churn mutators. Guests are
 	// partitioned round-robin (vm % Shards); each shard mutates and
 	// publishes only its own guests' table sets, so one slow shard
@@ -142,9 +136,6 @@ func (c Config) normalized() Config {
 	}
 	if c.ChurnInterval == 0 {
 		c.ChurnInterval = 200 * time.Microsecond
-	}
-	if c.MaxRetries == 0 {
-		c.MaxRetries = 64
 	}
 	if c.Shards <= 0 {
 		c.Shards = 1

@@ -128,7 +128,7 @@ func TestConfigDefaults(t *testing.T) {
 	if n.VMs != d.VMs || n.Workload != d.Workload || n.Scale != d.Scale || n.Seed != d.Seed {
 		t.Errorf("zero config normalized to %+v, want defaults %+v", n, d)
 	}
-	if n.Duration != time.Second || n.ChurnInterval == 0 || n.MaxRetries == 0 {
+	if n.Duration != time.Second || n.ChurnInterval == 0 {
 		t.Errorf("normalization left zero limits: %+v", n)
 	}
 	// Fixed-op mode must not pick up a duration bound.

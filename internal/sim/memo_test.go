@@ -55,13 +55,19 @@ type resolveHarness struct {
 // harnessBatch is the widest step the harness issues.
 const harnessBatch = 8
 
-func newResolveHarness(t testing.TB, d Design, thp bool, hugeFail float64, seed uint64) *resolveHarness {
-	t.Helper()
+// harnessConfig is the machine a resolve harness drives.
+func harnessConfig(d Design, thp bool, hugeFail float64, seed uint64) Config {
 	cfg := DefaultConfig(d, "BC", thp)
 	cfg.WorkloadOpts.Scale = 512
 	cfg.WorkloadOpts.Seed = seed
 	cfg.HugePageFailureRate = hugeFail
 	cfg.BatchSize = harnessBatch // sizes step's scratch; the harness drives step itself
+	return cfg
+}
+
+func newResolveHarness(t testing.TB, d Design, thp bool, hugeFail float64, seed uint64) *resolveHarness {
+	t.Helper()
+	cfg := harnessConfig(d, thp, hugeFail, seed)
 	m, err := NewMachine(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -257,8 +263,59 @@ func TestResolveMatchesTables(t *testing.T) {
 	}
 }
 
+// templatePage is one 4KB page's translation through a fork template.
+type templatePage struct {
+	va     addr.GVA
+	hpa    addr.HPA
+	mapped bool
+}
+
+// newForkHarness pre-populates a template machine and drives a Fork of
+// it, for a design SetupOf lets share its set-up. It returns the
+// template and every 4KB page's translation through it (a page of a
+// guest huge page whose host granule Prepopulate never touched has
+// none), for checkTemplate.
+func newForkHarness(t testing.TB, d Design, thp bool, hugeFail float64, seed uint64) (*resolveHarness, *Machine, []templatePage) {
+	t.Helper()
+	h := newResolveHarness(t, d, thp, hugeFail, seed)
+	template := h.m
+	if err := template.Prepopulate(); err != nil {
+		t.Fatal(err)
+	}
+	var want []templatePage
+	for _, v := range h.vmas {
+		for off := uint64(0); off < v.Size; off += addr.Page4K.Bytes() {
+			va := addr.Add(v.Base, off)
+			hpa, _, _, ok := tablesTranslate(template, va)
+			want = append(want, templatePage{va, hpa, ok})
+		}
+	}
+	f, err := template.Fork(harnessConfig(d, thp, hugeFail, seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.m = f
+	return h, template, want
+}
+
+// checkTemplate requires the fork's paging to have left its template
+// alone: every page still translates to the frame it did at the fork,
+// and every element the template's memo caches agrees with its tables.
+func checkTemplate(t testing.TB, template *Machine, want []templatePage) {
+	t.Helper()
+	for _, w := range want {
+		if got, _, _, ok := tablesTranslate(template, w.va); ok != w.mapped || got != w.hpa {
+			t.Fatalf("the fork's paging moved the template's %#x: %#x (mapped=%v), was %#x (mapped=%v)", w.va, got, ok, w.hpa, w.mapped)
+		}
+	}
+	(&resolveHarness{t: t, m: template}).checkMemo()
+}
+
 // FuzzMachineResolve lets the fuzzer choose the machine (first byte:
-// design, THP, fragmentation) and the operation stream (the rest).
+// design, THP, fragmentation, fork) and the operation stream (the
+// rest). In fork mode (bit 5), for a design whose runs share set-ups,
+// the operations run on a Fork of a pre-populated template, which must
+// come out of them untouched.
 func FuzzMachineResolve(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 2, 0, 5})                   // step, step, unmap, step
 	f.Add([]byte{3 | 8, 0, 1, 0, 2, 8, 14, 0, 3, 4})  // Nested ECPTs, THP
@@ -276,6 +333,16 @@ func FuzzMachineResolve(f *testing.F) {
 	// split their 2MB elements; direct maps and resolves between steps
 	// and unmaps.
 	f.Add([]byte{3 | 8 | 16, 0, 5, 3, 5, 43, 4, 5, 2, 5, 0, 8, 5, 3, 43})
+	// Fork mode: unmaps of pages the fork just stepped (op%6 == 2),
+	// demand faults that remap them, and direct maps, on every design
+	// that shares a set-up.
+	f.Add([]byte{3 | 32, 0, 0, 2, 8, 0, 14, 3, 20, 5})              // Nested ECPTs
+	f.Add([]byte{3 | 8 | 32, 43, 2, 43, 8, 14, 43, 4, 20, 0, 26})   // Nested ECPTs, THP
+	f.Add([]byte{2 | 8 | 16 | 32, 43, 2, 8, 0, 14, 3, 4, 2, 0})     // Nested Radix, THP, fragmented
+	f.Add([]byte{0 | 32, 0, 2, 0, 8, 3, 14, 0, 5})                  // Radix (no hypervisor)
+	f.Add([]byte{1 | 8 | 32, 43, 2, 43, 8, 3, 14, 0})               // ECPTs, THP
+	f.Add([]byte{4 | 16 | 32, 13, 2, 13, 8, 4, 14, 13, 20})         // Nested Hybrid, fragmented
+	f.Add([]byte{5 | 8 | 32, 0, 0, 2, 8, 2, 14, 3, 4, 0, 2, 5, 43}) // Agile, THP
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
@@ -287,11 +354,22 @@ func FuzzMachineResolve(f *testing.F) {
 		if data[0]&16 != 0 {
 			hugeFail = 0.3
 		}
-		h := newResolveHarness(t, Design(int(data[0]&7)%int(numDesigns)), data[0]&8 != 0, hugeFail, 42)
+		d, thp := Design(int(data[0]&7)%int(numDesigns)), data[0]&8 != 0
+		var h *resolveHarness
+		var template *Machine
+		var want []templatePage
+		if data[0]&32 != 0 && d.sharesSetup() {
+			h, template, want = newForkHarness(t, d, thp, hugeFail, 42)
+		} else {
+			h = newResolveHarness(t, d, thp, hugeFail, 42)
+		}
 		for _, op := range data[1:] {
 			h.apply(op)
 		}
 		h.checkMemo()
+		if template != nil {
+			checkTemplate(t, template, want)
+		}
 	})
 }
 
