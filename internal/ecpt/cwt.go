@@ -72,11 +72,10 @@ type CWT[P addr.Addr] struct {
 	lastIdx  uint64
 	lastPage *cwtPage[P]
 
-	// Concurrent mode (view.go): dom is set by the owning table's
-	// EnterConcurrent; pub holds the last published snapshot; mapShared
-	// marks the pages map as aliased by that snapshot; dirty tracks
-	// whether anything changed since the last publish.
-	dom       *EpochDomain
+	// Concurrent mode (view.go): pub holds the last published snapshot
+	// (set by the owning table's Publish); mapShared marks the pages map
+	// as aliased by that snapshot; dirty tracks whether anything changed
+	// since the last publish.
 	pub       atomic.Pointer[cwtView[P]]
 	mapShared bool
 	dirty     bool
@@ -104,46 +103,54 @@ func EntryKey(tag uint64) uint64 { return tag / LinesPerCWTEntry }
 // KeyForVPN returns the CWT entry key covering a page number.
 func KeyForVPN(vpn uint64) uint64 { return EntryKey(lineTag(vpn)) }
 
-// page returns the backing page holding key's entry, consulting the
-// one-slot cache first. When create is set a missing page is built and
-// its frame allocated — the same first-touch allocation point the
-// per-entry layout had, so allocator streams are unchanged.
-func (c *CWT[P]) page(key uint64, create bool) *cwtPage[P] {
+// page returns the writer's backing page holding key's entry, or nil,
+// consulting the one-slot cache first.
+func (c *CWT[P]) page(key uint64) *cwtPage[P] {
 	idx := key / entriesPerPage
 	if pg := c.lastPage; pg != nil && c.lastIdx == idx {
 		return pg
 	}
-	pg, ok := c.pages[idx]
-	if !ok {
-		if !create {
-			return nil
-		}
-		pg = c.createPage(idx)
+	pg := c.pages[idx]
+	if pg != nil {
+		c.lastIdx, c.lastPage = idx, pg
 	}
-	c.lastIdx, c.lastPage = idx, pg
 	return pg
 }
 
-// createPage builds a missing backing page and allocates its frame —
-// the same first-touch allocation point the per-entry layout had, so
-// allocator streams are unchanged. Outlined from page so the hot query
-// path carries no allocation.
-//
-//nestedlint:coldpath first-touch page construction happens on insert (create=true); the walk query path passes create=false
-//go:noinline
-func (c *CWT[P]) createPage(idx uint64) *cwtPage[P] {
-	pg := &cwtPage[P]{base: c.alloc.MustAlloc(addr.Page4K, memsim.PurposeCWT)}
+// writablePage returns the backing page holding key's entry, ready to
+// write, or nil when it is missing and create is not set. A missing
+// page is built and its frame allocated — the same first-touch
+// allocation point the per-entry layout had, so allocator streams are
+// unchanged — and a page a published snapshot still holds is copied
+// first (view.go). Nothing is sealed or shared before the first
+// publish, so sequential mode writes its pages in place.
+func (c *CWT[P]) writablePage(key uint64, create bool) *cwtPage[P] {
+	pg := c.page(key)
+	switch {
+	case pg == nil && !create:
+		return nil
+	case pg == nil:
+		c.privatizeMap()
+		pg = &cwtPage[P]{base: c.alloc.MustAlloc(addr.Page4K, memsim.PurposeCWT)}
+	case pg.sealed:
+		c.privatizeMap()
+		cp := *pg
+		cp.sealed = false
+		pg = &cp
+	default:
+		return pg
+	}
+	idx := key / entriesPerPage
 	c.pages[idx] = pg
+	c.lastIdx, c.lastPage = idx, pg
+	c.dirty = true
 	return pg
 }
 
+// entry returns key's entry, ready to write, creating it (and its page)
+// when create is set, or nil when it does not exist.
 func (c *CWT[P]) entry(key uint64, create bool) *cwtEntry {
-	if c.dom != nil {
-		// Concurrent mode: every entry handed out here is writable, so
-		// map privatization and page copy-on-write happen first.
-		return c.mutableEntry(key, create)
-	}
-	pg := c.page(key, create)
+	pg := c.writablePage(key, create)
 	if pg == nil {
 		return nil
 	}
@@ -158,6 +165,7 @@ func (c *CWT[P]) entry(key uint64, create bool) *cwtEntry {
 		}
 		pg.live |= 1 << slot
 		c.nEntries++
+		c.dirty = true
 	}
 	return &pg.entries[slot]
 }
@@ -170,10 +178,8 @@ func (c *CWT[P]) entry(key uint64, create bool) *cwtEntry {
 //nestedlint:coldpath first-touch allocation point; steady-state refills resolve entries that already exist (RefillPA reads the PA off the page)
 func (c *CWT[P]) EntryPA(key uint64) P {
 	c.entry(key, true)
-	if c.dom != nil {
-		return c.pages[key/entriesPerPage].base + P((key%entriesPerPage)*CWTEntryBytes)
-	}
-	return c.page(key, true).base + P((key%entriesPerPage)*CWTEntryBytes)
+	// entry left key's page in the one-slot cache.
+	return c.page(key).base + P((key%entriesPerPage)*CWTEntryBytes)
 }
 
 // setWay records that the line with the given tag lives in way; called
@@ -254,15 +260,17 @@ func (c *CWT[P]) Query(vpn uint64) Info[P] {
 //
 //nestedlint:hotpath
 func (c *CWT[P]) QueryInto(vpn uint64, out *Info[P]) {
-	// Concurrent readers are served from the immutable snapshot, which
-	// also bypasses the mutable one-slot page cache below.
-	if v := c.pub.Load(); v != nil {
-		v.queryInto(vpn, out)
-		return
-	}
 	tag := lineTag(vpn)
 	key := EntryKey(tag)
-	pg := c.page(key, false)
+	// Concurrent readers are served from the immutable snapshot, never
+	// the writer's mutable one-slot page cache; sequential mode reads
+	// the writer's pages through it.
+	var pg *cwtPage[P]
+	if v := c.pub.Load(); v != nil {
+		pg = v.pages[key/entriesPerPage]
+	} else {
+		pg = c.page(key)
+	}
 	if pg == nil {
 		*out = Info[P]{EntryKey: key}
 		return

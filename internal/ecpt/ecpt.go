@@ -329,33 +329,43 @@ func (t *Table[P]) CWT() *CWT[P] { return t.cwt }
 func lineTag(vpn uint64) uint64 { return vpn / TranslationsPerLine }
 func lineSlot(vpn uint64) int   { return int(vpn % TranslationsPerLine) }
 
-// findLine locates the line holding tag, if present, trying the cursor
-// before hashing. The cursor needs no invalidation: a tag lives in at
-// most one live slot (migration empties every old-generation slot it
-// passes), so a live slot holding tag is the one the search would find.
-// A slot since emptied or refilled fails the key compare; a generation
-// a resize retired, or a sealed one writable replaced with its clone,
-// fails the generation compare.
+// findLine locates the line holding tag in the writer's state, if
+// present, trying the cursor before searching. The cursor needs no
+// invalidation: a tag lives in at most one live slot (migration empties
+// every old-generation slot it passes), so a live slot holding tag is
+// the one the search would find. A slot since emptied or refilled fails
+// the key compare; a generation a resize retired, or a sealed one
+// writable replaced with its clone, fails the generation compare.
 func (t *Table[P]) findLine(tag uint64) (g *generation[P], w, idx int, ok bool) {
 	if c := t.cursor; (c.g == t.cur || c.g == t.old) && keyHolds(c.g.keys[c.w][c.idx], tag) {
 		return c.g, c.w, c.idx, true
 	}
-	for w := 0; w < t.cfg.Ways; w++ {
-		idx := t.cur.index(w, tag)
-		if keyHolds(t.cur.keys[w][idx], tag) {
-			t.cursor = lineCursor[P]{t.cur, w, idx}
-			return t.cur, w, idx, true
+	if g, w, idx, ok = findLineIn(t.cur, t.old, t.migratePtr, tag); ok {
+		t.cursor = lineCursor[P]{g, w, idx}
+	}
+	return g, w, idx, ok
+}
+
+// findLineIn locates the line holding tag in one state of the table —
+// the writer's, or a published view's: the current generation and,
+// mid-resize, the buckets of old at or past the migration frontier mig.
+//
+//nestedlint:hotpath
+func findLineIn[P addr.Addr](cur, old *generation[P], mig []int, tag uint64) (g *generation[P], w, idx int, ok bool) {
+	for w := range cur.keys {
+		idx := cur.index(w, tag)
+		if keyHolds(cur.keys[w][idx], tag) {
+			return cur, w, idx, true
 		}
 	}
-	if t.old != nil {
-		for w := 0; w < t.cfg.Ways; w++ {
-			idx := t.old.index(w, tag)
-			if idx < t.migratePtr[w] {
+	if old != nil {
+		for w := range old.keys {
+			idx := old.index(w, tag)
+			if idx < mig[w] {
 				continue // already migrated out
 			}
-			if keyHolds(t.old.keys[w][idx], tag) {
-				t.cursor = lineCursor[P]{t.old, w, idx}
-				return t.old, w, idx, true
+			if keyHolds(old.keys[w][idx], tag) {
+				return old, w, idx, true
 			}
 		}
 	}
@@ -495,33 +505,30 @@ func (t *Table[P]) Remove(vpn uint64) bool {
 // and hypervisor fault paths depend on seeing their unpublished maps);
 // concurrent readers use SnapshotLookup.
 func (t *Table[P]) Lookup(vpn uint64) (frame P, ok bool) {
-	tag, slot := lineTag(vpn), lineSlot(vpn)
-	g, w, idx, found := t.findLine(tag)
+	g, w, idx, found := t.findLine(lineTag(vpn))
 	if !found {
 		return 0, false
 	}
-	if keyPresent(g.keys[w][idx])&(1<<slot) == 0 {
-		return 0, false
-	}
-	return g.frames[w][idx][slot], true
+	return g.slotFrame(w, idx, lineSlot(vpn))
 }
 
-// SnapshotLookup resolves vpn against the latest published view — the
-// form safe to call from concurrent reader goroutines. In sequential
-// mode (nothing published) it falls back to Lookup.
+// SnapshotLookup resolves vpn against the state readers see
+// (readState): the latest published view in concurrent mode, the live
+// tables in sequential mode. It is the form safe to call from
+// concurrent reader goroutines.
 //
 //nestedlint:hotpath
 func (t *Table[P]) SnapshotLookup(vpn uint64) (frame P, ok bool) {
-	v := t.pub.Load()
-	if v == nil {
-		//nestedlint:ignore epochguard: sequential mode has no readers to race with; Lookup is the only state there is
-		return t.Lookup(vpn)
-	}
-	tag, slot := lineTag(vpn), lineSlot(vpn)
-	g, w, idx, found := v.findLine(tag)
+	cur, old, mig := t.readState()
+	g, w, idx, found := findLineIn(cur, old, mig, lineTag(vpn))
 	if !found {
 		return 0, false
 	}
+	return g.slotFrame(w, idx, lineSlot(vpn))
+}
+
+// slotFrame returns the frame in slot of line idx of way w, if present.
+func (g *generation[P]) slotFrame(w, idx, slot int) (frame P, ok bool) {
 	if keyPresent(g.keys[w][idx])&(1<<slot) == 0 {
 		return 0, false
 	}

@@ -39,17 +39,7 @@ const AllWays = -1
 //nestedlint:hotpath
 func (t *Table[P]) AppendProbes(dst []Probe[P], vpn uint64, way int) []Probe[P] {
 	tag, slot := lineTag(vpn), lineSlot(vpn)
-	// Concurrent mode serves the latest published snapshot; sequential
-	// mode (pub never stored) reads the live state directly. The
-	// writer's fields must not even be loaded once a view exists —
-	// the single writer re-points them while readers are here.
-	var cur, old *generation[P]
-	var mig []int
-	if v := t.pub.Load(); v != nil {
-		cur, old, mig = v.cur, v.old, v.migratePtr
-	} else {
-		cur, old, mig = t.cur, t.old, t.migratePtr
-	}
+	cur, old, mig := t.readState()
 	if way != AllWays {
 		// Direct walk: the CWC pinned the way, so exactly one bucket
 		// (plus its unmigrated old-generation twin during a resize) is

@@ -14,13 +14,14 @@ import (
 // and the copy-on-write machinery the single writer uses to build the
 // next snapshot off to the side (DESIGN.md §10).
 //
-// Mode switch. A table starts in sequential mode: pub is nil, every
-// code path is exactly the pre-concurrency one, and the golden-trace
-// digest is preserved bit for bit. EnterConcurrent attaches an
+// Mode switch. Both modes share one read path; the mode only picks
+// which state readers see and whether writes copy. A table starts in
+// sequential mode: pub is nil, readers see the live tables, and nothing
+// is sealed, so no write copies. EnterConcurrent attaches an
 // EpochDomain and publishes the first view; from then on the read
-// paths (AppendProbes, Lookup, CWT.QueryInto) serve the latest
-// published snapshot while mutations accumulate privately until the
-// next Publish.
+// paths (AppendProbes, SnapshotLookup, CWT.QueryInto) serve the latest
+// published snapshot while mutations accumulate privately, copying what
+// a snapshot still holds, until the next Publish.
 //
 // Writer discipline. Concurrent mode still has exactly one writer:
 // Insert/Remove/Map/Unmap and Publish must all come from a single
@@ -54,6 +55,19 @@ type tableView[P addr.Addr] struct {
 	gen uint64
 }
 
+// readState returns the state readers see: the latest published view
+// in concurrent mode, the live tables in sequential mode (pub never
+// stored). The writer's fields must not even be loaded once a view
+// exists — the single writer re-points them while readers are here.
+//
+//nestedlint:hotpath
+func (t *Table[P]) readState() (cur, old *generation[P], mig []int) {
+	if v := t.pub.Load(); v != nil {
+		return v.cur, v.old, v.migratePtr
+	}
+	return t.cur, t.old, t.migratePtr
+}
+
 // EnterConcurrent switches the table into concurrent mode: reads are
 // served from immutable published views, mutations stay private until
 // Publish, and dead generations are reclaimed through dom's grace
@@ -62,9 +76,6 @@ type tableView[P addr.Addr] struct {
 //nestedlint:writer the mode switch happens before any reader exists
 func (t *Table[P]) EnterConcurrent(dom *EpochDomain) {
 	t.dom = dom
-	if t.cwt != nil {
-		t.cwt.dom = dom
-	}
 	t.Publish()
 }
 
@@ -144,10 +155,10 @@ func (t *Table[P]) seal(g *generation[P]) {
 // writable returns a mutable stand-in for g, cloning a sealed
 // generation and re-pointing t.cur / t.old at the clone. Callers must
 // use the returned pointer for both the write and any subsequent
-// identity comparison against t.cur / t.old. Sequential mode returns g
-// unchanged.
+// identity comparison against t.cur / t.old. Nothing is sealed before
+// the first publish, so sequential mode gets g back unchanged.
 func (t *Table[P]) writable(g *generation[P]) *generation[P] {
-	if t.dom == nil || !g.sealed {
+	if !g.sealed {
 		return g
 	}
 	ng := g.cowHeader()
@@ -217,30 +228,6 @@ func (t *Table[P]) retireGeneration(g *generation[P]) {
 	})
 }
 
-// viewFindLine is findLine against a snapshot.
-//
-//nestedlint:hotpath
-func (v *tableView[P]) findLine(tag uint64) (g *generation[P], w, idx int, ok bool) {
-	for w := 0; w < len(v.cur.keys); w++ {
-		idx := v.cur.index(w, tag)
-		if keyHolds(v.cur.keys[w][idx], tag) {
-			return v.cur, w, idx, true
-		}
-	}
-	if v.old != nil {
-		for w := 0; w < len(v.old.keys); w++ {
-			idx := v.old.index(w, tag)
-			if idx < v.migratePtr[w] {
-				continue // already migrated out at publish time
-			}
-			if keyHolds(v.old.keys[w][idx], tag) {
-				return v.old, w, idx, true
-			}
-		}
-	}
-	return nil, 0, 0, false
-}
-
 // cwtView is one immutable snapshot of a CWT: the page map as of the
 // last publish. Pages reachable from a view are sealed; the writer
 // replaces (never mutates) them.
@@ -248,36 +235,6 @@ func (v *tableView[P]) findLine(tag uint64) (g *generation[P], w, idx int, ok bo
 //nestedlint:immutable
 type cwtView[P addr.Addr] struct {
 	pages map[uint64]*cwtPage[P]
-}
-
-// queryInto is QueryInto against a snapshot. It deliberately skips the
-// writer's one-slot page cache: the cache is mutable state and views
-// must stay read-only.
-//
-//nestedlint:hotpath
-func (v *cwtView[P]) queryInto(vpn uint64, out *Info[P]) {
-	tag := lineTag(vpn)
-	key := EntryKey(tag)
-	pg := v.pages[key/entriesPerPage]
-	if pg == nil {
-		*out = Info[P]{EntryKey: key}
-		return
-	}
-	slot := key % entriesPerPage
-	if pg.live&(1<<slot) == 0 {
-		*out = Info[P]{EntryKey: key}
-		return
-	}
-	li := &pg.entries[slot].lines[tag%LinesPerCWTEntry]
-	*out = Info[P]{
-		EntryExists: true,
-		WayKnown:    li.way != wayAbsent,
-		Way:         li.way,
-		Present:     li.present&(1<<lineSlot(vpn)) != 0,
-		HasSmaller:  li.hasSmaller,
-		EntryKey:    key,
-		EntryPA:     pg.base + P(slot*CWTEntryBytes),
-	}
 }
 
 // publish seals the CWT's pages and swaps in a fresh snapshot. Called
@@ -293,49 +250,6 @@ func (c *CWT[P]) publish() {
 	c.mapShared = true
 	c.pub.Store(&cwtView[P]{pages: c.pages})
 	c.dirty = false
-}
-
-// mutableEntry is the concurrent-mode counterpart of entry: it
-// privatizes the page map (if a snapshot shares it) and clones sealed
-// pages before handing out a writable entry pointer.
-//
-//nestedlint:coldpath writer-side copy-on-write; concurrent-mode walks read the published snapshot (QueryInto's pub.Load path), never this
-func (c *CWT[P]) mutableEntry(key uint64, create bool) *cwtEntry {
-	idx := key / entriesPerPage
-	pg, ok := c.pages[idx]
-	if !ok {
-		if !create {
-			return nil
-		}
-		c.privatizeMap()
-		pg = &cwtPage[P]{base: c.alloc.MustAlloc(addr.Page4K, memsim.PurposeCWT)}
-		c.pages[idx] = pg
-		c.lastIdx, c.lastPage = idx, pg
-		c.dirty = true
-	} else if pg.sealed {
-		c.privatizeMap()
-		np := new(cwtPage[P])
-		*np = *pg
-		np.sealed = false
-		c.pages[idx] = np
-		c.lastIdx, c.lastPage = idx, np
-		c.dirty = true
-		pg = np
-	}
-	slot := key % entriesPerPage
-	if pg.live&(1<<slot) == 0 {
-		if !create {
-			return nil
-		}
-		e := &pg.entries[slot]
-		for i := range e.lines {
-			e.lines[i].way = wayAbsent
-		}
-		pg.live |= 1 << slot
-		c.nEntries++
-		c.dirty = true
-	}
-	return &pg.entries[slot]
 }
 
 // privatizeMap clones the page map when the latest snapshot still

@@ -12,9 +12,6 @@
 package hypervisor
 
 import (
-	"fmt"
-	"maps"
-
 	"nestedecpt/internal/addr"
 	"nestedecpt/internal/ecpt"
 	"nestedecpt/internal/memsim"
@@ -53,20 +50,14 @@ func DefaultConfig(memBytes uint64) Config {
 // Stats counts hypervisor-level mapping events.
 type Stats struct {
 	NestedFaults uint64
-	HugeMaps     uint64
-	SmallMaps    uint64
-	HugeFallback uint64
+	paging.Stats
 }
 
 // Hypervisor manages host memory for one VM.
 type Hypervisor struct {
-	cfg    Config
-	tables *paging.Tables[addr.GPA, addr.HPA] // gPA → hPA (EPT / NPT, hECPTs)
-	// small2m marks 2MB-aligned gPA regions that already contain 4KB
-	// host mappings and therefore can never be huge-mapped. Kept only
-	// under THP.
-	small2m map[addr.GPA]bool
-	stats   Stats
+	cfg          Config
+	tables       *paging.Tables[addr.GPA, addr.HPA] // gPA → hPA (EPT / NPT, hECPTs)
+	nestedFaults uint64
 }
 
 // New builds a hypervisor from cfg.
@@ -77,7 +68,7 @@ func New(cfg Config) (*Hypervisor, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Hypervisor{cfg: cfg, tables: tables, small2m: make(map[addr.GPA]bool)}, nil
+	return &Hypervisor{cfg: cfg, tables: tables}, nil
 }
 
 // MustNew is New but panics on configuration errors.
@@ -98,7 +89,7 @@ func (h *Hypervisor) Fork() (*Hypervisor, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Hypervisor{cfg: h.cfg, tables: tables, small2m: maps.Clone(h.small2m), stats: h.stats}, nil
+	return &Hypervisor{cfg: h.cfg, tables: tables, nestedFaults: h.nestedFaults}, nil
 }
 
 // Radix returns the host radix table (EPT), or nil.
@@ -111,44 +102,27 @@ func (h *Hypervisor) ECPTs() *ecpt.Set[addr.GPA, addr.HPA] { return h.tables.ECP
 func (h *Hypervisor) Allocator() *memsim.Allocator[addr.HPA] { return h.tables.Allocator() }
 
 // Stats returns a copy of the mapping statistics.
-func (h *Hypervisor) Stats() Stats { return h.stats }
+func (h *Hypervisor) Stats() Stats {
+	return Stats{NestedFaults: h.nestedFaults, Stats: h.tables.Stats()}
+}
 
 // Resolve is the functional (untimed) side of one host translation: it
 // returns the host-physical address and host page size backing gpa,
-// demand-mapping the guest physical page on a nested fault, and reports
-// whether it faulted. isPageTable marks gPAs that hold guest page tables
-// or CWTs, which KVM backs only with 4KB pages (§4.3). The mapped path
-// costs one Translate; the fault path returns the frame it just mapped
-// without looking it up again.
+// demand-mapping the guest physical page on a nested fault
+// (paging.Tables.Fault), and reports whether it faulted. isPageTable
+// marks gPAs that hold guest page tables or CWTs, which KVM backs only
+// with 4KB pages (§4.3); under THP any other fault may take a 2MB page.
+// The mapped path costs one Translate; the fault path returns the frame
+// it just mapped without looking it up again.
 //
 //nestedlint:writer reads and mutates the staged host tables
 func (h *Hypervisor) Resolve(gpa addr.GPA, isPageTable bool) (hpa addr.HPA, size addr.PageSize, faulted bool, err error) {
 	if hpa, size, ok := h.Translate(gpa); ok {
 		return hpa, size, false, nil
 	}
-	h.stats.NestedFaults++
-
-	// 2MB-region state exists only under THP: with it off nothing reads
-	// small2m, so a 4KB fault costs no map access.
-	region := addr.PageBase(gpa, addr.Page2M)
-	small := h.cfg.THP && h.small2m[region]
-	if h.cfg.THP && !isPageTable && !small {
-		if frame, ok := h.tables.Allocator().Alloc(addr.Page2M, memsim.PurposeData); ok {
-			h.tables.Map(region, addr.Page2M, frame)
-			h.stats.HugeMaps++
-			return addr.Translate(frame, gpa, addr.Page2M), addr.Page2M, true, nil
-		}
-		h.stats.HugeFallback++
-	}
-	frame, ok := h.tables.Allocator().Alloc(addr.Page4K, memsim.PurposeData)
-	if !ok {
-		return 0, 0, false, fmt.Errorf("hypervisor: host out of memory mapping gPA %#x", gpa)
-	}
-	h.tables.Map(addr.PageBase(gpa, addr.Page4K), addr.Page4K, frame)
-	if h.cfg.THP && !small {
-		h.small2m[region] = true
-	}
-	return addr.Translate(frame, gpa, addr.Page4K), addr.Page4K, true, nil
+	h.nestedFaults++
+	hpa, size, err = h.tables.Fault(gpa, h.cfg.THP, !isPageTable)
+	return hpa, size, err == nil, err
 }
 
 // EnsureMapped is Resolve for callers that only need the page mapped:

@@ -125,8 +125,9 @@ func TestHugeFallbackUnderFragmentation(t *testing.T) {
 	}
 }
 
-// TestTHPOffKeepsNoRegionState pins that a THP-off host records nothing
-// per 2MB region: with THP off nothing would read it.
+// TestTHPOffKeepsNoRegionState pins that a THP-off host maps every gPA
+// with a 4KB page. That it records no 2MB-region state on the way is
+// paging's TestFault.
 func TestTHPOffKeepsNoRegionState(t *testing.T) {
 	h := newHyp(t, false, false)
 	for gpa := addr.GPA(0); gpa < 8<<20; gpa += 0x1000 {
@@ -134,8 +135,26 @@ func TestTHPOffKeepsNoRegionState(t *testing.T) {
 			t.Fatalf("THP-off resolve of %#x: size=%v err=%v", gpa, size, err)
 		}
 	}
-	if len(h.small2m) != 0 {
-		t.Errorf("THP off, yet %d 2MB regions carry state", len(h.small2m))
+}
+
+// TestSmallMapsCounted pins that every 4KB host fault counts in
+// SmallMaps, THP off and on. Under THP the region's first fault is a
+// page-table gPA, which is backed by a 4KB page and so keeps the data
+// gPAs after it in 4KB pages too.
+func TestSmallMapsCounted(t *testing.T) {
+	for _, thp := range []bool{false, true} {
+		h := newHyp(t, thp, false)
+		const n = 64
+		for i := 0; i < n; i++ {
+			gpa := addr.GPA(0x4000_0000 + i*0x1000)
+			_, size, faulted, err := h.Resolve(gpa, i%4 == 0)
+			if err != nil || !faulted || size != addr.Page4K {
+				t.Fatalf("thp=%v: Resolve(%#x) = %v, faulted=%v, err=%v; want a 4KB fault", thp, gpa, size, faulted, err)
+			}
+		}
+		if s := h.Stats(); s.SmallMaps != n || s.HugeMaps != 0 {
+			t.Errorf("thp=%v: after %d 4KB faults stats = %+v", thp, n, s)
+		}
 	}
 }
 

@@ -8,7 +8,6 @@ package kernel
 
 import (
 	"fmt"
-	"maps"
 	"slices"
 
 	"nestedecpt/internal/addr"
@@ -54,15 +53,6 @@ func DefaultConfig(memBytes uint64) Config {
 	}
 }
 
-// regionState tracks what the kernel decided for one 2MB VA region.
-type regionState uint8
-
-const (
-	regionUnknown regionState = iota
-	regionHuge                // backed by one 2MB page
-	regionSmall               // backed by 4KB pages
-)
-
 // VMA is a virtual memory area registered by the workload.
 type VMA struct {
 	Base addr.GVA
@@ -73,20 +63,17 @@ type VMA struct {
 
 // Stats counts kernel-level paging events.
 type Stats struct {
-	MinorFaults  uint64
-	HugeMaps     uint64
-	SmallMaps    uint64
-	HugeFallback uint64 // THP attempts that fell back to 4KB pages
+	MinorFaults uint64
+	paging.Stats
 }
 
 // Kernel is one guest OS instance managing one address space.
 type Kernel struct {
-	cfg     Config
-	tables  *paging.Tables[addr.GVA, addr.GPA]
-	vmas    []VMA
-	regions map[addr.GVA]regionState // THP decisions; empty with THP off
-	stats   Stats
-	unmaps  uint64 // successful Unmaps; see Unmaps
+	cfg         Config
+	tables      *paging.Tables[addr.GVA, addr.GPA]
+	vmas        []VMA
+	minorFaults uint64
+	unmaps      uint64 // successful Unmaps; see Unmaps
 }
 
 // New builds a kernel from cfg.
@@ -97,7 +84,7 @@ func New(cfg Config) (*Kernel, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Kernel{cfg: cfg, tables: tables, regions: make(map[addr.GVA]regionState)}, nil
+	return &Kernel{cfg: cfg, tables: tables}, nil
 }
 
 // MustNew is New but panics on configuration errors.
@@ -119,12 +106,11 @@ func (k *Kernel) Fork() (*Kernel, error) {
 		return nil, err
 	}
 	return &Kernel{
-		cfg:     k.cfg,
-		tables:  tables,
-		vmas:    slices.Clone(k.vmas),
-		regions: maps.Clone(k.regions),
-		stats:   k.stats,
-		unmaps:  k.unmaps,
+		cfg:         k.cfg,
+		tables:      tables,
+		vmas:        slices.Clone(k.vmas),
+		minorFaults: k.minorFaults,
+		unmaps:      k.unmaps,
 	}, nil
 }
 
@@ -139,7 +125,7 @@ func (k *Kernel) ECPTs() *ecpt.Set[addr.GVA, addr.GPA] { return k.tables.ECPTs()
 func (k *Kernel) Allocator() *memsim.Allocator[addr.GPA] { return k.tables.Allocator() }
 
 // Stats returns a copy of the paging statistics.
-func (k *Kernel) Stats() Stats { return k.stats }
+func (k *Kernel) Stats() Stats { return Stats{MinorFaults: k.minorFaults, Stats: k.tables.Stats()} }
 
 // Unmaps returns how many pages Unmap has removed. Mapping a page never
 // changes a translation that already exists (Resolve maps only what
@@ -166,9 +152,11 @@ func (k *Kernel) vmaFor(va addr.GVA) *VMA {
 
 // Resolve is the functional (untimed) side of one guest translation:
 // it returns the guest-physical address and page size backing va,
-// demand-allocating the page on a minor fault, and reports whether it
-// faulted. The mapped path costs one Translate; the fault path returns
-// the frame it just mapped without looking it up again.
+// demand-allocating the page on a minor fault (paging.Tables.Fault), and
+// reports whether it faulted. Under THP a fault may take a 2MB page when
+// its VMA is THP-eligible and holds the whole 2MB region. The mapped
+// path costs one Translate; the fault path returns the frame it just
+// mapped without looking it up again.
 //
 //nestedlint:writer reads and mutates the staged guest tables
 func (k *Kernel) Resolve(va addr.GVA) (gpa addr.GPA, size addr.PageSize, faulted bool, err error) {
@@ -179,38 +167,12 @@ func (k *Kernel) Resolve(va addr.GVA) (gpa addr.GPA, size addr.PageSize, faulted
 	if v == nil {
 		return 0, 0, false, fmt.Errorf("kernel: segfault at %#x (no VMA)", va)
 	}
-	k.stats.MinorFaults++
-
-	// 2MB-region state exists only under THP: with it off nothing reads
-	// it, so a 4KB fault costs no map access.
+	k.minorFaults++
 	region := addr.PageBase(va, addr.Page2M)
-	var st regionState
-	if k.cfg.THP {
-		st = k.regions[region]
-	}
-	wantHuge := k.cfg.THP && v.THPEligible && st != regionSmall &&
-		// The whole 2MB region must lie inside the VMA.
+	huge := k.cfg.THP && v.THPEligible &&
 		region >= v.Base && addr.Add(region, addr.Page2M.Bytes()) <= addr.Add(v.Base, v.Size)
-
-	if wantHuge {
-		if frame, ok := k.tables.Allocator().Alloc(addr.Page2M, memsim.PurposeData); ok {
-			k.tables.Map(region, addr.Page2M, frame)
-			k.regions[region] = regionHuge
-			k.stats.HugeMaps++
-			return addr.Translate(frame, va, addr.Page2M), addr.Page2M, true, nil
-		}
-		k.stats.HugeFallback++
-	}
-	frame, ok := k.tables.Allocator().Alloc(addr.Page4K, memsim.PurposeData)
-	if !ok {
-		return 0, 0, false, fmt.Errorf("kernel: guest out of memory at %#x", va)
-	}
-	k.tables.Map(addr.PageBase(va, addr.Page4K), addr.Page4K, frame)
-	if k.cfg.THP && st != regionSmall {
-		k.regions[region] = regionSmall
-	}
-	k.stats.SmallMaps++
-	return addr.Translate(frame, va, addr.Page4K), addr.Page4K, true, nil
+	gpa, size, err = k.tables.Fault(va, k.cfg.THP, huge)
+	return gpa, size, err == nil, err
 }
 
 // Touch is Resolve for callers that only need the page mapped: it
@@ -222,17 +184,12 @@ func (k *Kernel) Touch(va addr.GVA) (faulted bool, size addr.PageSize, err error
 }
 
 // Unmap removes the mapping for the page containing va, if any,
-// from every maintained structure. Unmapping a 2MB page forgets the
-// region's THP decision; a region backed by 4KB pages stays small (as
-// hypervisor.small2m does), since its other pages may still be live
-// and a 2MB page mapped over them would shadow every one.
+// from every maintained structure. A region backed by 4KB pages stays
+// marked small (paging.Tables.Fault), since its other pages may still
+// be live and a 2MB page mapped over them would shadow every one.
 func (k *Kernel) Unmap(va addr.GVA) bool {
-	size, ok := k.tables.Unmap(va)
-	if !ok {
+	if _, ok := k.tables.Unmap(va); !ok {
 		return false
-	}
-	if size == addr.Page2M {
-		delete(k.regions, addr.PageBase(va, size))
 	}
 	k.unmaps++
 	return true

@@ -81,15 +81,12 @@ func TestTHPOffUses4K(t *testing.T) {
 	if size != addr.Page4K {
 		t.Errorf("THP-off touch mapped %v", size)
 	}
-	// A 4KB footprint over several 2MB regions records no THP decision:
-	// with THP off nothing would read one.
+	// A 4KB footprint over several 2MB regions stays 4KB. That it
+	// records no 2MB-region state on the way is paging's TestFault.
 	for va := addr.GVA(0x1000_0000); va < 0x1080_0000; va += 0x1000 {
 		if _, size, err := k.Touch(va); err != nil || size != addr.Page4K {
 			t.Fatalf("THP-off touch of %#x: size=%v err=%v", va, size, err)
 		}
-	}
-	if len(k.regions) != 0 {
-		t.Errorf("THP off, yet %d 2MB regions carry state", len(k.regions))
 	}
 }
 

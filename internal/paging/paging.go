@@ -1,16 +1,18 @@
 // Package paging holds the page-table half of one address space: the
 // physical allocator the tables live in and the radix table, the ECPT
-// set, or both, kept identical. The guest kernel (gVA → gPA) and the
-// hypervisor (gPA → hPA) each own one Tables and keep only what
-// differs between them — VMAs, huge-page policy and fault accounting.
-// The Plain design of §3 is two copies of the same ECPT set, one per
-// dimension; this is the one place either copy is built, mapped,
-// translated and forked.
+// set, or both, kept identical, and the demand-paging policy that fills
+// them. The guest kernel (gVA → gPA) and the hypervisor (gPA → hPA)
+// each own one Tables and keep only what differs between them: VMAs,
+// which faults may take a 2MB page, and their own fault counters. The
+// Plain design of §3 is two copies of the same ECPT set, one per
+// dimension, and nested THP (§8) enables THP for both; this is the one
+// place either copy is built, faulted, mapped, translated and forked.
 package paging
 
 import (
 	"errors"
 	"fmt"
+	"maps"
 
 	"nestedecpt/internal/addr"
 	"nestedecpt/internal/ecpt"
@@ -18,12 +20,24 @@ import (
 	"nestedecpt/internal/radix"
 )
 
+// Stats counts the pages Fault mapped.
+type Stats struct {
+	HugeMaps     uint64
+	SmallMaps    uint64
+	HugeFallback uint64 // 2MB attempts that fell back to a 4KB page
+}
+
 // Tables is one address space's page tables, translating V into P, and
 // the allocator of P that backs both the tables and the pages they map.
 type Tables[V, P addr.Addr] struct {
 	alloc *memsim.Allocator[P]
 	radix *radix.Table[V, P]
 	ecpts *ecpt.Set[V, P]
+	// small marks the 2MB regions Fault has backed with a 4KB page: a
+	// 2MB page mapped over them would shadow every one. Written only
+	// under THP, so with THP off it stays empty.
+	small map[V]bool
+	stats Stats
 }
 
 // New builds empty tables over alloc: a radix table if withRadix, then
@@ -34,7 +48,7 @@ func New[V, P addr.Addr](alloc *memsim.Allocator[P], withRadix, withECPT bool, c
 	if !withRadix && !withECPT {
 		return nil, errors.New("paging: must build at least one page-table kind")
 	}
-	t := &Tables[V, P]{alloc: alloc}
+	t := &Tables[V, P]{alloc: alloc, small: make(map[V]bool)}
 	if withRadix {
 		t.radix = radix.New[V](alloc)
 	}
@@ -49,10 +63,11 @@ func New[V, P addr.Addr](alloc *memsim.Allocator[P], withRadix, withECPT bool, c
 }
 
 // Fork returns an independent copy over a fork of the allocator
-// (radix.Table.Fork, ecpt.Set.Fork): mapping or unmapping on either
-// copy never shows in the other.
+// (radix.Table.Fork, ecpt.Set.Fork), with the same 4KB-region marks and
+// stats: faulting, mapping or unmapping on either copy never shows in
+// the other.
 func (t *Tables[V, P]) Fork() (*Tables[V, P], error) {
-	f := &Tables[V, P]{alloc: t.alloc.Fork()}
+	f := &Tables[V, P]{alloc: t.alloc.Fork(), small: maps.Clone(t.small), stats: t.stats}
 	if t.radix != nil {
 		f.radix = t.radix.Fork(f.alloc)
 	}
@@ -74,6 +89,44 @@ func (t *Tables[V, P]) ECPTs() *ecpt.Set[V, P] { return t.ecpts }
 
 // Allocator returns the physical allocator behind the tables.
 func (t *Tables[V, P]) Allocator() *memsim.Allocator[P] { return t.alloc }
+
+// Stats returns a copy of the fault statistics.
+func (t *Tables[V, P]) Stats() Stats { return t.stats }
+
+// Fault demand-maps the unmapped page containing va and returns the
+// address and page size now backing it. Under thp it first tries a 2MB
+// page, when huge allows one and no 4KB page was ever faulted into the
+// region; otherwise it maps a 4KB page and, under thp, marks the region
+// so it is never re-backed by a 2MB page. A fault that finds no frame
+// maps and marks nothing.
+func (t *Tables[V, P]) Fault(va V, thp, huge bool) (pa P, size addr.PageSize, err error) {
+	// Region state exists only under THP: with it off nothing reads it,
+	// so a 4KB fault costs no map access.
+	var region V
+	var small bool
+	if thp {
+		region = addr.PageBase(va, addr.Page2M)
+		small = t.small[region]
+		if huge && !small {
+			if frame, ok := t.alloc.Alloc(addr.Page2M, memsim.PurposeData); ok {
+				t.Map(region, addr.Page2M, frame)
+				t.stats.HugeMaps++
+				return addr.Translate(frame, va, addr.Page2M), addr.Page2M, nil
+			}
+			t.stats.HugeFallback++
+		}
+	}
+	frame, ok := t.alloc.Alloc(addr.Page4K, memsim.PurposeData)
+	if !ok {
+		return 0, 0, fmt.Errorf("paging: out of memory at %#x", va)
+	}
+	t.Map(addr.PageBase(va, addr.Page4K), addr.Page4K, frame)
+	if thp && !small {
+		t.small[region] = true
+	}
+	t.stats.SmallMaps++
+	return addr.Translate(frame, va, addr.Page4K), addr.Page4K, nil
+}
 
 // Map installs base → frame at size in every built structure.
 func (t *Tables[V, P]) Map(base V, size addr.PageSize, frame P) {

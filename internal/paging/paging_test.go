@@ -2,6 +2,7 @@ package paging
 
 import (
 	"maps"
+	"strings"
 	"testing"
 
 	"nestedecpt/internal/addr"
@@ -152,5 +153,140 @@ func TestForkIsolation(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestFault pins the demand-paging rule guest and host share: 2MB pages
+// only under THP, only when the caller allows one, and never in a
+// region a 4KB fault has marked; a region is marked only under THP and
+// only once its 4KB page is mapped.
+func TestFault(t *testing.T) {
+	const r0, r1 = addr.GVA(0x4000_0000), addr.GVA(0x4020_0000)
+	// step is one Fault call under a given huge-page failure rate; oom
+	// means the call must fail for want of a frame.
+	type step struct {
+		va        addr.GVA
+		thp, huge bool
+		frag      float64
+		want      addr.PageSize
+		oom       bool
+	}
+	exhaust := func(tab *Tables[addr.GVA, addr.GPA]) {
+		for {
+			if _, ok := tab.Allocator().Alloc(addr.Page4K, memsim.PurposeData); !ok {
+				return
+			}
+		}
+	}
+	cases := []struct {
+		name  string
+		setup func(*Tables[addr.GVA, addr.GPA])
+		steps []step
+		small []addr.GVA // regions marked afterwards
+		stats Stats
+	}{
+		{
+			name:  "thp-off-records-no-region",
+			steps: []step{{va: r0, huge: true, want: addr.Page4K}, {va: r0 + 0x1000, want: addr.Page4K}},
+			stats: Stats{SmallMaps: 2},
+		},
+		{
+			name:  "huge-gives-2MB",
+			steps: []step{{va: r0 + 0x1234, thp: true, huge: true, want: addr.Page2M}},
+			stats: Stats{HugeMaps: 1},
+		},
+		{
+			name:  "not-huge-gives-4KB-and-marks",
+			steps: []step{{va: r0 + 0x1234, thp: true, want: addr.Page4K}},
+			small: []addr.GVA{r0},
+			stats: Stats{SmallMaps: 1},
+		},
+		{
+			name: "marked-region-stays-small",
+			steps: []step{
+				{va: r0, thp: true, frag: 1, huge: true, want: addr.Page4K},
+				{va: r0 + 0x5000, thp: true, huge: true, want: addr.Page4K},
+				{va: r1, thp: true, huge: true, want: addr.Page2M},
+			},
+			small: []addr.GVA{r0},
+			stats: Stats{HugeMaps: 1, SmallMaps: 2, HugeFallback: 1},
+		},
+		{
+			name:  "fragmentation-counts-fallback",
+			steps: []step{{va: r0, thp: true, huge: true, frag: 1, want: addr.Page4K}},
+			small: []addr.GVA{r0},
+			stats: Stats{SmallMaps: 1, HugeFallback: 1},
+		},
+		{
+			name:  "out-of-memory-leaves-region-unmarked",
+			setup: exhaust,
+			steps: []step{{va: r0, thp: true, huge: true, oom: true}, {va: r1, thp: true, oom: true}},
+			stats: Stats{HugeFallback: 1},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tab := newTables(t, true, true)
+			if tc.setup != nil {
+				tc.setup(tab)
+			}
+			for i, s := range tc.steps {
+				tab.Allocator().SetHugePageFailureRate(s.frag)
+				pa, size, err := tab.Fault(s.va, s.thp, s.huge)
+				if s.oom {
+					if err == nil || !strings.Contains(err.Error(), "out of memory") {
+						t.Fatalf("step %d: Fault(%#x) err = %v, want out of memory", i, s.va, err)
+					}
+					continue
+				}
+				if err != nil || size != s.want {
+					t.Fatalf("step %d: Fault(%#x) = %v, %v; want %v", i, s.va, size, err, s.want)
+				}
+				if got, gs, ok := tab.Translate(s.va); !ok || got != pa || gs != size {
+					t.Fatalf("step %d: %#x faulted to %#x (%v) but translates to %#x (%v, %v)", i, s.va, pa, size, got, gs, ok)
+				}
+			}
+			want := map[addr.GVA]bool{}
+			for _, r := range tc.small {
+				want[r] = true
+			}
+			if !maps.Equal(tab.small, want) {
+				t.Errorf("marked regions %v, want %v", tab.small, want)
+			}
+			if tab.Stats() != tc.stats {
+				t.Errorf("stats %+v, want %+v", tab.Stats(), tc.stats)
+			}
+		})
+	}
+}
+
+// TestForkKeepsOwnRegions checks a fork's 4KB-region marks and stats are
+// its own: a 4KB fault on either side marks only that side's region, so
+// the other side still takes a 2MB page there.
+func TestForkKeepsOwnRegions(t *testing.T) {
+	const r0, r1 = addr.GVA(0x4000_0000), addr.GVA(0x4020_0000)
+	parent := newTables(t, true, true)
+	if _, _, err := parent.Fault(addr.GVA(0x1000_0000), true, false); err != nil {
+		t.Fatal(err)
+	}
+	child, err := parent.Fork()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []struct {
+		faulter, other *Tables[addr.GVA, addr.GPA]
+		region         addr.GVA
+	}{{parent, child, r0}, {child, parent, r1}} {
+		if _, size, err := f.faulter.Fault(f.region, true, false); err != nil || size != addr.Page4K {
+			t.Fatalf("4KB fault at %#x: %v, %v", f.region, size, err)
+		}
+		if _, size, err := f.other.Fault(f.region+0x1000, true, true); err != nil || size != addr.Page2M {
+			t.Fatalf("the other side's fault at %#x took %v (%v); another side's mark leaked", f.region, size, err)
+		}
+	}
+	for _, side := range []*Tables[addr.GVA, addr.GPA]{parent, child} {
+		if s := side.Stats(); s != (Stats{HugeMaps: 1, SmallMaps: 2}) || len(side.small) != 2 {
+			t.Errorf("side stats %+v, %d marked regions; want 1 huge, 2 small maps and 2 marks", s, len(side.small))
+		}
 	}
 }
