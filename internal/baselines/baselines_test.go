@@ -96,28 +96,36 @@ func (f *fixture) expected(t *testing.T, va addr.GVA) (addr.HPA, addr.PageSize) 
 func drive(t *testing.T, f *fixture, w core.Walker) {
 	t.Helper()
 	for _, va := range f.vas {
-		var res core.WalkResult
-		var err error
-		for attempt := 0; ; attempt++ {
-			res, err = w.Walk(0, va)
-			if err == nil {
-				break
-			}
-			var nm *core.ErrNotMapped
-			if !errors.As(err, &nm) || attempt > 64 {
-				t.Fatalf("%s: walk %#x: %v", w.Name(), va, err)
-			}
-			if nm.Space == "host" {
-				f.hyp.EnsureMapped(nm.GPA, nm.PageTable)
-			} else {
-				f.kern.Touch(nm.GVA)
-			}
+		walk(t, f, w, va)
+	}
+}
+
+// walk walks va on w, faulting in whatever it reports unmapped, and
+// checks the translation against the tables.
+func walk(t *testing.T, f *fixture, w core.Walker, va addr.GVA) core.WalkResult {
+	t.Helper()
+	var res core.WalkResult
+	var err error
+	for attempt := 0; ; attempt++ {
+		res, err = w.Walk(0, va)
+		if err == nil {
+			break
 		}
-		wantPA, wantSize := f.expected(t, va)
-		if res.Size != wantSize || addr.Translate(res.Frame, va, res.Size) != wantPA {
-			t.Fatalf("%s: walk %#x wrong (size %v vs %v)", w.Name(), va, res.Size, wantSize)
+		var nm *core.ErrNotMapped
+		if !errors.As(err, &nm) || attempt > 64 {
+			t.Fatalf("%s: walk %#x: %v", w.Name(), va, err)
+		}
+		if nm.Space == "host" {
+			f.hyp.EnsureMapped(nm.GPA, nm.PageTable)
+		} else {
+			f.kern.Touch(nm.GVA)
 		}
 	}
+	wantPA, wantSize := f.expected(t, va)
+	if res.Size != wantSize || addr.Translate(res.Frame, va, res.Size) != wantPA {
+		t.Fatalf("%s: walk %#x wrong (size %v vs %v)", w.Name(), va, res.Size, wantSize)
+	}
+	return res
 }
 
 func TestAgileIdealCorrect(t *testing.T) {
@@ -191,6 +199,46 @@ func TestPOMTLBHitIsSingleAccess(t *testing.T) {
 	}
 	if got := f.mem.accesses - before; got != 1 {
 		t.Errorf("POM-TLB hit did %d accesses, want 1", got)
+	}
+}
+
+// TestPOMTLBReplacement evicts POM-TLB entries: on one 4-way set,
+// after cold walks of pages 0 to 3, each miss evicts the least recently
+// walked page.
+func TestPOMTLBReplacement(t *testing.T) {
+	f := newFixture(t, false)
+	w := NewPOMTLB(POMTLBConfig{Entries: 4, Ways: 4}, f.mem, f.kern, f.hyp)
+	for _, va := range f.vas[:4] {
+		walk(t, f, w, va)
+	}
+	for i, step := range []struct {
+		page int
+		hit  bool
+	}{{0, true}, {4, false}, {1, false}, {0, true}, {3, true}, {2, false}} {
+		hits := w.hits
+		walk(t, f, w, f.vas[step.page])
+		if hit := w.hits != hits; hit != step.hit {
+			t.Fatalf("step %d: page %d hit = %v, want %v", i, step.page, hit, step.hit)
+		}
+	}
+}
+
+// TestPOMTLBHugeEntryCoversPage checks that under THP a 2MB entry
+// installed from a page's base serves the page's last 4KB, found by its
+// 2MB key in the set that 4KB page number selects.
+func TestPOMTLBHugeEntryCoversPage(t *testing.T) {
+	f := newFixture(t, true)
+	w := NewPOMTLB(POMTLBConfig{Entries: 4, Ways: 4}, f.mem, f.kern, f.hyp)
+	base := addr.PageBase(f.vas[0], addr.Page2M)
+	first := walk(t, f, w, base)
+	if first.Size != addr.Page2M {
+		t.Fatalf("page base walked as %v, want a 2MB page", first.Size)
+	}
+	hits := w.hits
+	last := walk(t, f, w, addr.Add(base, addr.Page2M.Bytes()-addr.Page4K.Bytes()))
+	if w.hits != hits+1 || last.Frame != first.Frame || last.Size != addr.Page2M {
+		t.Fatalf("last 4KB: hit = %v, frame %#x size %v; want a hit on frame %#x, 2MB",
+			w.hits != hits, last.Frame, last.Size, first.Frame)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"nestedecpt/internal/core"
 	"nestedecpt/internal/hypervisor"
 	"nestedecpt/internal/kernel"
+	"nestedecpt/internal/lru"
 	"nestedecpt/internal/memsim"
 	"nestedecpt/internal/trace"
 )
@@ -22,28 +23,23 @@ type POMTLBConfig struct {
 // DefaultPOMTLBConfig returns a 1M-entry, 4-way POM-TLB.
 func DefaultPOMTLBConfig() POMTLBConfig { return POMTLBConfig{Entries: 1 << 20, Ways: 4} }
 
-type pomEntry struct {
-	vpn     uint64
-	frame   addr.HPA
-	size    addr.PageSize
-	valid   bool
-	lastUse uint64
-}
-
 // POMTLB models the §9.6 part-of-memory TLB: after an L2 TLB miss the
 // hardware probes a very large TLB resident in DRAM (its entries are
 // cacheable in L2/L3, which is where most of its benefit comes from);
 // on a POM-TLB miss a full nested radix walk services the request and
 // installs the translation. The paper models a perfect page-size
 // predictor, so a probe costs a single set access.
+//
+// An entry is an lru.Sets key VPN(va, size)<<2 | size holding the frame,
+// in the set va's 4KB page number selects; a probe looks the set up once
+// per page size.
 type POMTLB struct {
 	cfg      POMTLBConfig
 	mem      core.MemSystem
 	fallback *core.RadixWalker
 	sets     int
-	entries  []pomEntry
+	entries  lru.Sets[addr.HPA]
 	base     addr.HPA
-	clock    uint64
 	hits     uint64
 	misses   uint64
 
@@ -69,7 +65,7 @@ func NewPOMTLB(cfg POMTLBConfig, mem core.MemSystem, guest *kernel.Kernel, host 
 		mem:      mem,
 		fallback: core.NewNestedRadix(core.DefaultRadixWalkConfig(), mem, guest, host),
 		sets:     cfg.Entries / cfg.Ways,
-		entries:  make([]pomEntry, cfg.Entries),
+		entries:  lru.New[addr.HPA](cfg.Entries/cfg.Ways, cfg.Ways),
 		base:     host.Allocator().AllocRegion(uint64(cfg.Entries)*16, memsim.PurposePageTable),
 	}
 }
@@ -88,33 +84,28 @@ func (w *POMTLB) HitRate() float64 {
 
 // Flush empties the POM-TLB. It caches final translations exactly as
 // the on-chip TLBs do, so a guest unmap must shoot it down with them.
-func (w *POMTLB) Flush() { clear(w.entries) }
+func (w *POMTLB) Flush() { w.entries.Clear() }
 
-//nestedlint:hotpath
-func (w *POMTLB) setFor(vpn uint64) int { return int(vpn % uint64(w.sets)) }
+// pomKey is the key of va's entry at size.
+func pomKey(va addr.GVA, size addr.PageSize) uint64 { return addr.VPN(va, size)<<2 | uint64(size) }
 
 // Walk implements core.Walker.
 //
 //nestedlint:hotpath
 func (w *POMTLB) Walk(now uint64, va addr.GVA) (core.WalkResult, error) {
 	var res core.WalkResult
-	w.clock++
 	// With a perfect page-size predictor one set probe suffices; the
 	// set's entries share a line, so one memory access covers them.
-	vpn := addr.VPN(va, addr.Page4K)
-	set := w.setFor(vpn)
+	set := int(addr.VPN(va, addr.Page4K) % uint64(w.sets))
 	lineAddr := addr.Add(w.base, uint64(set*w.cfg.Ways)*16)
 	lat, _ := w.mem.Access(now, lineAddr, cachesim.SourceMMU)
 	res.Accesses++
 
-	base := set * w.cfg.Ways
-	for i := 0; i < w.cfg.Ways; i++ {
-		e := &w.entries[base+i]
-		if e.valid && e.vpn == addr.VPN(va, e.size) {
+	for _, size := range addr.Sizes() {
+		if frame, ok := w.entries.Lookup(set, pomKey(va, size)); ok {
 			w.hits++
-			e.lastUse = w.clock
-			res.Frame = e.frame
-			res.Size = e.size
+			res.Frame = frame
+			res.Size = size
 			res.Latency = lat
 			return res, nil
 		}
@@ -133,22 +124,6 @@ func (w *POMTLB) Walk(now uint64, va addr.GVA) (core.WalkResult, error) {
 	res.BackgroundCycles = fres.BackgroundCycles
 	res.BackgroundAccesses = fres.BackgroundAccesses
 
-	victim := base
-	for i := base; i < base+w.cfg.Ways; i++ {
-		if !w.entries[i].valid {
-			victim = i
-			break
-		}
-		if w.entries[i].lastUse < w.entries[victim].lastUse {
-			victim = i
-		}
-	}
-	w.entries[victim] = pomEntry{
-		vpn:     addr.VPN(va, fres.Size),
-		frame:   fres.Frame,
-		size:    fres.Size,
-		valid:   true,
-		lastUse: w.clock,
-	}
+	w.entries.Insert(set, pomKey(va, fres.Size), fres.Frame)
 	return res, nil
 }

@@ -1,7 +1,6 @@
 package cachesim
 
 import (
-	"fmt"
 	"testing"
 
 	"nestedecpt/internal/addr"
@@ -126,37 +125,5 @@ func BenchmarkHierarchyAccessRemote(b *testing.B) {
 				b.Fatalf("%d of %d remote accesses missed", rs.Misses, rs.Accesses)
 			}
 		})
-	}
-}
-
-var sinkHit bool
-
-// BenchmarkLevelTouch measures one touch of a single-set level, per
-// associativity and slot: cycling over span lines in order hits the
-// front slot (span 1), hits the last slot (span = ways, each line the
-// least recent when it returns), or misses (span = ways+1).
-func BenchmarkLevelTouch(b *testing.B) {
-	for _, ways := range []int{8, 16} {
-		for _, bc := range []struct {
-			name string
-			span int
-			hit  bool
-		}{{"hitMRU", 1, true}, {"hitLRU", ways, true}, {"miss", ways + 1, false}} {
-			b.Run(fmt.Sprintf("%dway/%s", ways, bc.name), func(b *testing.B) {
-				c := newCacheLevel(LevelConfig{Name: "L", SizeBytes: uint64(ways) * addr.CacheLineBytes, Ways: ways})
-				for i := 0; i < bc.span; i++ {
-					c.touch(uint64(i))
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				var hit bool
-				for i := 0; i < b.N; i++ {
-					if hit = c.touch(uint64(i % bc.span)); hit != bc.hit {
-						b.Fatalf("touch %d: hit = %v, want %v", i, hit, bc.hit)
-					}
-				}
-				sinkHit = hit
-			})
-		}
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"math/bits"
 
 	"nestedecpt/internal/addr"
+	"nestedecpt/internal/lru"
 	"nestedecpt/internal/stats"
 )
 
@@ -62,15 +63,12 @@ type LevelStats struct {
 	MSHRMax       int
 }
 
-// cacheLevel is one set-associative, LRU, write-allocate cache. keys
-// holds each set as a contiguous run of cfg.Ways keys in LRU-stack
-// order, most recently used first. A key is the line number plus one,
-// so 0 marks an empty slot; empty slots gather at a set's tail, and the
-// last slot holds the victim a miss on a full set evicts.
+// cacheLevel is one set-associative, LRU, write-allocate cache: an
+// lru.Sets of line numbers, the set picked by the line's low bits.
 type cacheLevel struct {
 	cfg     LevelConfig
 	setMask uint64
-	keys    []uint64
+	sets    lru.Sets[struct{}]
 	stats   LevelStats
 }
 
@@ -83,48 +81,17 @@ func newCacheLevel(cfg LevelConfig) *cacheLevel {
 	if sets&(sets-1) != 0 {
 		panic(fmt.Sprintf("cachesim: %s set count %d is not a power of two", cfg.Name, sets))
 	}
-	return &cacheLevel{cfg: cfg, setMask: uint64(sets - 1), keys: make([]uint64, lines)}
+	return &cacheLevel{cfg: cfg, setMask: uint64(sets - 1), sets: lru.New[struct{}](sets, cfg.Ways)}
 }
 
-// set returns line's set, most recently used key first.
-func (c *cacheLevel) set(line uint64) []uint64 {
-	base := int(line&c.setMask) * c.cfg.Ways
-	return c.keys[base : base+c.cfg.Ways]
-}
-
-// probe reports whether line is present, changing nothing.
-func (c *cacheLevel) probe(line uint64) bool {
-	for _, k := range c.set(line) {
-		if k == line+1 {
-			return true
-		}
-	}
-	return false
-}
-
-// touch makes line the most recently used key of its set and reports
-// whether it was present. One pass pushes line in at the front and
-// shifts each key it passes down a slot, stopping at line's old slot
-// on a hit; on a miss the last key, an empty slot or the LRU victim,
-// falls off the end.
-func (c *cacheLevel) touch(line uint64) bool {
-	set, key := c.set(line), line+1
-	prev := key
-	for i, k := range set {
-		set[i] = prev
-		if k == key {
-			return true
-		}
-		prev = k
-	}
-	return false
-}
+// set returns the index of line's set.
+func (c *cacheLevel) set(line uint64) int { return int(line & c.setMask) }
 
 // access looks line up on behalf of src and leaves it present and most
 // recently used: refreshed on a hit, filled over the victim on a miss.
 func (c *cacheLevel) access(line uint64, src Source) bool {
 	c.stats.Accesses[src]++
-	hit := c.touch(line)
+	hit := c.sets.Access(c.set(line), line)
 	if !hit {
 		c.stats.Misses[src]++
 	}
@@ -304,7 +271,8 @@ func (h *Hierarchy) sampleMSHR(lvl *cacheLevel, misses int) {
 // replacement state or statistics (used by tests).
 func (h *Hierarchy) Probe(pa addr.HPA) (inL1, inL2, inL3 bool) {
 	line := addr.CacheLine(pa)
-	return h.l1.probe(line), h.l2.probe(line), h.l3.probe(line)
+	in := func(c *cacheLevel) bool { return c.sets.Contains(c.set(line), line) }
+	return in(h.l1), in(h.l2), in(h.l3)
 }
 
 // AccessRemote models a request from another core sharing the L3: it
@@ -316,7 +284,7 @@ func (h *Hierarchy) AccessRemote(now uint64, pa addr.HPA) uint64 {
 	line := addr.CacheLine(pa)
 	h.remote.Accesses++
 	// The per-source statistics count only this core's requests.
-	if h.l3.touch(line) {
+	if h.l3.sets.Access(h.l3.set(line), line) {
 		return h.cfg.L3.LatencyRT
 	}
 	h.remote.Misses++

@@ -1,7 +1,6 @@
 package cachesim
 
 import (
-	"fmt"
 	"testing"
 
 	"nestedecpt/internal/addr"
@@ -307,57 +306,5 @@ func TestDRAMResetStats(t *testing.T) {
 	d.ResetStats()
 	if d.Stats().Accesses != 0 {
 		t.Error("DRAM stats not reset")
-	}
-}
-
-// TestSetRecencyOrder pins the set layout: keys in LRU-stack order,
-// most recent first. Cold fills stack up from the front, a hit in any
-// slot moves to the front, and a miss on a full set drops exactly the
-// last slot.
-func TestSetRecencyOrder(t *testing.T) {
-	for _, ways := range []int{1, 4, 16} {
-		t.Run(fmt.Sprintf("%d-way", ways), func(t *testing.T) {
-			c := newCacheLevel(LevelConfig{Name: "L", SizeBytes: uint64(ways) * addr.CacheLineBytes, Ways: ways})
-			// want is the set's lines, most recent first.
-			var want []uint64
-			check := func(what string) {
-				t.Helper()
-				got := c.set(0)
-				for i, k := range got {
-					w := uint64(0)
-					if i < len(want) {
-						w = want[i] + 1
-					}
-					if k != w {
-						t.Fatalf("%s: set keys %v, want lines %v (keys are line+1, 0 empty)", what, got, want)
-					}
-				}
-			}
-			moveToFront := func(slot int) {
-				line := want[slot]
-				if !c.access(line, SourceCPU) {
-					t.Fatalf("line %d in slot %d missed", line, slot)
-				}
-				want = append([]uint64{line}, append(want[:slot:slot], want[slot+1:]...)...)
-			}
-
-			for i := 0; i < ways; i++ {
-				line := uint64(7 * (i + 1))
-				if c.access(line, SourceCPU) {
-					t.Fatalf("cold line %d hit", line)
-				}
-				want = append([]uint64{line}, want...)
-				check(fmt.Sprintf("cold fill %d", i))
-			}
-			moveToFront(ways / 2)
-			check("hit in a middle slot")
-			moveToFront(ways - 1)
-			check("hit in the last slot")
-			if c.access(1000, SourceCPU) {
-				t.Fatal("new line 1000 hit")
-			}
-			want = append([]uint64{1000}, want[:ways-1]...)
-			check("miss on a full set")
-		})
 	}
 }

@@ -12,15 +12,25 @@ import (
 // counts were indexed with a mask — every set found by modulo, every
 // victim chosen by last-use timestamp — and the two levels over it.
 // FuzzTLBAgainstReference holds the implementation to it call by call.
+// Its insert searches the whole set for the page before it picks a way:
+// taking the first invalid way first left a page's stale twin behind a
+// hole an invalidate had made.
+
+type refEntry struct {
+	vpn     uint64
+	frame   addr.HPA
+	valid   bool
+	lastUse uint64
+}
 
 type refSubTLB struct {
 	sets, ways int
-	entries    []tlbEntry
+	entries    []refEntry
 	clock      uint64
 }
 
 func newRefSubTLB(cfg SubTLBConfig) *refSubTLB {
-	return &refSubTLB{sets: cfg.Entries / cfg.Ways, ways: cfg.Ways, entries: make([]tlbEntry, cfg.Entries)}
+	return &refSubTLB{sets: cfg.Entries / cfg.Ways, ways: cfg.Ways, entries: make([]refEntry, cfg.Entries)}
 }
 
 func (t *refSubTLB) setFor(vpn uint64) int { return int(vpn % uint64(t.sets)) }
@@ -41,14 +51,16 @@ func (t *refSubTLB) lookup(vpn uint64) (addr.HPA, bool) {
 func (t *refSubTLB) insert(vpn uint64, frame addr.HPA) {
 	t.clock++
 	base := t.setFor(vpn) * t.ways
-	victim := base
 	for w := 0; w < t.ways; w++ {
-		e := &t.entries[base+w]
-		if e.valid && e.vpn == vpn {
+		if e := &t.entries[base+w]; e.valid && e.vpn == vpn {
 			e.frame = frame
 			e.lastUse = t.clock
 			return
 		}
+	}
+	victim := base
+	for w := 0; w < t.ways; w++ {
+		e := &t.entries[base+w]
 		if !e.valid {
 			victim = base + w
 			break
@@ -57,7 +69,7 @@ func (t *refSubTLB) insert(vpn uint64, frame addr.HPA) {
 			victim = base + w
 		}
 	}
-	t.entries[victim] = tlbEntry{vpn: vpn, frame: frame, valid: true, lastUse: t.clock}
+	t.entries[victim] = refEntry{vpn: vpn, frame: frame, valid: true, lastUse: t.clock}
 }
 
 func (t *refSubTLB) invalidate(vpn uint64) {

@@ -14,6 +14,7 @@ import (
 	"fmt"
 
 	"nestedecpt/internal/addr"
+	"nestedecpt/internal/lru"
 	"nestedecpt/internal/stats"
 )
 
@@ -87,39 +88,28 @@ func (c Config) Scaled(div int) Config {
 	return c
 }
 
-type tlbEntry struct {
-	vpn     uint64
-	frame   addr.HPA
-	valid   bool
-	lastUse uint64
-}
-
-// subTLB is one set-associative structure for a single page size.
+// subTLB is one set-associative structure for a single page size: an
+// lru.Sets from virtual page number to frame.
 type subTLB struct {
-	size addr.PageSize
 	sets int
 	// setMask is sets-1 when sets is a power of two (pow2), as it is at
 	// every geometry but some Scaled ones, whose set counts setFor
 	// reduces by modulo instead.
 	setMask uint64
 	pow2    bool
-	ways    int
-	entries []tlbEntry
-	clock   uint64
+	entries lru.Sets[addr.HPA]
 }
 
-func newSubTLB(size addr.PageSize, cfg SubTLBConfig) *subTLB {
+func newSubTLB(cfg SubTLBConfig) *subTLB {
 	if cfg.Entries <= 0 || cfg.Ways <= 0 || cfg.Entries%cfg.Ways != 0 {
 		panic(fmt.Sprintf("tlbsim: bad sub-TLB geometry %+v", cfg))
 	}
 	sets := cfg.Entries / cfg.Ways
 	return &subTLB{
-		size:    size,
 		sets:    sets,
 		setMask: uint64(sets - 1),
 		pow2:    sets&(sets-1) == 0,
-		ways:    cfg.Ways,
-		entries: make([]tlbEntry, cfg.Entries),
+		entries: lru.New[addr.HPA](sets, cfg.Ways),
 	}
 }
 
@@ -130,58 +120,11 @@ func (t *subTLB) setFor(vpn uint64) int {
 	return int(vpn % uint64(t.sets))
 }
 
-func (t *subTLB) lookup(vpn uint64) (frame addr.HPA, ok bool) {
-	t.clock++
-	base := t.setFor(vpn) * t.ways
-	for w := 0; w < t.ways; w++ {
-		e := &t.entries[base+w]
-		if e.valid && e.vpn == vpn {
-			e.lastUse = t.clock
-			return e.frame, true
-		}
-	}
-	return 0, false
-}
+func (t *subTLB) lookup(vpn uint64) (addr.HPA, bool) { return t.entries.Lookup(t.setFor(vpn), vpn) }
 
-func (t *subTLB) insert(vpn uint64, frame addr.HPA) {
-	t.clock++
-	base := t.setFor(vpn) * t.ways
-	victim := base
-	for w := 0; w < t.ways; w++ {
-		e := &t.entries[base+w]
-		if e.valid && e.vpn == vpn {
-			e.frame = frame
-			e.lastUse = t.clock
-			return
-		}
-		if !e.valid {
-			victim = base + w
-			break
-		}
-		if e.lastUse < t.entries[victim].lastUse {
-			victim = base + w
-		}
-	}
-	t.entries[victim] = tlbEntry{vpn: vpn, frame: frame, valid: true, lastUse: t.clock}
-}
+func (t *subTLB) insert(vpn uint64, frame addr.HPA) { t.entries.Insert(t.setFor(vpn), vpn, frame) }
 
-func (t *subTLB) invalidate(vpn uint64) bool {
-	base := t.setFor(vpn) * t.ways
-	for w := 0; w < t.ways; w++ {
-		e := &t.entries[base+w]
-		if e.valid && e.vpn == vpn {
-			e.valid = false
-			return true
-		}
-	}
-	return false
-}
-
-func (t *subTLB) flush() {
-	for i := range t.entries {
-		t.entries[i].valid = false
-	}
-}
+func (t *subTLB) invalidate(vpn uint64) { t.entries.Remove(t.setFor(vpn), vpn) }
 
 // level is one TLB level holding a sub-TLB per page size.
 type level struct {
@@ -193,7 +136,7 @@ type level struct {
 func newLevel(cfg LevelConfig) *level {
 	l := &level{cfg: cfg}
 	for _, s := range addr.Sizes() {
-		l.perSize[s] = newSubTLB(s, cfg.PerSize[s])
+		l.perSize[s] = newSubTLB(cfg.PerSize[s])
 	}
 	return l
 }
@@ -269,8 +212,8 @@ func (t *TLB) Invalidate(va addr.GVA, size addr.PageSize) {
 // Flush empties both levels.
 func (t *TLB) Flush() {
 	for _, s := range addr.Sizes() {
-		t.l1.perSize[s].flush()
-		t.l2.perSize[s].flush()
+		t.l1.perSize[s].entries.Clear()
+		t.l2.perSize[s].entries.Clear()
 	}
 }
 

@@ -169,3 +169,25 @@ func TestEvictionWithinSet(t *testing.T) {
 		t.Errorf("evicted entry served from level %d, want 2", r.Level)
 	}
 }
+
+// TestRefillAfterInvalidateKeepsOneEntry is the witness that refilling
+// a page after an Invalidate hole leaves one entry for it: the L1 1GB
+// structure is one 4-way set, so after X, A, B, a hole at A, and B, C,
+// D, X is the least recent of four distinct pages and must still hit.
+// Filling B into the hole beside its old copy let that stale twin
+// evict X.
+func TestRefillAfterInvalidateKeepsOneEntry(t *testing.T) {
+	tlb := New(DefaultConfig())
+	page := func(i uint64) addr.GVA { return addr.GVA(i << 30) }
+	x, a, b, c, d := page(1), page(2), page(3), page(4), page(5)
+	for _, va := range []addr.GVA{x, a, b} {
+		tlb.Fill(va, addr.Page1G, 0x4000_0000)
+	}
+	tlb.Invalidate(a, addr.Page1G)
+	for _, va := range []addr.GVA{b, c, d} {
+		tlb.Fill(va, addr.Page1G, 0x4000_0000)
+	}
+	if r := tlb.Access(x); r.Level != 1 {
+		t.Fatalf("Access(X) served from level %d, want 1", r.Level)
+	}
+}
