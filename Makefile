@@ -135,6 +135,7 @@ FUZZ_TARGETS = \
 	FuzzRNGStreams:./internal/vhash \
 	FuzzHierarchyAgainstReference:./internal/cachesim \
 	FuzzTLBAgainstReference:./internal/tlbsim \
+	FuzzRadixAgainstReference:./internal/radix \
 	FuzzTraceAudit:./internal/traceaudit \
 	FuzzWalkBatch:./internal/sim \
 	FuzzMachineResolve:./internal/sim \

@@ -20,7 +20,7 @@ type Purpose uint8
 const (
 	// PurposeData is an application data page.
 	PurposeData Purpose = iota
-	// PurposePageTable is a page-table page (radix node or ECPT chunk).
+	// PurposePageTable is a page-table page (radix table page or ECPT chunk).
 	PurposePageTable
 	// PurposeCWT is a cuckoo-walk-table page.
 	PurposeCWT

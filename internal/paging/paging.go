@@ -97,8 +97,9 @@ func (t *Tables[V, P]) Stats() Stats { return t.stats }
 // address and page size now backing it. Under thp it first tries a 2MB
 // page, when huge allows one and no 4KB page was ever faulted into the
 // region; otherwise it maps a 4KB page and, under thp, marks the region
-// so it is never re-backed by a 2MB page. A fault that finds no frame
-// maps and marks nothing.
+// so it is never re-backed by a 2MB page. A fault that finds no frame,
+// or whose Map fails, maps and marks nothing: the data frame goes back
+// to the allocator and the error is returned.
 func (t *Tables[V, P]) Fault(va V, thp, huge bool) (pa P, size addr.PageSize, err error) {
 	// Region state exists only under THP: with it off nothing reads it,
 	// so a 4KB fault costs no map access.
@@ -109,7 +110,10 @@ func (t *Tables[V, P]) Fault(va V, thp, huge bool) (pa P, size addr.PageSize, er
 		small = t.small[region]
 		if huge && !small {
 			if frame, ok := t.alloc.Alloc(addr.Page2M, memsim.PurposeData); ok {
-				t.Map(region, addr.Page2M, frame)
+				if err := t.Map(region, addr.Page2M, frame); err != nil {
+					t.alloc.Free(frame, addr.Page2M, memsim.PurposeData)
+					return 0, 0, err
+				}
 				t.stats.HugeMaps++
 				return addr.Translate(frame, va, addr.Page2M), addr.Page2M, nil
 			}
@@ -120,7 +124,10 @@ func (t *Tables[V, P]) Fault(va V, thp, huge bool) (pa P, size addr.PageSize, er
 	if !ok {
 		return 0, 0, fmt.Errorf("paging: out of memory at %#x", va)
 	}
-	t.Map(addr.PageBase(va, addr.Page4K), addr.Page4K, frame)
+	if err := t.Map(addr.PageBase(va, addr.Page4K), addr.Page4K, frame); err != nil {
+		t.alloc.Free(frame, addr.Page4K, memsim.PurposeData)
+		return 0, 0, err
+	}
 	if thp && !small {
 		t.small[region] = true
 	}
@@ -128,16 +135,20 @@ func (t *Tables[V, P]) Fault(va V, thp, huge bool) (pa P, size addr.PageSize, er
 	return addr.Translate(frame, va, addr.Page4K), addr.Page4K, nil
 }
 
-// Map installs base → frame at size in every built structure.
-func (t *Tables[V, P]) Map(base V, size addr.PageSize, frame P) {
+// Map installs base → frame at size in every built structure. A radix
+// map that fails (a conflicting entry, or no memory for a table page)
+// is returned before the ECPT set is touched, so neither structure
+// holds the page.
+func (t *Tables[V, P]) Map(base V, size addr.PageSize, frame P) error {
 	if t.radix != nil {
 		if err := t.radix.Map(base, size, frame); err != nil {
-			panic(fmt.Sprintf("paging: radix map: %v", err))
+			return fmt.Errorf("paging: %w", err)
 		}
 	}
 	if t.ecpts != nil {
 		t.ecpts.Map(base, size, frame)
 	}
+	return nil
 }
 
 // Unmap removes the page containing va from every built structure and

@@ -48,7 +48,9 @@ func mapPage(t *testing.T, tab *Tables[addr.GVA, addr.GPA], m model, base addr.G
 	if !ok {
 		t.Fatalf("out of memory mapping %#x", base)
 	}
-	tab.Map(base, size, frame)
+	if err := tab.Map(base, size, frame); err != nil {
+		t.Fatal(err)
+	}
 	m[base] = mapping{frame, size}
 }
 
@@ -255,6 +257,50 @@ func TestFault(t *testing.T) {
 			}
 			if tab.Stats() != tc.stats {
 				t.Errorf("stats %+v, want %+v", tab.Stats(), tc.stats)
+			}
+		})
+	}
+}
+
+// TestFaultTablePageExhaustion runs a radix-only address space out of
+// memory for its table pages: the allocator holds the root and one data
+// page, so the fault finds its frame but not the level-3 table page
+// under it. The fault must fail with an error, give the frame back and
+// leave the tables, the region marks and the stats as they were.
+func TestFaultTablePageExhaustion(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		huge      bool
+		data      addr.PageSize
+		remaining uint64 // bytes left after the root page
+	}{
+		{"4KB", false, addr.Page4K, addr.Page4K.Bytes()},
+		{"2MB", true, addr.Page2M, addr.Page2M.Bytes()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			alloc := memsim.NewAllocator[addr.GPA](tc.remaining+addr.Page4K.Bytes(), 3)
+			tab, err := New[addr.GVA](alloc, true, false, ecpt.SetConfig{}, 1, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const va = addr.GVA(0x4000_0000)
+			if _, _, err := tab.Fault(va, true, tc.huge); err == nil || !strings.Contains(err.Error(), "out of memory") {
+				t.Fatalf("Fault = %v, want an out-of-memory error", err)
+			}
+			if _, _, ok := tab.Translate(va); ok {
+				t.Error("the failed fault left va mapped")
+			}
+			if n := tab.Radix().Entries(); n != 0 {
+				t.Errorf("radix entries %d, want 0", n)
+			}
+			if used := alloc.Used(memsim.PurposeData); used != 0 {
+				t.Errorf("%d data bytes still allocated; the fault kept its frame", used)
+			}
+			if _, ok := alloc.Alloc(tc.data, memsim.PurposeData); !ok {
+				t.Errorf("the %s frame was not given back", tc.data)
+			}
+			if len(tab.small) != 0 || tab.Stats() != (Stats{}) {
+				t.Errorf("marks %v, stats %+v; want none", tab.small, tab.Stats())
 			}
 		})
 	}

@@ -8,10 +8,18 @@
 // (gPA→hPA, i.e. Intel EPT / AMD NPT). Every table page occupies a
 // real 4KB frame obtained from a memsim.Allocator, so walkers can
 // charge cache accesses to genuine physical addresses.
+//
+// A table page is stored as the hardware stores it: 512 eight-byte
+// entry words, 4096 bytes with no pointers. An entry word is 0 when
+// empty, frame|leafBit for a leaf, or child<<12|tableBit for a
+// lower-level table page, child being that page's index in the
+// table's slab. Map rejects frames not aligned to their page size, so
+// the low 12 bits of every frame are free for the two flags.
 package radix
 
 import (
 	"fmt"
+	"slices"
 
 	"nestedecpt/internal/addr"
 	"nestedecpt/internal/memsim"
@@ -20,122 +28,145 @@ import (
 // EntryBytes is the size of one page-table entry.
 const EntryBytes = 8
 
-type node[P addr.Addr] struct {
-	// pa is the physical base address of this 4KB table page, in the
-	// address space the table itself lives in (gPA for guest tables,
-	// hPA for host tables).
-	pa       P
-	children [512]*node[P]
-	leaves   [512]leaf[P]
-}
+// Entry-word flags, in the low 12 bits a 4KB-aligned frame leaves free.
+const (
+	leafBit  = 1 << 0
+	tableBit = 1 << 1
+	flagMask = 1<<addr.PageShift4K - 1
+)
 
-type leaf[P addr.Addr] struct {
-	valid bool
-	frame P
-}
+// page is one 4KB table page: 512 entry words.
+type page [1 << addr.PageShift4K / EntryBytes]uint64
+
+// Table pages are allocated 1<<chunkShift to a chunk. A walk finds a
+// child page from its slab index through the chunk list: about 1KB for
+// a table mapping a million 4KB pages, so it stays in the host's L1
+// cache, where a list of one pointer per page would be 16 times longer.
+const chunkShift = 4
+
+type chunk [1 << chunkShift]page
 
 // Table is one 4-level radix page table mapping addresses in space V
 // to frames in space P: a guest table is a Table[addr.GVA, addr.GPA],
 // a host EPT/NPT a Table[addr.GPA, addr.HPA].
 type Table[V, P addr.Addr] struct {
 	alloc *memsim.Allocator[P]
-	root  *node[P]
-	// pages counts allocated table pages, for §9.5 accounting.
-	pages   uint64
+	// The slab: page i lives in chunks[i>>chunkShift], the root is page
+	// 0, and an entry word names its child page by slab index. pas[i] is
+	// the physical base of page i in the table's own space.
+	chunks  []*chunk
+	pas     []P
 	entries uint64
 }
 
-// New creates an empty table whose table pages come from alloc.
+// New creates an empty table whose table pages come from alloc. It
+// panics if alloc cannot hold the root page.
 func New[V, P addr.Addr](alloc *memsim.Allocator[P]) *Table[V, P] {
 	t := &Table[V, P]{alloc: alloc}
-	t.root = t.newNode()
+	if _, ok := t.newPage(); !ok {
+		panic(fmt.Sprintf("radix: out of memory for the root table page (capacity %d)", alloc.Capacity()))
+	}
 	return t
 }
 
-func (t *Table[V, P]) newNode() *node[P] {
-	pa := t.alloc.MustAlloc(addr.Page4K, memsim.PurposePageTable)
-	t.pages++
-	return &node[P]{pa: pa}
+// newPage adds an empty table page to the slab and returns its index,
+// or false when the allocator has no frame for it.
+func (t *Table[V, P]) newPage() (uint64, bool) {
+	pa, ok := t.alloc.Alloc(addr.Page4K, memsim.PurposePageTable)
+	if !ok {
+		return 0, false
+	}
+	if len(t.pas) == len(t.chunks)<<chunkShift {
+		t.chunks = append(t.chunks, new(chunk))
+	}
+	t.pas = append(t.pas, pa)
+	return uint64(len(t.pas) - 1), true
+}
+
+// pageAt returns slab page i.
+func (t *Table[V, P]) pageAt(i uint64) *page {
+	return &t.chunks[i>>chunkShift][i&(1<<chunkShift-1)]
 }
 
 // Fork returns a copy of the table whose further table pages come from
-// alloc, a fork of t's allocator. Every node is copied: the two tables
-// share nothing, and each maps, unmaps and grows on its own.
+// alloc, a fork of t's allocator. The slab is copied chunk by chunk,
+// and entries name children by slab index, so the copies need no
+// rewriting: the two tables share nothing, and each maps, unmaps and
+// grows on its own.
 func (t *Table[V, P]) Fork(alloc *memsim.Allocator[P]) *Table[V, P] {
-	return &Table[V, P]{alloc: alloc, root: t.root.clone(), pages: t.pages, entries: t.entries}
-}
-
-// clone copies n and every node below it.
-func (n *node[P]) clone() *node[P] {
-	c := new(node[P])
-	*c = *n
-	for i, child := range n.children {
-		if child != nil {
-			c.children[i] = child.clone()
-		}
+	chunks := make([]*chunk, len(t.chunks))
+	for i, c := range t.chunks {
+		cp := *c
+		chunks[i] = &cp
 	}
-	return c
+	return &Table[V, P]{alloc: alloc, chunks: chunks, pas: slices.Clone(t.pas), entries: t.entries}
 }
 
 // RootPA returns the physical address of the root (CR3 / EPTP).
-func (t *Table[V, P]) RootPA() P { return t.root.pa }
+func (t *Table[V, P]) RootPA() P { return t.pas[0] }
 
 // TablePages returns the number of 4KB table pages in use.
-func (t *Table[V, P]) TablePages() uint64 { return t.pages }
+func (t *Table[V, P]) TablePages() uint64 { return uint64(len(t.pas)) }
 
 // Entries returns the number of valid leaf entries.
 func (t *Table[V, P]) Entries() uint64 { return t.entries }
 
 // Map installs a translation from the page containing va to the frame
 // base at the given page size, building intermediate levels on demand.
-// Mapping over an existing entry of a different size is an error.
+// Mapping over an existing entry of a different size is an error, and
+// so is running out of memory for a table page: Map then installs no
+// entry, and the table pages it built before failing stay (like Linux,
+// which keeps preallocated tables).
 func (t *Table[V, P]) Map(va V, size addr.PageSize, frame P) error {
 	if uint64(frame)&size.OffsetMask() != 0 {
 		return fmt.Errorf("radix: frame %#x not aligned to %s", frame, size)
 	}
 	leafLevel := addr.LeafLevel(size)
-	n := t.root
+	pg := t.pageAt(0)
 	for l := addr.L4; l > leafLevel; l-- {
-		idx := addr.RadixIndex(va, l)
-		if n.leaves[idx].valid {
+		e := &pg[addr.RadixIndex(va, l)]
+		if *e&leafBit != 0 {
 			return fmt.Errorf("radix: va %#x already mapped at level %s", va, l)
 		}
-		child := n.children[idx]
-		if child == nil {
-			child = t.newNode()
-			n.children[idx] = child
+		if *e == 0 {
+			child, ok := t.newPage()
+			if !ok {
+				return fmt.Errorf("radix: out of memory for a %s table page mapping %#x (capacity %d)", l-1, va, t.alloc.Capacity())
+			}
+			*e = child<<addr.PageShift4K | tableBit
 		}
-		n = child
+		pg = t.pageAt(*e >> addr.PageShift4K)
 	}
-	idx := addr.RadixIndex(va, leafLevel)
-	if n.children[idx] != nil {
+	e := &pg[addr.RadixIndex(va, leafLevel)]
+	if *e&tableBit != 0 {
 		return fmt.Errorf("radix: va %#x has a lower-level table at %s", va, leafLevel)
 	}
-	if n.leaves[idx].valid {
+	if *e != 0 {
 		return fmt.Errorf("radix: va %#x already mapped", va)
 	}
-	n.leaves[idx] = leaf[P]{valid: true, frame: frame}
+	*e = uint64(frame) | leafBit
 	t.entries++
 	return nil
 }
 
 // Unmap removes the translation for the page containing va at the
-// given size. Empty intermediate nodes are retained (like Linux, which
-// frees them lazily); their pages stay charged to the table.
+// given size. Empty intermediate pages are retained (like Linux, which
+// frees them lazily); they stay charged to the table.
 func (t *Table[V, P]) Unmap(va V, size addr.PageSize) error {
 	leafLevel := addr.LeafLevel(size)
-	n := t.root
+	pg := t.pageAt(0)
 	for l := addr.L4; l > leafLevel; l-- {
-		n = n.children[addr.RadixIndex(va, l)]
-		if n == nil {
+		e := pg[addr.RadixIndex(va, l)]
+		if e&tableBit == 0 {
 			return fmt.Errorf("radix: va %#x not mapped", va)
 		}
+		pg = t.pageAt(e >> addr.PageShift4K)
 	}
-	idx := addr.RadixIndex(va, leafLevel)
-	if !n.leaves[idx].valid {
+	e := &pg[addr.RadixIndex(va, leafLevel)]
+	if *e&leafBit == 0 {
 		return fmt.Errorf("radix: va %#x not mapped", va)
 	}
-	n.leaves[idx] = leaf[P]{}
+	*e = 0
 	t.entries--
 	return nil
 }
@@ -143,19 +174,16 @@ func (t *Table[V, P]) Unmap(va V, size addr.PageSize) error {
 // Lookup resolves va functionally (no timing), returning the mapped
 // frame base and page size.
 func (t *Table[V, P]) Lookup(va V) (frame P, size addr.PageSize, ok bool) {
-	n := t.root
+	pg := t.pageAt(0)
 	for l := addr.L4; l >= addr.L1; l-- {
-		idx := addr.RadixIndex(va, l)
-		if l <= addr.L3 && n.leaves[idx].valid {
-			return n.leaves[idx].frame, addr.SizeForLeaf(l), true
+		e := pg[addr.RadixIndex(va, l)]
+		if e&leafBit != 0 {
+			return P(e &^ flagMask), addr.SizeForLeaf(l), true
 		}
-		if l == addr.L1 {
-			return 0, addr.Page4K, false
+		if e&tableBit == 0 {
+			break
 		}
-		n = n.children[idx]
-		if n == nil {
-			return 0, addr.Page4K, false
-		}
+		pg = t.pageAt(e >> addr.PageShift4K)
 	}
 	return 0, addr.Page4K, false
 }
@@ -181,32 +209,30 @@ type Step[P addr.Addr] struct {
 // huge pages. ok=false with a partial trace means the walk faulted at
 // the last returned step (the hardware still performed those accesses).
 // Walkers pass per-walker scratch (dst[:0]) so the steady state walk
-// performs no allocation.
+// performs no allocation. Each level reads one entry word, and NextPA
+// comes from the slab's address list, not from the child page.
 //
 //nestedlint:hotpath
 func (t *Table[V, P]) AppendWalk(dst []Step[P], va V) (steps []Step[P], ok bool) {
-	n := t.root
+	pg, base := t.pageAt(0), t.pas[0]
 	for l := addr.L4; l >= addr.L1; l-- {
 		idx := addr.RadixIndex(va, l)
-		entryPA := n.pa + P(idx*EntryBytes)
-		if l <= addr.L3 && n.leaves[idx].valid {
+		entryPA := base + P(idx*EntryBytes)
+		e := pg[idx]
+		if e&leafBit != 0 {
 			dst = append(dst, Step[P]{
 				Level: l, EntryPA: entryPA, Leaf: true,
-				Frame: n.leaves[idx].frame, Size: addr.SizeForLeaf(l),
+				Frame: P(e &^ flagMask), Size: addr.SizeForLeaf(l),
 			})
 			return dst, true
 		}
-		if l == addr.L1 {
+		if e&tableBit == 0 {
 			dst = append(dst, Step[P]{Level: l, EntryPA: entryPA})
 			return dst, false
 		}
-		child := n.children[idx]
-		if child == nil {
-			dst = append(dst, Step[P]{Level: l, EntryPA: entryPA})
-			return dst, false
-		}
-		dst = append(dst, Step[P]{Level: l, EntryPA: entryPA, NextPA: child.pa})
-		n = child
+		child := e >> addr.PageShift4K
+		pg, base = t.pageAt(child), t.pas[child]
+		dst = append(dst, Step[P]{Level: l, EntryPA: entryPA, NextPA: base})
 	}
 	return dst, false
 }
@@ -219,12 +245,14 @@ func (t *Table[V, P]) Walk(va V) (steps []Step[P], ok bool) {
 // EntryPA returns the physical address of the level-l entry the walker
 // would read for va, when that level exists.
 func (t *Table[V, P]) EntryPA(va V, l addr.RadixLevel) (P, bool) {
-	n := t.root
+	pg, base := t.pageAt(0), t.pas[0]
 	for cur := addr.L4; cur > l; cur-- {
-		n = n.children[addr.RadixIndex(va, cur)]
-		if n == nil {
+		e := pg[addr.RadixIndex(va, cur)]
+		if e&tableBit == 0 {
 			return 0, false
 		}
+		child := e >> addr.PageShift4K
+		pg, base = t.pageAt(child), t.pas[child]
 	}
-	return n.pa + P(addr.RadixIndex(va, l)*EntryBytes), true
+	return base + P(addr.RadixIndex(va, l)*EntryBytes), true
 }

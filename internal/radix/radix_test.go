@@ -1,8 +1,11 @@
 package radix
 
 import (
+	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"nestedecpt/internal/addr"
 	"nestedecpt/internal/memsim"
@@ -166,6 +169,38 @@ func TestTablePagesAccounting(t *testing.T) {
 	tb.Map(0x2000, addr.Page4K, 0xBB000) // same tables
 	if tb.TablePages() != 4 {
 		t.Errorf("same-region map grew tables: %d", tb.TablePages())
+	}
+}
+
+// TestTablePageCostsOnePage pins the layout: a table page is 512
+// pointer-free entry words, exactly 4KB, and a table costs the host no
+// more than its table pages plus a slab slot and an address each.
+// Pages are allocated a chunk at a time, so the cost is measured from
+// New to a table whose pages fill two chunks: the root, one L3 and one
+// L2 page, and one L1 page for each 2MB region mapped.
+func TestTablePageCostsOnePage(t *testing.T) {
+	if n := unsafe.Sizeof(page{}); n != 4096 {
+		t.Errorf("a table page is %d B, want 4096", n)
+	}
+	if typ := reflect.TypeOf(page{}); typ.Kind() != reflect.Array || typ.Elem().Kind() != reflect.Uint64 {
+		t.Errorf("a table page is %v, want an array of uint64 entry words", typ)
+	}
+	const pages = 2 << chunkShift
+	alloc := memsim.NewAllocator[uint64](256<<20, 1)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	tb := New[uint64](alloc)
+	for i := uint64(0); i < pages-3; i++ {
+		if err := tb.Map(0x4000_0000_0000+i*addr.Page2M.Bytes(), addr.Page4K, 0x4000_0000); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if got := tb.TablePages(); got != pages {
+		t.Fatalf("%d table pages, want %d", got, pages)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > pages*(4096+64) {
+		t.Errorf("%d table pages allocated %d B, over %d", pages, grew, pages*(4096+64))
 	}
 }
 
