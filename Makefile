@@ -133,6 +133,7 @@ FUZZ_TARGETS = \
 	FuzzCanonicalGVA:./internal/addr \
 	FuzzHashStability:./internal/vhash \
 	FuzzRNGStreams:./internal/vhash \
+	FuzzTableViews:./internal/ecpt \
 	FuzzHierarchyAgainstReference:./internal/cachesim \
 	FuzzTLBAgainstReference:./internal/tlbsim \
 	FuzzRadixAgainstReference:./internal/radix \

@@ -2,6 +2,7 @@ package ecpt
 
 import (
 	"sync/atomic"
+	"unsafe"
 
 	"nestedecpt/internal/addr"
 	"nestedecpt/internal/memsim"
@@ -79,6 +80,9 @@ type CWT[P addr.Addr] struct {
 	pub       atomic.Pointer[cwtView[P]]
 	mapShared bool
 	dirty     bool
+	// cowBytes is the bytes of sealed pages the writer copied; the
+	// owning table's Stats reports it.
+	cowBytes uint64
 }
 
 // entriesPerPage is how many CWT entries one 4KB backing page holds.
@@ -137,6 +141,7 @@ func (c *CWT[P]) writablePage(key uint64, create bool) *cwtPage[P] {
 		cp := *pg
 		cp.sealed = false
 		pg = &cp
+		c.cowBytes += uint64(unsafe.Sizeof(cp))
 	default:
 		return pg
 	}
@@ -170,6 +175,17 @@ func (c *CWT[P]) entry(key uint64, create bool) *cwtEntry {
 	return &pg.entries[slot]
 }
 
+// existing returns key's entry when it exists, for reading: a write
+// that would leave the entry as it is returns before entry makes its
+// page writable, so it copies nothing and dirties nothing.
+func (c *CWT[P]) existing(key uint64) *cwtEntry {
+	pg := c.page(key)
+	if pg == nil || pg.live&(1<<(key%entriesPerPage)) == 0 {
+		return nil
+	}
+	return &pg.entries[key%entriesPerPage]
+}
+
 // EntryPA returns the physical address (in the CWT's own address
 // space) of the entry with the given key, allocating backing storage
 // on first touch. Writer-side in concurrent mode (first touch
@@ -185,8 +201,11 @@ func (c *CWT[P]) EntryPA(key uint64) P {
 // setWay records that the line with the given tag lives in way; called
 // by the ECPT on every placement, keeping CWT and table coherent.
 func (c *CWT[P]) setWay(tag uint64, way uint8) {
-	e := c.entry(EntryKey(tag), true)
-	e.lines[tag%LinesPerCWTEntry].way = way
+	key, i := EntryKey(tag), tag%LinesPerCWTEntry
+	if e := c.existing(key); e != nil && e.lines[i].way == way {
+		return
+	}
+	c.entry(key, true).lines[i].way = way
 }
 
 // clearWay records that no line with the given tag exists any more.
@@ -201,15 +220,20 @@ func (c *CWT[P]) clearWay(tag uint64) {
 // SetPresent records that the translation for vpn exists (its slot bit
 // within the line). Maintained by the OS alongside the page tables.
 func (c *CWT[P]) SetPresent(vpn uint64) {
-	e := c.entry(KeyForVPN(vpn), true)
-	e.lines[lineTag(vpn)%LinesPerCWTEntry].present |= 1 << lineSlot(vpn)
+	key, i, bit := KeyForVPN(vpn), lineTag(vpn)%LinesPerCWTEntry, uint8(1)<<lineSlot(vpn)
+	if e := c.existing(key); e != nil && e.lines[i].present&bit != 0 {
+		return
+	}
+	c.entry(key, true).lines[i].present |= bit
 }
 
 // ClearPresent removes vpn's slot-presence bit.
 func (c *CWT[P]) ClearPresent(vpn uint64) {
-	if e := c.entry(KeyForVPN(vpn), false); e != nil {
-		e.lines[lineTag(vpn)%LinesPerCWTEntry].present &^= 1 << lineSlot(vpn)
+	key, i, bit := KeyForVPN(vpn), lineTag(vpn)%LinesPerCWTEntry, uint8(1)<<lineSlot(vpn)
+	if e := c.existing(key); e == nil || e.lines[i].present&bit == 0 {
+		return
 	}
+	c.entry(key, false).lines[i].present &^= bit
 }
 
 // MarkSmaller records that some page of a smaller size maps part of
@@ -217,8 +241,11 @@ func (c *CWT[P]) ClearPresent(vpn uint64) {
 // would need reference counting, and a stale true only costs probes,
 // never correctness — the same conservative choice real CWTs make.
 func (c *CWT[P]) MarkSmaller(vpn uint64) {
-	e := c.entry(KeyForVPN(vpn), true)
-	e.lines[lineTag(vpn)%LinesPerCWTEntry].hasSmaller = true
+	key, i := KeyForVPN(vpn), lineTag(vpn)%LinesPerCWTEntry
+	if e := c.existing(key); e != nil && e.lines[i].hasSmaller {
+		return
+	}
+	c.entry(key, true).lines[i].hasSmaller = true
 }
 
 // Info is the CWT's answer about one page number. P is the space the

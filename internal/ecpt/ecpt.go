@@ -109,6 +109,18 @@ type line[P addr.Addr] struct {
 	frames frameGroup[P]
 }
 
+// linesPerPage is how many ECPT lines one simulated 4KB table page
+// holds: the unit copy-on-write copies (view.go).
+const linesPerPage = 4096 / LineBytes
+
+// wayPage is one simulated 4KB table page of a paged way: its 64 key
+// words and 64 frame groups, either inside the way's flat arrays or in
+// a copy the page's first writer made.
+type wayPage[P addr.Addr] struct {
+	keys   *[linesPerPage]uint64
+	frames *[linesPerPage]frameGroup[P]
+}
+
 // generation is one allocation of the elastic table: d parallel arrays
 // with per-way hash functions and physical base addresses.
 type generation[P addr.Addr] struct {
@@ -120,21 +132,31 @@ type generation[P addr.Addr] struct {
 	// one-line way.
 	mask uint64
 	pow2 bool
-	// keys[w][i] and frames[w][i] are line i of way w. The split keeps
-	// every probe that does not match (findLine, fillProbe, tryPlace's
-	// empty-bucket test) inside the dense key array; a match touches
-	// exactly one frame group.
+	// keys[w][i] and frames[w][i] are line i of flat way w. The split
+	// keeps every probe that does not match (findLine, fillProbe,
+	// tryPlace's empty-bucket test) inside the dense key array; a match
+	// touches exactly one frame group. Each array's capacity is a whole
+	// number of pages, so a page directory can point into it (view.go).
 	keys   [][]uint64
 	frames [][]frameGroup[P]
 	hash   []vhash.Func
 	basePA []P
-	// sealed and shared implement concurrent-mode copy-on-write
-	// (view.go): a sealed generation is reachable from a published
-	// view and must not be written; shared[w] marks way arrays still
-	// aliased with a sealed snapshot. Both are writer-private — readers
-	// never consult them.
+	// pages[w] is nil while way w is flat. Once the way is paged it is
+	// the way's page directory, one entry per simulated 4KB table page,
+	// and keys[w] and frames[w] are nil: only the directory's entries
+	// still point into the flat arrays, at pages nobody has copied yet.
+	// It sits after the fields every probe reads, which a flat way's
+	// probe never leaves.
+	pages [][]wayPage[P]
+	// sealed, shared and owned implement copy-on-write (view.go): a
+	// sealed generation is reachable from a published view and must not
+	// be written; shared[w] marks way w's arrays or directory as still
+	// aliased by another header; owned[w] is a bitmap over the pages of
+	// a paged way that this header copied and so writes in place. All
+	// three are writer-private — readers never consult them.
 	sealed bool
 	shared []bool
+	owned  [][]uint64
 }
 
 func (t *Table[P]) newGeneration(linesPerWay int) *generation[P] {
@@ -146,10 +168,12 @@ func (t *Table[P]) newGeneration(linesPerWay int) *generation[P] {
 		frames:      make([][]frameGroup[P], t.cfg.Ways),
 		hash:        make([]vhash.Func, t.cfg.Ways),
 		basePA:      make([]P, t.cfg.Ways),
+		pages:       make([][]wayPage[P], t.cfg.Ways),
 	}
+	capacity := pagesPerWay(linesPerWay) * linesPerPage
 	for w := 0; w < t.cfg.Ways; w++ {
-		g.keys[w] = make([]uint64, linesPerWay)
-		g.frames[w] = make([]frameGroup[P], linesPerWay)
+		g.keys[w] = make([]uint64, linesPerWay, capacity)
+		g.frames[w] = make([]frameGroup[P], linesPerWay, capacity)
 		g.hash[w] = vhash.New(t.hashSpace+t.generations*t.cfg.Ways, w)
 		g.basePA[w] = t.alloc.AllocRegion(uint64(linesPerWay)*LineBytes, memsim.PurposePageTable)
 	}
@@ -163,6 +187,34 @@ func (g *generation[P]) index(w int, tag uint64) int {
 		return int(h & g.mask)
 	}
 	return int(h % uint64(g.linesPerWay))
+}
+
+// pagesPerWay is how many simulated 4KB table pages a way of
+// linesPerWay lines spans.
+func pagesPerWay(linesPerWay int) int { return (linesPerWay + linesPerPage - 1) / linesPerPage }
+
+// key returns the key word of line idx of way w. A paged way's flat
+// slices are nil, so the flat read's own bounds check is the one branch
+// that tells the modes apart: it goes the same way on every probe of a
+// flat way (every sequential simulation) and costs nothing over a plain
+// slice read.
+//
+//nestedlint:hotpath
+func (g *generation[P]) key(w, idx int) uint64 {
+	if keys := g.keys[w]; uint(idx) < uint(len(keys)) {
+		return keys[idx]
+	}
+	return g.pages[w][uint(idx)/linesPerPage].keys[uint(idx)%linesPerPage]
+}
+
+// group returns the frame group of line idx of way w, for reading.
+//
+//nestedlint:hotpath
+func (g *generation[P]) group(w, idx int) *frameGroup[P] {
+	if frames := g.frames[w]; uint(idx) < uint(len(frames)) {
+		return &frames[idx]
+	}
+	return &g.pages[w][uint(idx)/linesPerPage].frames[uint(idx)%linesPerPage]
 }
 
 func (g *generation[P]) linePA(w, idx int) P {
@@ -180,6 +232,10 @@ type Stats struct {
 	Kicks    uint64
 	Resizes  uint64
 	Migrated uint64
+	// COWBytes is the host bytes copy-on-write copied: table pages,
+	// page directories and CWT pages. It stays 0 for a table that no
+	// published view or fork ever shared.
+	COWBytes uint64
 }
 
 // Table is one elastic cuckoo page table for a single page size. It
@@ -308,8 +364,15 @@ func (t *Table[P]) CapacityLines() int {
 // Resizing reports whether an elastic resize is in flight.
 func (t *Table[P]) Resizing() bool { return t.old != nil }
 
-// Stats returns a copy of the structural statistics.
-func (t *Table[P]) Stats() Stats { return t.stats }
+// Stats returns a copy of the structural statistics, the CWT's
+// copy-on-write bytes included.
+func (t *Table[P]) Stats() Stats {
+	s := t.stats
+	if t.cwt != nil {
+		s.COWBytes += t.cwt.cowBytes
+	}
+	return s
+}
 
 // MemoryBytes returns the bytes of physical memory the table's arrays
 // occupy (both generations during a resize), for §9.5 accounting.
@@ -336,26 +399,29 @@ func lineSlot(vpn uint64) int   { return int(vpn % TranslationsPerLine) }
 // the one the search would find. A slot since emptied or refilled fails
 // the key compare; a generation a resize retired, or a sealed one
 // writable replaced with its clone, fails the generation compare.
-func (t *Table[P]) findLine(tag uint64) (g *generation[P], w, idx int, ok bool) {
-	if c := t.cursor; (c.g == t.cur || c.g == t.old) && keyHolds(c.g.keys[c.w][c.idx], tag) {
-		return c.g, c.w, c.idx, true
+func (t *Table[P]) findLine(tag uint64) (g *generation[P], w, idx int, key uint64) {
+	if c := t.cursor; c.g == t.cur || c.g == t.old {
+		if key := c.g.key(c.w, c.idx); keyHolds(key, tag) {
+			return c.g, c.w, c.idx, key
+		}
 	}
-	if g, w, idx, ok = findLineIn(t.cur, t.old, t.migratePtr, tag); ok {
+	if g, w, idx, key = findLineIn(t.cur, t.old, t.migratePtr, tag); key != 0 {
 		t.cursor = lineCursor[P]{g, w, idx}
 	}
-	return g, w, idx, ok
+	return g, w, idx, key
 }
 
 // findLineIn locates the line holding tag in one state of the table —
 // the writer's, or a published view's: the current generation and,
 // mid-resize, the buckets of old at or past the migration frontier mig.
+// It returns the line's key word too, 0 when tag has no line.
 //
 //nestedlint:hotpath
-func findLineIn[P addr.Addr](cur, old *generation[P], mig []int, tag uint64) (g *generation[P], w, idx int, ok bool) {
+func findLineIn[P addr.Addr](cur, old *generation[P], mig []int, tag uint64) (g *generation[P], w, idx int, key uint64) {
 	for w := range cur.keys {
 		idx := cur.index(w, tag)
-		if keyHolds(cur.keys[w][idx], tag) {
-			return cur, w, idx, true
+		if key := cur.key(w, idx); keyHolds(key, tag) {
+			return cur, w, idx, key
 		}
 	}
 	if old != nil {
@@ -364,12 +430,12 @@ func findLineIn[P addr.Addr](cur, old *generation[P], mig []int, tag uint64) (g 
 			if idx < mig[w] {
 				continue // already migrated out
 			}
-			if keyHolds(old.keys[w][idx], tag) {
-				return old, w, idx, true
+			if key := old.key(w, idx); keyHolds(key, tag) {
+				return old, w, idx, key
 			}
 		}
 	}
-	return nil, 0, 0, false
+	return nil, 0, 0, 0
 }
 
 // Insert maps vpn (a page number in this table's page size) to the
@@ -384,14 +450,13 @@ func (t *Table[P]) Insert(vpn uint64, frame P) {
 	if t.cwt != nil {
 		t.cwt.SetPresent(vpn)
 	}
-	if g, w, idx, ok := t.findLine(tag); ok {
-		g = t.writable(g)
-		g.writableWay(w)
-		if keyPresent(g.keys[w][idx])&(1<<slot) == 0 {
-			g.keys[w][idx] |= 1 << (keyTagBits + slot)
+	if g, w, idx, key := t.findLine(tag); key != 0 {
+		keyp, frames := t.writeLine(t.writable(g), w, idx)
+		if keyPresent(key)&(1<<slot) == 0 {
+			*keyp = key | 1<<(keyTagBits+slot)
 			t.entries++
 		}
-		g.frames[w][idx][slot] = frame
+		frames[slot] = frame
 		t.continueMigration()
 		return
 	}
@@ -430,8 +495,8 @@ func (t *Table[P]) tryPlace(ln line[P]) bool {
 		tag := keyTag(cur.key)
 		for w := 0; w < t.cfg.Ways; w++ {
 			idx := tcur.index(w, tag)
-			if tcur.keys[w][idx] == 0 {
-				tcur.store(w, idx, cur)
+			if tcur.key(w, idx) == 0 {
+				t.store(tcur, w, idx, cur)
 				t.notifyPlacement(tag, w)
 				if kick == 0 {
 					t.cursor = lineCursor[P]{tcur, w, idx}
@@ -447,7 +512,7 @@ func (t *Table[P]) tryPlace(ln line[P]) bool {
 		}
 		idx := tcur.index(w, tag)
 		victim := tcur.load(w, idx)
-		tcur.store(w, idx, cur)
+		t.store(tcur, w, idx, cur)
 		t.notifyPlacement(tag, w)
 		cur = victim
 		lastWay = w
@@ -469,21 +534,17 @@ func (t *Table[P]) notifyPlacement(tag uint64, way int) {
 // Remove unmaps vpn. It reports whether the mapping existed.
 func (t *Table[P]) Remove(vpn uint64) bool {
 	tag, slot := lineTag(vpn), lineSlot(vpn)
-	g, w, idx, ok := t.findLine(tag)
-	if !ok {
+	g, w, idx, key := t.findLine(tag)
+	if keyPresent(key)&(1<<slot) == 0 {
 		return false
 	}
-	if keyPresent(g.keys[w][idx])&(1<<slot) == 0 {
-		return false
-	}
-	g = t.writable(g)
-	g.writableWay(w)
-	key := g.keys[w][idx] &^ (1 << (keyTagBits + slot))
+	keyp, frames := t.writeLine(t.writable(g), w, idx)
+	key &^= 1 << (keyTagBits + slot)
 	if keyPresent(key) == 0 {
 		key = 0 // the line's last translation: the bucket is empty again
 	}
-	g.keys[w][idx] = key
-	g.frames[w][idx][slot] = 0
+	*keyp = key
+	frames[slot] = 0
 	t.entries--
 	t.stats.Removes++
 	t.dirty = true
@@ -505,11 +566,8 @@ func (t *Table[P]) Remove(vpn uint64) bool {
 // and hypervisor fault paths depend on seeing their unpublished maps);
 // concurrent readers use SnapshotLookup.
 func (t *Table[P]) Lookup(vpn uint64) (frame P, ok bool) {
-	g, w, idx, found := t.findLine(lineTag(vpn))
-	if !found {
-		return 0, false
-	}
-	return g.slotFrame(w, idx, lineSlot(vpn))
+	g, w, idx, key := t.findLine(lineTag(vpn))
+	return slotFrame(g, key, w, idx, lineSlot(vpn))
 }
 
 // SnapshotLookup resolves vpn against the state readers see
@@ -520,19 +578,17 @@ func (t *Table[P]) Lookup(vpn uint64) (frame P, ok bool) {
 //nestedlint:hotpath
 func (t *Table[P]) SnapshotLookup(vpn uint64) (frame P, ok bool) {
 	cur, old, mig := t.readState()
-	g, w, idx, found := findLineIn(cur, old, mig, lineTag(vpn))
-	if !found {
-		return 0, false
-	}
-	return g.slotFrame(w, idx, lineSlot(vpn))
+	g, w, idx, key := findLineIn(cur, old, mig, lineTag(vpn))
+	return slotFrame(g, key, w, idx, lineSlot(vpn))
 }
 
-// slotFrame returns the frame in slot of line idx of way w, if present.
-func (g *generation[P]) slotFrame(w, idx, slot int) (frame P, ok bool) {
-	if keyPresent(g.keys[w][idx])&(1<<slot) == 0 {
+// slotFrame returns the frame in slot of the line a search found at
+// line idx of way w of g with key word key (0: no line), if present.
+func slotFrame[P addr.Addr](g *generation[P], key uint64, w, idx, slot int) (frame P, ok bool) {
+	if keyPresent(key)&(1<<slot) == 0 {
 		return 0, false
 	}
-	return g.frames[w][idx][slot], true
+	return g.group(w, idx)[slot], true
 }
 
 // maybeStartResize begins an elastic resize when occupancy crosses the
@@ -594,12 +650,12 @@ func (t *Table[P]) continueMigration() {
 			t.migratePtr[w]++
 			progressed = true
 			budget--
-			if old.keys[w][idx] != 0 {
+			if old.key(w, idx) != 0 {
 				ln := old.load(w, idx)
 				// writable re-points t.old at the clone it may make, so
 				// the supersession comparisons above keep holding.
 				old = t.writable(old)
-				old.store(w, idx, line[P]{})
+				t.store(old, w, idx, line[P]{})
 				t.placeLine(ln)
 				t.stats.Migrated++
 				if t.rec != nil {

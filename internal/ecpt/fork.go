@@ -10,10 +10,12 @@ import (
 
 // This file forks a sequential-mode set: a second, independent set
 // over the same translations, built without re-inserting a single page.
-// The way arrays — nearly all of a populated set's memory — are shared
-// copy-on-write with the same per-way flags concurrent mode uses
-// (view.go): both sides mark every way shared, and writableWay copies a
-// way the first time either side writes it. Everything else a mutation
+// The ways — nearly all of a populated set's memory — are shared
+// copy-on-write by the same per-page machinery concurrent mode uses
+// (view.go): both sides mark every way shared, so either side's first
+// write to a way gives that side a page directory of its own, and each
+// side copies a 4KB table page the first time it writes it. Neither
+// side owns any page the fork shares. Everything else a mutation
 // touches (generation headers, migration state, cuckoo RNG, CWT pages)
 // is copied outright.
 
@@ -63,9 +65,10 @@ func (t *Table[P]) fork(alloc *memsim.Allocator[P]) (*Table[P], error) {
 	return f, nil
 }
 
-// share returns a second header over g's way arrays, marking every way
-// shared in both so whichever side writes a way first copies it. A nil
-// generation (no resize in flight) shares as nil.
+// share returns a second header over g's ways, marking every way
+// shared in both, so neither header owns a page the other can reach
+// and whichever side writes a page copies it. A nil generation (no
+// resize in flight) shares as nil.
 func (g *generation[P]) share() *generation[P] {
 	if g == nil {
 		return nil

@@ -89,11 +89,11 @@ func (t *Table[P]) ProbesFor(vpn uint64, way int) []Probe[P] {
 
 func fillProbe[P addr.Addr](p *Probe[P], g *generation[P], w, idx int, tag uint64, slot int) {
 	*p = Probe[P]{Way: w, PA: g.linePA(w, idx)}
-	if key := g.keys[w][idx]; keyHolds(key, tag) {
+	if key := g.key(w, idx); keyHolds(key, tag) {
 		p.TagMatch = true
 		if keyPresent(key)&(1<<slot) != 0 {
 			p.Match = true
-			p.Frame = g.frames[w][idx][slot]
+			p.Frame = g.group(w, idx)[slot]
 		}
 	}
 }

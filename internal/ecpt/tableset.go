@@ -192,3 +192,13 @@ func (s *Set[V, P]) MemoryBytes() uint64 {
 	}
 	return b
 }
+
+// COWBytes returns the host bytes copy-on-write copied across the
+// set's tables and CWTs (Stats.COWBytes). Writer-side.
+func (s *Set[V, P]) COWBytes() uint64 {
+	var n uint64
+	for _, size := range addr.Sizes() {
+		n += s.tables[size].Stats().COWBytes
+	}
+	return n
+}

@@ -144,13 +144,13 @@ func TestScaledSetConfigFloors(t *testing.T) {
 // cursor must always agree with.
 func searchLine(t *Table[uint64], tag uint64) (g *generation[uint64], w, idx int, ok bool) {
 	for w := 0; w < t.cfg.Ways; w++ {
-		if idx := t.cur.index(w, tag); keyHolds(t.cur.keys[w][idx], tag) {
+		if idx := t.cur.index(w, tag); keyHolds(t.cur.key(w, idx), tag) {
 			return t.cur, w, idx, true
 		}
 	}
 	if t.old != nil {
 		for w := 0; w < t.cfg.Ways; w++ {
-			if idx := t.old.index(w, tag); idx >= t.migratePtr[w] && keyHolds(t.old.keys[w][idx], tag) {
+			if idx := t.old.index(w, tag); idx >= t.migratePtr[w] && keyHolds(t.old.key(w, idx), tag) {
 				return t.old, w, idx, true
 			}
 		}
@@ -160,9 +160,9 @@ func searchLine(t *Table[uint64], tag uint64) (g *generation[uint64], w, idx int
 
 // checkFindLine compares findLine, cursor and all, with searchLine.
 func checkFindLine(tb *Table[uint64], tag uint64) error {
-	g, w, idx, ok := tb.findLine(tag)
-	if wg, ww, widx, wok := searchLine(tb, tag); g != wg || w != ww || idx != widx || ok != wok {
-		return fmt.Errorf("findLine(%#x) = %p/%d/%d/%v, the search finds %p/%d/%d/%v", tag, g, w, idx, ok, wg, ww, widx, wok)
+	g, w, idx, key := tb.findLine(tag)
+	if wg, ww, widx, wok := searchLine(tb, tag); g != wg || w != ww || idx != widx || (key != 0) != wok || wok && key != wg.key(ww, widx) {
+		return fmt.Errorf("findLine(%#x) = %p/%d/%d/%#x, the search finds %p/%d/%d/%v", tag, g, w, idx, key, wg, ww, widx, wok)
 	}
 	return nil
 }
@@ -188,7 +188,7 @@ func (k *keptCursor) classify() string {
 		}
 		return "resize"
 	}
-	key := c.g.keys[c.w][c.idx]
+	key := c.g.key(c.w, c.idx)
 	switch _, _, _, found := searchLine(tb, k.tag); {
 	case keyHolds(key, k.tag):
 		return "hit"
@@ -232,7 +232,7 @@ func (o *cursorOracle) replay(tables []*Table[uint64]) error {
 	o.kept = live
 	for _, tb := range tables {
 		c := tb.cursor
-		if c.g != tb.cur && c.g != tb.old || c.g.keys[c.w][c.idx] == 0 {
+		if c.g != tb.cur && c.g != tb.old || c.g.key(c.w, c.idx) == 0 {
 			continue
 		}
 		covered := false
@@ -240,7 +240,7 @@ func (o *cursorOracle) replay(tables []*Table[uint64]) error {
 			covered = covered || k.tb == tb && k.c.g == c.g && k.state == "hit"
 		}
 		if !covered {
-			o.kept = append(o.kept, &keptCursor{tb: tb, c: c, tag: keyTag(c.g.keys[c.w][c.idx]), state: "hit"})
+			o.kept = append(o.kept, &keptCursor{tb: tb, c: c, tag: keyTag(c.g.key(c.w, c.idx)), state: "hit"})
 		}
 	}
 	return nil
@@ -320,7 +320,7 @@ func testSetLookupOracle(t *testing.T, concurrent bool, seed uint64) {
 	cursorHolds := func(size addr.PageSize, va uint64) bool {
 		tb := set.Table(size)
 		c := tb.cursor
-		return (c.g == tb.cur || c.g == tb.old) && keyHolds(c.g.keys[c.w][c.idx], lineTag(addr.VPN(va, size)))
+		return (c.g == tb.cur || c.g == tb.old) && keyHolds(c.g.key(c.w, c.idx), lineTag(addr.VPN(va, size)))
 	}
 
 	check := func(when string, va uint64) {

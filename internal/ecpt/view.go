@@ -3,6 +3,7 @@ package ecpt
 import (
 	"maps"
 	"slices"
+	"unsafe"
 
 	"nestedecpt/internal/addr"
 	"nestedecpt/internal/memsim"
@@ -31,9 +32,21 @@ import (
 //
 // Copy-on-write granularity. Publishing seals the current generations
 // (and CWT pages); the first mutation after a publish clones the
-// generation header, and each way's key and frame arrays are cloned only
-// when first written (ways are megabytes where lines are bytes, so per-way
-// sharing is what keeps a publish-heavy churn affordable). The clone
+// generation header, and the header copies one simulated 4KB table page
+// (64 lines: 512 B of keys, 4 KB of frames) the first time it writes
+// that page. A way nobody shares stays flat — its keys and frames are
+// plain arrays, read and written in place — which covers every
+// sequential simulation and every table before its first publish. The
+// first write to a shared way makes it paged: the writer's header gets
+// a page directory pointing into the same flat arrays, copies nothing
+// for it, and then copies only the page being written. A paged way's
+// directory is copied like a page, once per header, so a churn round
+// costs the pages it wrote plus one directory per way it touched, not
+// the ways (megabytes) themselves. Keeping unshared ways flat keeps the
+// directory load off every probe of a sequential run, which an
+// always-paged layout measurably slowed (DESIGN.md §10). Once
+// every page of a way has been copied nothing references the flat
+// arrays, and they die with the last view that holds them. Every copy
 // keeps the original's physical base addresses: a view's probe
 // addresses stay valid until the region itself is retired through the
 // epoch domain.
@@ -171,11 +184,11 @@ func (t *Table[P]) writable(g *generation[P]) *generation[P] {
 	return ng
 }
 
-// cowHeader returns a second header over g's way arrays with every way
-// marked shared, so the header's first write to a way copies it: the
-// outer key and frame slices are copied, the ways themselves are not.
-// share hands one to a fork, writable to the writer of a sealed
-// generation.
+// cowHeader returns a second header over g's ways with every way
+// marked shared, so the header's first write to a way pages it (or
+// copies its directory) and owns nothing yet: the outer slices are
+// copied, the ways themselves are not. share hands one to a fork,
+// writable to the writer of a sealed generation.
 func (g *generation[P]) cowHeader() *generation[P] {
 	ng := &generation[P]{
 		linesPerWay: g.linesPerWay,
@@ -185,6 +198,7 @@ func (g *generation[P]) cowHeader() *generation[P] {
 		frames:      slices.Clone(g.frames),
 		hash:        g.hash,   // immutable after construction
 		basePA:      g.basePA, // both headers model the same region
+		pages:       slices.Clone(g.pages),
 		shared:      make([]bool, len(g.keys)),
 	}
 	for w := range ng.shared {
@@ -193,26 +207,69 @@ func (g *generation[P]) cowHeader() *generation[P] {
 	return ng
 }
 
-// writableWay makes way w's key and frame arrays safe to write, cloning
-// both the first time the way is written after a publish.
-func (g *generation[P]) writableWay(w int) {
-	if g.shared != nil && g.shared[w] {
-		g.keys[w] = append([]uint64(nil), g.keys[w]...)
-		g.frames[w] = append([]frameGroup[P](nil), g.frames[w]...)
-		g.shared[w] = false
+// writeLine returns the key word and frame group of line idx of way w
+// of g (a generation writable returned), ready to write in place. A
+// flat way nobody shares is written where it is; otherwise the line's
+// page is made the header's own first (writablePage).
+func (t *Table[P]) writeLine(g *generation[P], w, idx int) (*uint64, *frameGroup[P]) {
+	if g.pages[w] == nil && (g.shared == nil || !g.shared[w]) {
+		return &g.keys[w][idx], &g.frames[w][idx]
 	}
+	pg := t.writablePage(g, w, uint(idx)/linesPerPage)
+	return &pg.keys[uint(idx)%linesPerPage], &pg.frames[uint(idx)%linesPerPage]
+}
+
+// writablePage returns page p of way w of g, copying it the first time
+// g writes it. A shared way first gets a directory of its own — built
+// over the flat arrays when the way is flat, copied when it is already
+// paged — and g owns none of its pages yet. A page is written in place
+// only by the header that copied it.
+func (t *Table[P]) writablePage(g *generation[P], w int, p uint) wayPage[P] {
+	if g.shared[w] {
+		var dir []wayPage[P]
+		if g.pages[w] == nil {
+			keys, frames := g.keys[w], g.frames[w]
+			dir = make([]wayPage[P], pagesPerWay(g.linesPerWay))
+			for i := range dir {
+				lo := i * linesPerPage
+				dir[i] = wayPage[P]{
+					keys:   (*[linesPerPage]uint64)(keys[lo : lo+linesPerPage]),
+					frames: (*[linesPerPage]frameGroup[P])(frames[lo : lo+linesPerPage]),
+				}
+			}
+			g.keys[w], g.frames[w] = nil, nil
+		} else {
+			dir = slices.Clone(g.pages[w])
+		}
+		g.pages[w] = dir
+		if g.owned == nil {
+			g.owned = make([][]uint64, len(g.pages))
+		}
+		g.owned[w] = make([]uint64, (len(dir)+63)/64)
+		g.shared[w] = false
+		t.stats.COWBytes += uint64(len(dir)) * uint64(unsafe.Sizeof(wayPage[P]{}))
+	}
+	pg := g.pages[w][p]
+	if bit := uint64(1) << (p % 64); g.owned[w][p/64]&bit == 0 {
+		keys, frames := new([linesPerPage]uint64), new([linesPerPage]frameGroup[P])
+		*keys, *frames = *pg.keys, *pg.frames
+		pg = wayPage[P]{keys: keys, frames: frames}
+		g.pages[w][p] = pg
+		g.owned[w][p/64] |= bit
+		t.stats.COWBytes += uint64(unsafe.Sizeof(*keys) + unsafe.Sizeof(*frames))
+	}
+	return pg
 }
 
 // load returns line idx of way w as a value.
 func (g *generation[P]) load(w, idx int) line[P] {
-	return line[P]{key: g.keys[w][idx], frames: g.frames[w][idx]}
+	return line[P]{key: g.key(w, idx), frames: *g.group(w, idx)}
 }
 
-// store writes ln into line idx of way w, privatizing the way first.
-func (g *generation[P]) store(w, idx int, ln line[P]) {
-	g.writableWay(w)
-	g.keys[w][idx] = ln.key
-	g.frames[w][idx] = ln.frames
+// store writes ln into line idx of way w of g.
+func (t *Table[P]) store(g *generation[P], w, idx int, ln line[P]) {
+	key, frames := t.writeLine(g, w, idx)
+	*key, *frames = ln.key, ln.frames
 }
 
 // retireGeneration defers the return of g's backing regions until the

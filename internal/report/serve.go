@@ -28,6 +28,10 @@ func RenderServe(w io.Writer, s *serve.Summary) {
 	}
 	fmt.Fprintf(w, "generation churn  %d publishes, %d page ops, %d torn-walk retries\n",
 		s.Publishes, s.ChurnOps, s.Retries)
+	if s.ChurnOps > 0 {
+		fmt.Fprintf(w, "copy-on-write     %d B copied, %.0f B per churn page op\n",
+			s.COWBytes, float64(s.COWBytes)/float64(s.ChurnOps))
+	}
 	if s.ChurnProbes > 0 {
 		fmt.Fprintf(w, "churn probes      %d walked, %d translated, %d faulted on unmapped pages\n",
 			s.ChurnProbes, s.ChurnProbeHits, s.ChurnProbes-s.ChurnProbeHits)

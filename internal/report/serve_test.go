@@ -29,6 +29,7 @@ func TestRenderServe(t *testing.T) {
 		Retries:            3,
 		Publishes:          920,
 		ChurnOps:           14_720,
+		COWBytes:           9_891_840,
 		ChurnProbes:        600,
 		ChurnProbeHits:     410,
 		PendingReclaims:    0,
@@ -47,6 +48,7 @@ func TestRenderServe(t *testing.T) {
 		"p50=140 p95=320 p99=480",
 		"min=49999 max=50001 over 3 VMs",
 		"920 publishes, 14720 page ops, 3 torn-walk retries",
+		"copy-on-write     9891840 B copied, 672 B per churn page op",
 		"600 walked, 410 translated, 190 faulted",
 		"0 generations pending",
 	} {
@@ -63,7 +65,7 @@ func TestRenderServeEmpty(t *testing.T) {
 	RenderServe(&sb, &serve.Summary{Workload: "GUPS", Scale: 1024})
 	out := sb.String()
 	if strings.Contains(out, "walk latency") || strings.Contains(out, "min=") ||
-		strings.Contains(out, "churn probes") {
+		strings.Contains(out, "churn probes") || strings.Contains(out, "copy-on-write") {
 		t.Errorf("empty summary rendered data lines:\n%s", out)
 	}
 }

@@ -54,6 +54,9 @@ func TestServeShardedAuditStress(t *testing.T) {
 			if sum.Publishes == 0 {
 				t.Fatal("no generations published; churn never ran")
 			}
+			if sum.COWBytes == 0 {
+				t.Fatal("churn published generations but copy-on-write copied nothing")
+			}
 			if sum.PendingReclaims != 0 {
 				t.Errorf("PendingReclaims = %d after final collect, want 0", sum.PendingReclaims)
 			}

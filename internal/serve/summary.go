@@ -49,6 +49,10 @@ type Summary struct {
 	// ChurnOps how many page map/unmap operations drove them.
 	Publishes uint64
 	ChurnOps  uint64
+	// COWBytes is the host bytes copy-on-write copied to stage those
+	// generations (table pages, page directories, CWT pages), summed
+	// over the host set and every guest set.
+	COWBytes uint64
 	// ChurnProbes is how many churn-lane audit probes the workers ran
 	// (Config.ProbeEvery); ChurnProbeHits how many of them translated
 	// successfully (the rest faulted on already-unmapped pages — the
@@ -95,6 +99,10 @@ func (e *engine) summarize(results []runner.Result[*workerResult], elapsed time.
 	s.P95 = s.Latency.Percentile(0.95)
 	s.P99 = s.Latency.Percentile(0.99)
 	s.MeanLatency = s.Latency.Mean()
+	s.COWBytes = e.hyp.ECPTs().COWBytes()
+	for _, k := range e.kerns {
+		s.COWBytes += k.ECPTs().COWBytes()
+	}
 	s.PendingReclaims = e.hostDom.Pending()
 	for _, dom := range e.vmDoms {
 		s.PendingReclaims += dom.Pending()
