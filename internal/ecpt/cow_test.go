@@ -9,8 +9,8 @@ import (
 )
 
 // Copy-on-write costs in host bytes: one simulated 4KB table page is 64
-// key words plus 64 frame groups, and a page directory holds two
-// pointers per page.
+// key words plus 64 frame groups, and a way's page directories (keys
+// and frames) hold two pointers per page.
 const (
 	cowPageBytes     = linesPerPage*8 + linesPerPage*TranslationsPerLine*8
 	cowDirEntryBytes = 16
@@ -44,8 +44,8 @@ func TestSequentialTableCopiesNothing(t *testing.T) {
 	if got := tb.Stats().COWBytes; got != 0 {
 		t.Fatalf("sequential table copied %d bytes; unshared ways must be written in place", got)
 	}
-	for w := range tb.cur.pages {
-		if tb.cur.pages[w] != nil {
+	for w := range tb.cur.keys {
+		if tb.cur.keys[w].Paged() || tb.cur.frames[w].Paged() {
 			t.Fatalf("way %d of a sequential table is paged", w)
 		}
 	}
@@ -94,10 +94,10 @@ func TestCopyOnWriteCopiesOnePage(t *testing.T) {
 			t.Fatalf("%s copied %d bytes, want %d", s.what, got, s.want)
 		}
 	}
-	if tb.cur.pages[0] == nil || tb.cur.keys[0] != nil {
+	if !tb.cur.keys[0].Paged() || !tb.cur.frames[0].Paged() {
 		t.Fatal("way 0 is not paged after writes to it while shared")
 	}
-	if tb.cur.pages[1] != nil || tb.cur.pages[2] != nil {
+	if tb.cur.keys[1].Paged() || tb.cur.keys[2].Paged() {
 		t.Fatal("ways nobody wrote were paged")
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"sync/atomic"
 
 	"nestedecpt/internal/addr"
+	"nestedecpt/internal/cow"
 	"nestedecpt/internal/memsim"
 	"nestedecpt/internal/trace"
 	"nestedecpt/internal/vhash"
@@ -113,14 +114,6 @@ type line[P addr.Addr] struct {
 // holds: the unit copy-on-write copies (view.go).
 const linesPerPage = 4096 / LineBytes
 
-// wayPage is one simulated 4KB table page of a paged way: its 64 key
-// words and 64 frame groups, either inside the way's flat arrays or in
-// a copy the page's first writer made.
-type wayPage[P addr.Addr] struct {
-	keys   *[linesPerPage]uint64
-	frames *[linesPerPage]frameGroup[P]
-}
-
 // generation is one allocation of the elastic table: d parallel arrays
 // with per-way hash functions and physical base addresses.
 type generation[P addr.Addr] struct {
@@ -132,31 +125,21 @@ type generation[P addr.Addr] struct {
 	// one-line way.
 	mask uint64
 	pow2 bool
-	// keys[w][i] and frames[w][i] are line i of flat way w. The split
-	// keeps every probe that does not match (findLine, fillProbe,
-	// tryPlace's empty-bucket test) inside the dense key array; a match
-	// touches exactly one frame group. Each array's capacity is a whole
-	// number of pages, so a page directory can point into it (view.go).
-	keys   [][]uint64
-	frames [][]frameGroup[P]
+	// keys[w] and frames[w] hold way w, one simulated 4KB table page
+	// (64 lines) a store page: line i is word i%64 of key page i/64 and
+	// group i%64 of frame page i/64. The split keeps every probe that
+	// does not match (findLine, fillProbe, tryPlace's empty-bucket
+	// test) inside the dense key pages; a match touches exactly one
+	// frame group. A way stays flat until a header writes it while
+	// another shares it (view.go).
+	keys   []cow.Store[[linesPerPage]uint64]
+	frames []cow.Store[[linesPerPage]frameGroup[P]]
 	hash   []vhash.Func
 	basePA []P
-	// pages[w] is nil while way w is flat. Once the way is paged it is
-	// the way's page directory, one entry per simulated 4KB table page,
-	// and keys[w] and frames[w] are nil: only the directory's entries
-	// still point into the flat arrays, at pages nobody has copied yet.
-	// It sits after the fields every probe reads, which a flat way's
-	// probe never leaves.
-	pages [][]wayPage[P]
-	// sealed, shared and owned implement copy-on-write (view.go): a
-	// sealed generation is reachable from a published view and must not
-	// be written; shared[w] marks way w's arrays or directory as still
-	// aliased by another header; owned[w] is a bitmap over the pages of
-	// a paged way that this header copied and so writes in place. All
-	// three are writer-private — readers never consult them.
+	// sealed marks a generation reachable from a published view: it
+	// must not be written, and the next write goes to a new header over
+	// its ways (view.go). Writer-private — readers never consult it.
 	sealed bool
-	shared []bool
-	owned  [][]uint64
 }
 
 func (t *Table[P]) newGeneration(linesPerWay int) *generation[P] {
@@ -164,16 +147,15 @@ func (t *Table[P]) newGeneration(linesPerWay int) *generation[P] {
 		linesPerWay: linesPerWay,
 		mask:        uint64(linesPerWay - 1),
 		pow2:        linesPerWay&(linesPerWay-1) == 0,
-		keys:        make([][]uint64, t.cfg.Ways),
-		frames:      make([][]frameGroup[P], t.cfg.Ways),
+		keys:        make([]cow.Store[[linesPerPage]uint64], t.cfg.Ways),
+		frames:      make([]cow.Store[[linesPerPage]frameGroup[P]], t.cfg.Ways),
 		hash:        make([]vhash.Func, t.cfg.Ways),
 		basePA:      make([]P, t.cfg.Ways),
-		pages:       make([][]wayPage[P], t.cfg.Ways),
 	}
-	capacity := pagesPerWay(linesPerWay) * linesPerPage
+	pages := pagesPerWay(linesPerWay)
 	for w := 0; w < t.cfg.Ways; w++ {
-		g.keys[w] = make([]uint64, linesPerWay, capacity)
-		g.frames[w] = make([]frameGroup[P], linesPerWay, capacity)
+		g.keys[w] = cow.Flat[[linesPerPage]uint64](pages)
+		g.frames[w] = cow.Flat[[linesPerPage]frameGroup[P]](pages)
 		g.hash[w] = vhash.New(t.hashSpace+t.generations*t.cfg.Ways, w)
 		g.basePA[w] = t.alloc.AllocRegion(uint64(linesPerWay)*LineBytes, memsim.PurposePageTable)
 	}
@@ -193,28 +175,18 @@ func (g *generation[P]) index(w int, tag uint64) int {
 // linesPerWay lines spans.
 func pagesPerWay(linesPerWay int) int { return (linesPerWay + linesPerPage - 1) / linesPerPage }
 
-// key returns the key word of line idx of way w. A paged way's flat
-// slices are nil, so the flat read's own bounds check is the one branch
-// that tells the modes apart: it goes the same way on every probe of a
-// flat way (every sequential simulation) and costs nothing over a plain
-// slice read.
+// key returns the key word of line idx of way w.
 //
 //nestedlint:hotpath
 func (g *generation[P]) key(w, idx int) uint64 {
-	if keys := g.keys[w]; uint(idx) < uint(len(keys)) {
-		return keys[idx]
-	}
-	return g.pages[w][uint(idx)/linesPerPage].keys[uint(idx)%linesPerPage]
+	return g.keys[w].At(int(uint(idx) / linesPerPage))[uint(idx)%linesPerPage]
 }
 
 // group returns the frame group of line idx of way w, for reading.
 //
 //nestedlint:hotpath
 func (g *generation[P]) group(w, idx int) *frameGroup[P] {
-	if frames := g.frames[w]; uint(idx) < uint(len(frames)) {
-		return &frames[idx]
-	}
-	return &g.pages[w][uint(idx)/linesPerPage].frames[uint(idx)%linesPerPage]
+	return &g.frames[w].At(int(uint(idx) / linesPerPage))[uint(idx)%linesPerPage]
 }
 
 func (g *generation[P]) linePA(w, idx int) P {

@@ -9,15 +9,16 @@ import (
 )
 
 // This file forks a sequential-mode set: a second, independent set
-// over the same translations, built without re-inserting a single page.
-// The ways — nearly all of a populated set's memory — are shared
-// copy-on-write by the same per-page machinery concurrent mode uses
-// (view.go): both sides mark every way shared, so either side's first
-// write to a way gives that side a page directory of its own, and each
-// side copies a 4KB table page the first time it writes it. Neither
-// side owns any page the fork shares. Everything else a mutation
-// touches (generation headers, migration state, cuckoo RNG, CWT pages)
-// is copied outright.
+// over the same translations, built without re-inserting a single page
+// or copying one up front. The ways and the CWT pages — nearly all of a
+// populated set's memory — are shared copy-on-write by the same page
+// store concurrent mode uses (internal/cow, view.go): both sides mark
+// every store shared, so either side's first write to a way or CWT
+// takes a page directory of its own, and each side copies a page the
+// first time it writes it. The CWT's page index is shared too, and
+// cloned by whichever side first creates a page. Everything else a
+// mutation touches (generation headers, migration state, cuckoo RNG) is
+// copied outright.
 
 // Fork returns an independent copy of the set whose tables allocate
 // from alloc, a fork of the set's own allocator. Mapping, unmapping and
@@ -65,36 +66,16 @@ func (t *Table[P]) fork(alloc *memsim.Allocator[P]) (*Table[P], error) {
 	return f, nil
 }
 
-// share returns a second header over g's ways, marking every way
-// shared in both, so neither header owns a page the other can reach
-// and whichever side writes a page copies it. A nil generation (no
-// resize in flight) shares as nil.
-func (g *generation[P]) share() *generation[P] {
-	if g == nil {
-		return nil
-	}
-	if g.shared == nil {
-		g.shared = make([]bool, len(g.keys))
-	}
-	for w := range g.shared {
-		g.shared[w] = true
-	}
-	return g.cowHeader()
-}
-
-// fork copies the CWT page by page; the copy allocates from alloc.
-// CWT pages are small next to the way arrays, so they are not shared.
+// fork shares the CWT's index and pages with a copy that allocates
+// from alloc: neither side copies a page until it writes it.
 func (c *CWT[P]) fork(alloc *memsim.Allocator[P]) *CWT[P] {
-	f := &CWT[P]{
-		size:     c.size,
-		alloc:    alloc,
-		pages:    make(map[uint64]*cwtPage[P], len(c.pages)),
-		nEntries: c.nEntries,
+	c.indexShared = true
+	return &CWT[P]{
+		size:        c.size,
+		alloc:       alloc,
+		index:       c.index,
+		pages:       c.pages.Share(),
+		nEntries:    c.nEntries,
+		indexShared: true,
 	}
-	//nestedlint:ignore detrange: order-independent, each page is copied into its own slot
-	for idx, pg := range c.pages {
-		cp := *pg
-		f.pages[idx] = &cp
-	}
-	return f
 }

@@ -50,7 +50,11 @@ func New[V, P addr.Addr](alloc *memsim.Allocator[P], withRadix, withECPT bool, c
 	}
 	t := &Tables[V, P]{alloc: alloc, small: make(map[V]bool)}
 	if withRadix {
-		t.radix = radix.New[V](alloc)
+		tb, err := radix.New[V](alloc)
+		if err != nil {
+			return nil, fmt.Errorf("paging: %w", err)
+		}
+		t.radix = tb
 	}
 	if withECPT {
 		set, err := ecpt.NewSet[V](cfg, alloc, hashSpace, seed)

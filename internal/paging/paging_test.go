@@ -2,6 +2,7 @@ package paging
 
 import (
 	"maps"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -334,5 +335,100 @@ func TestForkKeepsOwnRegions(t *testing.T) {
 		if s := side.Stats(); s != (Stats{HugeMaps: 1, SmallMaps: 2}) || len(side.small) != 2 {
 			t.Errorf("side stats %+v, %d marked regions; want 1 huge, 2 small maps and 2 marks", s, len(side.small))
 		}
+	}
+}
+
+// TestNewRadixOutOfMemory: an allocator with no room for the radix root
+// page makes New return an error instead of panicking.
+func TestNewRadixOutOfMemory(t *testing.T) {
+	_, err := New[addr.GVA](memsim.NewAllocator[addr.GPA](0, 3), true, false, ecpt.SetConfig{}, 1, 3)
+	if err == nil || !strings.Contains(err.Error(), "out of memory") {
+		t.Fatalf("New over a zero-capacity allocator = %v, want an out-of-memory error", err)
+	}
+}
+
+// TestForkCopiesNothingUpFront: a fork shares the radix slab, the ECPT
+// ways and the CWT pages with its template. Forking tables over
+// thousands of pages allocates less than one radix chunk plus the CWT
+// pages, where copying them would allocate every chunk and every CWT
+// page. The first write of the same page on each side then copies one
+// radix chunk, with a table page and a CWT page of the ECPT set, on
+// that side alone.
+func TestForkCopiesNothingUpFront(t *testing.T) {
+	const (
+		pages      = 4096
+		chunkBytes = 16 * 4096 // a radix chunk: 16 table pages
+	)
+	// Host-side ECPTs, which keep a PTE CWT, large enough that no
+	// resize is in flight at the fork, so a write migrates nothing.
+	tab, err := New[addr.GVA](memsim.NewAllocator[addr.GPA](1<<30, 3), true, true, ecpt.ScaledSetConfig(true, 4), 1, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One 4KB page per 2MB region: a radix L1 table page each, so the
+	// slab spans pages/16 chunks, and 128 PTE-CWT pages.
+	const stride = addr.GVA(2 << 20)
+	base := addr.GVA(0x4000_0000_0000)
+	m := model{}
+	for i := addr.GVA(0); i < pages; i++ {
+		mapPage(t, tab, m, base+i*stride, addr.Page4K)
+	}
+	var cwtBytes uint64
+	for _, size := range addr.Sizes() {
+		tb := tab.ECPTs().Table(size)
+		if tb.Resizing() {
+			t.Fatalf("%s table resizing at the fork", size)
+		}
+		if c := tb.CWT(); c != nil {
+			cwtBytes += c.MemoryBytes()
+		}
+	}
+	allocated := func(do func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		do()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	var fork *Tables[addr.GVA, addr.GPA]
+	if got := allocated(func() { fork, err = tab.Fork() }); err != nil {
+		t.Fatal(err)
+	} else if t.Logf("the fork allocated %d B", got); got >= chunkBytes+cwtBytes {
+		t.Fatalf("the fork allocated %d B, want under %d (one radix chunk and the CWT pages)", got, chunkBytes+cwtBytes)
+	}
+
+	// The page after the eighth region's: the same radix L1 page, ECPT
+	// line and CWT entry as a mapped page.
+	va := base + 7*stride + 0x1000
+	for _, s := range []struct {
+		side  *Tables[addr.GVA, addr.GPA]
+		frame addr.GPA
+	}{{tab, 0x1000}, {fork, 0x2000}} {
+		if got := allocated(func() { err = s.side.Map(va, addr.Page4K, s.frame) }); err != nil {
+			t.Fatal(err)
+		} else if t.Logf("a first write allocated %d B", got); got < chunkBytes || got >= 2*chunkBytes {
+			t.Errorf("one side's first write allocated %d B, want one %d B radix chunk and a few KB", got, chunkBytes)
+		}
+		// A table page is 512 B of keys and 4 KB of frames, a CWT page
+		// more than its 4KB frame: copying both, with their page
+		// directories, costs over 8.5 KB.
+		if cow := s.side.ECPTs().Table(addr.Page4K).Stats().COWBytes; cow < 4608+4096 {
+			t.Errorf("one side's first write copied %d B of PTE table and CWT, want a page of each", cow)
+		}
+	}
+	if a, b := tab.ECPTs().COWBytes(), fork.ECPTs().COWBytes(); a != b {
+		t.Errorf("the same write copied %d B on the template, %d B on the fork", a, b)
+	}
+	for _, s := range []struct {
+		side  *Tables[addr.GVA, addr.GPA]
+		frame addr.GPA
+	}{{tab, 0x1000}, {fork, 0x2000}} {
+		if pa, _, ok := s.side.Translate(va); !ok || pa != s.frame {
+			t.Errorf("Translate(%#x) = %#x, %v; want the side's own %#x", va, pa, ok, s.frame)
+		}
+		if f, _, ok := s.side.Radix().Lookup(va); !ok || f != s.frame {
+			t.Errorf("radix Lookup(%#x) = %#x, %v; want the side's own %#x", va, f, ok, s.frame)
+		}
+		check(t, "side", s.side, m, []addr.GVA{base, base + 7*stride, base + (pages-1)*stride})
 	}
 }

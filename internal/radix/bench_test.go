@@ -20,7 +20,7 @@ const (
 func gupsTable(b *testing.B, size addr.PageSize) *Table[uint64, uint64] {
 	b.Helper()
 	alloc := memsim.NewAllocator[uint64](2*gupsBytes, 1)
-	tb := New[uint64](alloc)
+	tb := mustNew(alloc)
 	for va := uint64(gupsBase); va < gupsBase+gupsBytes; va += size.Bytes() {
 		frame, ok := alloc.Alloc(size, memsim.PurposeData)
 		if !ok {
@@ -65,7 +65,7 @@ func BenchmarkMap(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if va == gupsBase+gupsBytes {
 			b.StopTimer()
-			tb, va = New[uint64](memsim.NewAllocator[uint64](1<<30, 1)), gupsBase
+			tb, va = mustNew(memsim.NewAllocator[uint64](1<<30, 1)), gupsBase
 			b.StartTimer()
 		}
 		if err := tb.Map(va, addr.Page4K, va-gupsBase); err != nil {

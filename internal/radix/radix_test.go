@@ -12,7 +12,16 @@ import (
 )
 
 func newTable() *Table[uint64, uint64] {
-	return New[uint64](memsim.NewAllocator[uint64](256<<20, 1))
+	return mustNew(memsim.NewAllocator[uint64](256<<20, 1))
+}
+
+// mustNew is New over an allocator that has room for the root page.
+func mustNew(alloc *memsim.Allocator[uint64]) *Table[uint64, uint64] {
+	tb, err := New[uint64](alloc)
+	if err != nil {
+		panic(err)
+	}
+	return tb
 }
 
 func TestMapLookup(t *testing.T) {
@@ -189,7 +198,7 @@ func TestTablePageCostsOnePage(t *testing.T) {
 	alloc := memsim.NewAllocator[uint64](256<<20, 1)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	tb := New[uint64](alloc)
+	tb := mustNew(alloc)
 	for i := uint64(0); i < pages-3; i++ {
 		if err := tb.Map(0x4000_0000_0000+i*addr.Page2M.Bytes(), addr.Page4K, 0x4000_0000); err != nil {
 			t.Fatal(err)
@@ -216,7 +225,7 @@ func TestRootPAStable(t *testing.T) {
 // TestAgainstReferenceMap drives random 4KB mappings and checks Lookup
 // against a plain map.
 func TestAgainstReferenceMap(t *testing.T) {
-	tb := New[uint64](memsim.NewAllocator[uint64](1<<30, 1))
+	tb := mustNew(memsim.NewAllocator[uint64](1<<30, 1))
 	ref := map[uint64]uint64{}
 	f := func(pages []uint16) bool {
 		for i, p := range pages {

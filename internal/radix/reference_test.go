@@ -222,7 +222,7 @@ func FuzzRadixAgainstReference(f *testing.F) {
 		fuzzOp(opUnmap, 0, 2, b, 0), fuzzOp(opLookup, 0, 1, b, 0)))
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		alloc := memsim.NewAllocator[uint64](1<<40, 1)
-		sides := []*refSide{{alloc: alloc, tb: New[uint64](alloc), leaves: map[refKey]uint64{}, pages: map[refPage]bool{}}}
+		sides := []*refSide{{alloc: alloc, tb: mustNew(alloc), leaves: map[refKey]uint64{}, pages: map[refPage]bool{}}}
 		var probes []uint64
 		for i := 0; i+4 <= len(ops) && i < 4*maxOps; i += 4 {
 			kind, size := ops[i]&3, opSizes[ops[i]>>2&3]
