@@ -134,6 +134,7 @@ FUZZ_TARGETS = \
 	FuzzHashStability:./internal/vhash \
 	FuzzRNGStreams:./internal/vhash \
 	FuzzTableViews:./internal/ecpt \
+	FuzzTablesExhaustion:./internal/paging \
 	FuzzHierarchyAgainstReference:./internal/cachesim \
 	FuzzTLBAgainstReference:./internal/tlbsim \
 	FuzzRadixAgainstReference:./internal/radix \

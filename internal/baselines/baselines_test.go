@@ -10,6 +10,7 @@ import (
 	"nestedecpt/internal/ecpt"
 	"nestedecpt/internal/hypervisor"
 	"nestedecpt/internal/kernel"
+	"nestedecpt/internal/memsim"
 	"nestedecpt/internal/vhash"
 )
 
@@ -36,6 +37,15 @@ type fixture struct {
 	hyp  *hypervisor.Hypervisor
 	mem  *flatMem
 	vas  []addr.GVA
+}
+
+// must returns a constructor's walker, panicking on its error: the
+// fixtures' host always has room for what a baseline reserves.
+func must[W any](w W, err error) W {
+	if err != nil {
+		panic(err)
+	}
+	return w
 }
 
 func newFixture(t *testing.T, thp bool) *fixture {
@@ -153,13 +163,13 @@ func TestAgileIdealAccessBound(t *testing.T) {
 func TestFlatNestedCorrect(t *testing.T) {
 	for _, thp := range []bool{false, true} {
 		f := newFixture(t, thp)
-		drive(t, f, NewFlatNested(f.mem, f.kern, f.hyp))
+		drive(t, f, must(NewFlatNested(f.mem, f.kern, f.hyp)))
 	}
 }
 
 func TestFlatNestedAccessBound(t *testing.T) {
 	f := newFixture(t, false)
-	w := NewFlatNested(f.mem, f.kern, f.hyp)
+	w := must(NewFlatNested(f.mem, f.kern, f.hyp))
 	if w.FlatTableBytes() == 0 {
 		t.Error("flat table not reserved")
 	}
@@ -177,7 +187,7 @@ func TestFlatNestedAccessBound(t *testing.T) {
 
 func TestPOMTLBCorrectAndCaches(t *testing.T) {
 	f := newFixture(t, true)
-	w := NewPOMTLB(DefaultPOMTLBConfig(), f.mem, f.kern, f.hyp)
+	w := must(NewPOMTLB(DefaultPOMTLBConfig(), f.mem, f.kern, f.hyp))
 	drive(t, f, w)
 	if w.HitRate() != 0 {
 		t.Errorf("cold pass hit rate = %v, want 0 hits recorded as misses", w.HitRate())
@@ -190,7 +200,7 @@ func TestPOMTLBCorrectAndCaches(t *testing.T) {
 
 func TestPOMTLBHitIsSingleAccess(t *testing.T) {
 	f := newFixture(t, true)
-	w := NewPOMTLB(DefaultPOMTLBConfig(), f.mem, f.kern, f.hyp)
+	w := must(NewPOMTLB(DefaultPOMTLBConfig(), f.mem, f.kern, f.hyp))
 	drive(t, f, w) // warm
 	va := f.vas[0]
 	before := f.mem.accesses
@@ -207,7 +217,7 @@ func TestPOMTLBHitIsSingleAccess(t *testing.T) {
 // walked page.
 func TestPOMTLBReplacement(t *testing.T) {
 	f := newFixture(t, false)
-	w := NewPOMTLB(POMTLBConfig{Entries: 4, Ways: 4}, f.mem, f.kern, f.hyp)
+	w := must(NewPOMTLB(POMTLBConfig{Entries: 4, Ways: 4}, f.mem, f.kern, f.hyp))
 	for _, va := range f.vas[:4] {
 		walk(t, f, w, va)
 	}
@@ -228,7 +238,7 @@ func TestPOMTLBReplacement(t *testing.T) {
 // 2MB key in the set that 4KB page number selects.
 func TestPOMTLBHugeEntryCoversPage(t *testing.T) {
 	f := newFixture(t, true)
-	w := NewPOMTLB(POMTLBConfig{Entries: 4, Ways: 4}, f.mem, f.kern, f.hyp)
+	w := must(NewPOMTLB(POMTLBConfig{Entries: 4, Ways: 4}, f.mem, f.kern, f.hyp))
 	base := addr.PageBase(f.vas[0], addr.Page2M)
 	first := walk(t, f, w, base)
 	if first.Size != addr.Page2M {
@@ -257,10 +267,29 @@ func TestBaselineNames(t *testing.T) {
 	if NewAgileIdeal(f.mem, f.kern, f.hyp).Name() != "Ideal Agile Paging" {
 		t.Error("agile name")
 	}
-	if NewFlatNested(f.mem, f.kern, f.hyp).Name() != "Flat Nested" {
+	if must(NewFlatNested(f.mem, f.kern, f.hyp)).Name() != "Flat Nested" {
 		t.Error("flat name")
 	}
-	if NewPOMTLB(DefaultPOMTLBConfig(), f.mem, f.kern, f.hyp).Name() != "POM-TLB" {
+	if must(NewPOMTLB(DefaultPOMTLBConfig(), f.mem, f.kern, f.hyp)).Name() != "POM-TLB" {
 		t.Error("pom name")
+	}
+}
+
+// TestReservationsReturnOutOfMemory: a host with no room for the flat
+// table or the POM-TLB makes the constructor return the host
+// allocator's out-of-memory error.
+func TestReservationsReturnOutOfMemory(t *testing.T) {
+	f := newFixture(t, false)
+	host, err := hypervisor.New(hypervisor.Config{HostMemBytes: 1 << 20, BuildRadix: true, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, flatErr := NewFlatNested(f.mem, f.kern, host)
+	_, pomErr := NewPOMTLB(DefaultPOMTLBConfig(), f.mem, f.kern, host)
+	for _, err := range []error{flatErr, pomErr} {
+		var oom *memsim.OutOfMemoryError
+		if !errors.As(err, &oom) || oom.Purpose != memsim.PurposePageTable {
+			t.Errorf("err = %v, want a page-table *memsim.OutOfMemoryError", err)
+		}
 	}
 }

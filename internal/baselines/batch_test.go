@@ -14,8 +14,8 @@ import (
 func batchBaselines() map[string]func(f *fixture) core.Walker {
 	return map[string]func(f *fixture) core.Walker{
 		"agile-ideal": func(f *fixture) core.Walker { return NewAgileIdeal(f.mem, f.kern, f.hyp) },
-		"flat-nested": func(f *fixture) core.Walker { return NewFlatNested(f.mem, f.kern, f.hyp) },
-		"pom-tlb":     func(f *fixture) core.Walker { return NewPOMTLB(DefaultPOMTLBConfig(), f.mem, f.kern, f.hyp) },
+		"flat-nested": func(f *fixture) core.Walker { return must(NewFlatNested(f.mem, f.kern, f.hyp)) },
+		"pom-tlb":     func(f *fixture) core.Walker { return must(NewPOMTLB(DefaultPOMTLBConfig(), f.mem, f.kern, f.hyp)) },
 	}
 }
 

@@ -1,6 +1,8 @@
 package baselines
 
 import (
+	"fmt"
+
 	"nestedecpt/internal/addr"
 	"nestedecpt/internal/cachesim"
 	"nestedecpt/internal/core"
@@ -47,16 +49,16 @@ func (f *flatHost) Translate(now uint64, gpa addr.GPA, _ int, res *core.WalkResu
 }
 
 // NewFlatNested builds the walker; it reserves the flat host table in
-// host physical memory.
-func NewFlatNested(mem core.MemSystem, guest *kernel.Kernel, host *hypervisor.Hypervisor) *FlatNested {
+// host physical memory, or returns the host allocator's
+// *memsim.OutOfMemoryError when the table does not fit.
+func NewFlatNested(mem core.MemSystem, guest *kernel.Kernel, host *hypervisor.Hypervisor) (*FlatNested, error) {
 	size := guest.Allocator().Capacity() / addr.Page4K.Bytes() * 8
-	flat := &flatHost{
-		mem:  mem,
-		host: host,
-		base: host.Allocator().AllocRegion(size, memsim.PurposePageTable),
-		size: size,
+	base, err := host.Allocator().AllocRegion(size, memsim.PurposePageTable)
+	if err != nil {
+		return nil, fmt.Errorf("baselines: the flat host table: %w", err)
 	}
-	return &FlatNested{RadixWalker: core.NewRadixWalker("Flat Nested", 32, 24, mem, guest, flat), flat: flat}
+	flat := &flatHost{mem: mem, host: host, base: base, size: size}
+	return &FlatNested{RadixWalker: core.NewRadixWalker("Flat Nested", 32, 24, mem, guest, flat), flat: flat}, nil
 }
 
 // FlatTableBytes returns the reserved flat-table size.

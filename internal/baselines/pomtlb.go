@@ -1,6 +1,8 @@
 package baselines
 
 import (
+	"fmt"
+
 	"nestedecpt/internal/addr"
 	"nestedecpt/internal/cachesim"
 	"nestedecpt/internal/core"
@@ -55,10 +57,16 @@ func (w *POMTLB) WalkBatch(now uint64, gvas []addr.GVA, out []core.WalkResult, e
 	return core.SequentialWalkBatch(w, &w.BatchState, nil, trace.WalkerNone, now, gvas, out, errs)
 }
 
-// NewPOMTLB builds the design over a full nested-radix fallback.
-func NewPOMTLB(cfg POMTLBConfig, mem core.MemSystem, guest *kernel.Kernel, host *hypervisor.Hypervisor) *POMTLB {
+// NewPOMTLB builds the design over a full nested-radix fallback. It
+// reserves the POM-TLB in host physical memory, or returns the host
+// allocator's *memsim.OutOfMemoryError when it does not fit.
+func NewPOMTLB(cfg POMTLBConfig, mem core.MemSystem, guest *kernel.Kernel, host *hypervisor.Hypervisor) (*POMTLB, error) {
 	if cfg.Entries <= 0 || cfg.Ways <= 0 || cfg.Entries%cfg.Ways != 0 {
 		panic("baselines: bad POM-TLB geometry")
+	}
+	base, err := host.Allocator().AllocRegion(uint64(cfg.Entries)*16, memsim.PurposePageTable)
+	if err != nil {
+		return nil, fmt.Errorf("baselines: the POM-TLB: %w", err)
 	}
 	return &POMTLB{
 		cfg:      cfg,
@@ -66,8 +74,8 @@ func NewPOMTLB(cfg POMTLBConfig, mem core.MemSystem, guest *kernel.Kernel, host 
 		fallback: core.NewNestedRadix(core.DefaultRadixWalkConfig(), mem, guest, host),
 		sets:     cfg.Entries / cfg.Ways,
 		entries:  lru.New[addr.HPA](cfg.Entries/cfg.Ways, cfg.Ways),
-		base:     host.Allocator().AllocRegion(uint64(cfg.Entries)*16, memsim.PurposePageTable),
-	}
+		base:     base,
+	}, nil
 }
 
 // Name implements core.Walker.

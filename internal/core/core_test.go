@@ -9,6 +9,7 @@ import (
 	"nestedecpt/internal/ecpt"
 	"nestedecpt/internal/hypervisor"
 	"nestedecpt/internal/kernel"
+	"nestedecpt/internal/memsim"
 	"nestedecpt/internal/vhash"
 )
 
@@ -283,6 +284,48 @@ func TestNestedECPTUnmappedGuestErrors(t *testing.T) {
 		}
 	}
 	t.Fatalf("guest fault never surfaced; last err = %v", err)
+}
+
+// TestExhaustedGuestSkipsCWTRefill: the first walk of a never-touched
+// range refills the guest's PUD-CWC from a CWT entry that does not
+// exist, which sequential mode creates on the spot (ecpt.CWT.RefillPA).
+// A guest with no frame left for the entry's page skips the refill
+// instead: under THP the walker still serves every mapped address, and
+// reports the unmapped one as a guest fault, allocating nothing.
+func TestExhaustedGuestSkipsCWTRefill(t *testing.T) {
+	for _, exhausted := range []bool{false, true} {
+		f := newFixture(t, false, true, false, true, true)
+		a := f.kern.Allocator()
+		if exhausted {
+			for ok := true; ok; _, ok = a.Alloc(addr.Page2M, memsim.PurposeData) {
+			}
+			for ok := true; ok; _, ok = a.Alloc(addr.Page4K, memsim.PurposeCWT) {
+			}
+		}
+		w := NewNestedECPT(DefaultNestedECPTConfig(AdvancedTechniques()), f.mem, f.kern, f.hyp)
+		driveWalker(t, f, w)
+		va, used := addr.GVA(0x7FFF_0000_0000), a.Used(memsim.PurposeCWT)
+		for attempt := 0; ; attempt++ {
+			_, err := w.Walk(0, va)
+			var nm *ErrNotMapped
+			if !errors.As(err, &nm) || attempt > 64 {
+				t.Fatalf("exhausted %v: walk of an unmapped address: err = %v", exhausted, err)
+			}
+			if nm.Space == "guest" {
+				break
+			}
+			if _, err := f.hyp.EnsureMapped(nm.GPA, nm.PageTable); err != nil {
+				t.Fatal(err)
+			}
+		}
+		pud := f.kern.ECPTs().Table(addr.Page1G).CWT()
+		if created := pud.Query(addr.VPN(va, addr.Page1G)).EntryExists; created == exhausted {
+			t.Errorf("exhausted %v: the refill created the PUD-CWT entry: %v", exhausted, created)
+		}
+		if got := a.Used(memsim.PurposeCWT); exhausted && got != used {
+			t.Errorf("the skipped refill allocated: CWT bytes %d, were %d", got, used)
+		}
+	}
 }
 
 // TestNestedECPTSurvivesResize checks §4.4's design premise: cuckoo

@@ -178,11 +178,12 @@ func (p *probePlan[P]) addGroup(size addr.PageSize, way int) {
 }
 
 func (p *probePlan[P]) addRefill(size addr.PageSize, key uint64, pa P) {
-	// pa 0 means the CWT entry has no backing page to fetch: only
-	// possible in concurrent mode, where walkers are read-only and must
-	// not first-touch CWT storage (ecpt.CWT.RefillPA). Skipping the
-	// refill just lets the CWC miss again; sequential mode always has a
-	// backing page here, so its refill stream is unchanged.
+	// pa 0 means the CWT entry has no backing page to fetch: in
+	// concurrent mode, where walkers are read-only and must not
+	// first-touch CWT storage, or when no frame is free for the page
+	// (ecpt.CWT.RefillPA). Skipping the refill just lets the CWC miss
+	// again; otherwise sequential mode always has a backing page here,
+	// so its refill stream is unchanged.
 	if pa == 0 {
 		return
 	}
@@ -195,18 +196,6 @@ func (p *probePlan[P]) setAllGroups() {
 	p.addGroup(addr.Page1G, ecpt.AllWays)
 	p.addGroup(addr.Page2M, ecpt.AllWays)
 	p.addGroup(addr.Page4K, ecpt.AllWays)
-}
-
-// refillPA resolves the physical address of a CWT entry queued for a
-// CWC refill. A query of an existing entry already carries its PA, so
-// the common path adds no table consult; only a refill of an entry
-// that has never been touched goes through the CWT, whose sequential
-// first-touch side effect (creating the entry and allocating its
-// backing page) must be preserved — and whose concurrent mode must
-// not mutate, reporting 0 instead (see ecpt.CWT.RefillPA and
-// probePlan.addRefill).
-func refillPA[P addr.Addr](cwt *ecpt.CWT[P], info *ecpt.Info[P]) P {
-	return cwt.RefillPA(info)
 }
 
 // planWalk consults the CWCs top-down (1GB, then 2MB, then 4KB) and
@@ -230,7 +219,7 @@ func planWalk[V, P addr.Addr](set *ecpt.Set[V, P], cwc *CWC, va V, usePTE bool, 
 	pud.QueryInto(addr.VPN(va, addr.Page1G), info)
 	plan.lookups++
 	if !cwc.Lookup(addr.Page1G, info.EntryKey) {
-		plan.addRefill(addr.Page1G, info.EntryKey, refillPA(pud, info))
+		plan.addRefill(addr.Page1G, info.EntryKey, pud.RefillPA(info))
 		plan.setAllGroups()
 		plan.class = WalkComplete
 		return
@@ -256,7 +245,7 @@ func planWalk[V, P addr.Addr](set *ecpt.Set[V, P], cwc *CWC, va V, usePTE bool, 
 	pmd.QueryInto(addr.VPN(va, addr.Page2M), info)
 	plan.lookups++
 	if !cwc.Lookup(addr.Page2M, info.EntryKey) {
-		plan.addRefill(addr.Page2M, info.EntryKey, refillPA(pmd, info))
+		plan.addRefill(addr.Page2M, info.EntryKey, pmd.RefillPA(info))
 		plan.addGroup(addr.Page2M, ecpt.AllWays)
 		plan.addGroup(addr.Page4K, ecpt.AllWays)
 		plan.class = WalkPartial
@@ -284,7 +273,7 @@ func planWalk[V, P addr.Addr](set *ecpt.Set[V, P], cwc *CWC, va V, usePTE bool, 
 	pte.QueryInto(addr.VPN(va, addr.Page4K), info)
 	plan.lookups++
 	if !cwc.Lookup(addr.Page4K, info.EntryKey) {
-		plan.addRefill(addr.Page4K, info.EntryKey, refillPA(pte, info))
+		plan.addRefill(addr.Page4K, info.EntryKey, pte.RefillPA(info))
 		plan.addGroup(addr.Page4K, ecpt.AllWays)
 		plan.class = WalkSize
 		return
@@ -314,7 +303,7 @@ func planPTEOnly[V, P addr.Addr](set *ecpt.Set[V, P], cwc *CWC, va V, plan *prob
 	pte.QueryInto(addr.VPN(va, addr.Page4K), info)
 	plan.lookups++
 	if !cwc.Lookup(addr.Page4K, info.EntryKey) {
-		plan.addRefill(addr.Page4K, info.EntryKey, refillPA(pte, info))
+		plan.addRefill(addr.Page4K, info.EntryKey, pte.RefillPA(info))
 		plan.addGroup(addr.Page4K, ecpt.AllWays)
 		plan.class = WalkSize
 		return

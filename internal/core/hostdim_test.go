@@ -93,7 +93,11 @@ func TestHostDimensionFaultPaths(t *testing.T) {
 			return baselines.NewAgileIdeal(m, k, h)
 		}},
 		{"flat-nested", true, func(m core.MemSystem, k *kernel.Kernel, h *hypervisor.Hypervisor) batcher {
-			return baselines.NewFlatNested(m, k, h)
+			w, err := baselines.NewFlatNested(m, k, h)
+			if err != nil {
+				panic(err) // the fixture's host has room for the flat table
+			}
+			return w
 		}},
 	}
 	for _, cfg := range configs {

@@ -39,14 +39,19 @@ func gbFixture(t *testing.T) (*kernel.Kernel, *hypervisor.Hypervisor) {
 	// hugetlbfs-style explicit mappings: guest 1GB page at 4GB VA,
 	// backed by a 1GB gPA frame, itself backed by a 1GB host frame.
 	gva, gpa := addr.GVA(1)<<32, addr.GPA(1)<<30
-	k.ECPTs().Map(gva, addr.Page1G, gpa)
+	if err := k.ECPTs().Map(gva, addr.Page1G, gpa); err != nil {
+		t.Fatal(err)
+	}
 	if err := k.Radix().Map(gva, addr.Page1G, gpa); err != nil {
 		t.Fatal(err)
 	}
-	hpa := h.Allocator().AllocRegion(1<<30, memsim.PurposeData) // contiguity stand-in
-	hpa = (hpa + (1 << 30) - 1) &^ ((1 << 30) - 1)
-	// Use a fresh aligned region instead: map gPA -> aligned hPA.
-	h.ECPTs().Map(gpa, addr.Page1G, hpa)
+	hpa, ok := h.Allocator().Alloc(addr.Page1G, memsim.PurposeData)
+	if !ok {
+		t.Fatal("no 1GB host frame")
+	}
+	if err := h.ECPTs().Map(gpa, addr.Page1G, hpa); err != nil {
+		t.Fatal(err)
+	}
 	if err := h.Radix().Map(gpa, addr.Page1G, hpa); err != nil {
 		t.Fatal(err)
 	}

@@ -1,12 +1,14 @@
 package ecpt
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 	"unsafe"
 
 	"nestedecpt/internal/addr"
 	"nestedecpt/internal/memsim"
+	"nestedecpt/internal/vhash"
 )
 
 func newTestTable(t *testing.T, lines int, cwt bool) *Table[uint64] {
@@ -62,8 +64,9 @@ func TestLineKey(t *testing.T) {
 }
 
 // TestInsertRejectsOversizedPageNumber: a page number whose group tag
-// would spill into the key's present bits is a caller bug, refused
-// before it can alias another line; looking one up just misses.
+// would spill into the key's present bits is refused with an error
+// before it can alias another line, and the table is left as it was;
+// looking one up just misses.
 func TestInsertRejectsOversizedPageNumber(t *testing.T) {
 	tb := newTestTable(t, 64, false)
 	tb.Insert(0, 0xAA000)
@@ -76,12 +79,12 @@ func TestInsertRejectsOversizedPageNumber(t *testing.T) {
 			t.Error("an oversized page number tag-matched a line")
 		}
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("Insert accepted a page number that does not fit the key")
-		}
-	}()
-	tb.Insert(huge, 0xBB000)
+	if err := tb.Insert(huge, 0xBB000); err == nil {
+		t.Error("Insert accepted a page number that does not fit the key")
+	}
+	if tb.Entries() != 1 || tb.Stats().Inserts != 1 {
+		t.Errorf("a refused insert changed the table: %d entries, %d inserts", tb.Entries(), tb.Stats().Inserts)
+	}
 }
 
 func TestLinePacking(t *testing.T) {
@@ -343,5 +346,95 @@ func TestAgainstReferenceMapProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestCrowdedTableStaysCorrect: with two ways and one kick,
+// displacement chains fail all the time, resizes in flight included. A
+// failed chain is put back; a line migration cannot place waits for a
+// later insert, and a new line no chain can place grows the table, the
+// lines a resize in flight has not migrated moving straight into the
+// new generation. Every translation stays, and the CWT names the way of
+// every line.
+func TestCrowdedTableStaysCorrect(t *testing.T) {
+	crowdedTable(t, 8, 3000, 1)
+	// Tables from one line a way: growing from so small, a new
+	// generation sometimes cannot take the lines moved into it either,
+	// and is filled again under fresh hash functions.
+	for seed := uint64(0); seed < 500; seed++ {
+		crowdedTable(t, 1, 40, seed)
+	}
+}
+
+func crowdedTable(t *testing.T, lines int, ops, seed uint64) {
+	t.Helper()
+	cfg := Config{Ways: 2, InitialLinesPerWay: lines, MaxKicks: 1, LoadFactorLimit: 0.9, MigratePerInsert: 1}
+	alloc := memsim.NewAllocator[uint64](1<<30, 1)
+	tb := MustNew(addr.Page4K, cfg, alloc, NewCWT(addr.Page4K, alloc), 1, seed)
+	model := map[uint64]uint64{}
+	rng := vhash.NewRNG(seed)
+	for i := uint64(0); i < ops; i++ {
+		vpn := rng.Uint64n(1 << 14)
+		if i%4 == 3 {
+			_, mapped := model[vpn]
+			if tb.Remove(vpn) != mapped {
+				t.Fatalf("Remove(%#x) disagrees with the model", vpn)
+			}
+			delete(model, vpn)
+			continue
+		}
+		if err := tb.Insert(vpn, i<<12); err != nil {
+			t.Fatal(err)
+		}
+		model[vpn] = i << 12
+	}
+	if tb.Stats().Resizes < 2 || tb.Entries() != uint64(len(model)) {
+		t.Fatalf("%d resizes, %d entries; want several resizes and %d entries", tb.Stats().Resizes, tb.Entries(), len(model))
+	}
+	for vpn, frame := range model {
+		if got, ok := tb.Lookup(vpn); !ok || got != frame {
+			t.Fatalf("vpn %#x = %#x, %v; want %#x", vpn, got, ok, frame)
+		}
+		_, w, _, _ := tb.findLine(lineTag(vpn))
+		if info := tb.CWT().Query(vpn); !info.Present || !info.WayKnown || int(info.Way) != w {
+			t.Fatalf("vpn %#x: CWT %+v, line in way %d", vpn, info, w)
+		}
+	}
+}
+
+// TestInsertOutOfMemoryWritesNothing: an insert whose resize finds no
+// room returns the allocator's error and leaves the table as it was —
+// entries, lines, CWT bits and the cuckoo RNG — while the old
+// generation keeps serving.
+func TestInsertOutOfMemoryWritesNothing(t *testing.T) {
+	for _, kicks := range []int{1, 32} { // a resize forced by a failed chain, and by load
+		cfg := Config{Ways: 2, InitialLinesPerWay: 64, MaxKicks: kicks, LoadFactorLimit: 0.5, MigratePerInsert: 1}
+		// The table's two ways, a CWT page and one page to spare.
+		alloc := memsim.NewAllocator[uint64](4*4096, 1)
+		tb := MustNew(addr.Page4K, cfg, alloc, NewCWT(addr.Page4K, alloc), 1, 7)
+		var vpn uint64
+		for ; ; vpn += TranslationsPerLine {
+			rng, entries, used := *tb.rng, tb.Entries(), alloc.TotalUsed()
+			err := tb.Insert(vpn, vpn<<12)
+			if err == nil {
+				continue
+			}
+			var oom *memsim.OutOfMemoryError
+			if !errors.As(err, &oom) || oom.Purpose != memsim.PurposePageTable {
+				t.Fatalf("kicks %d: err = %v, want a page-table *memsim.OutOfMemoryError", kicks, err)
+			}
+			if *tb.rng != rng || tb.Entries() != entries || alloc.TotalUsed() != used || tb.Resizing() {
+				t.Fatalf("kicks %d: the failed insert changed the table", kicks)
+			}
+			if _, ok := tb.Lookup(vpn); ok || tb.CWT().Query(vpn).Present {
+				t.Fatalf("kicks %d: the failed insert mapped %#x", kicks, vpn)
+			}
+			break
+		}
+		for v := uint64(0); v < vpn; v += TranslationsPerLine {
+			if got, ok := tb.Lookup(v); !ok || got != v<<12 {
+				t.Fatalf("kicks %d: vpn %#x lost after the failed insert", kicks, v)
+			}
+		}
 	}
 }

@@ -56,7 +56,6 @@ func (t *Table[P]) fork(alloc *memsim.Allocator[P]) (*Table[P], error) {
 		hashSpace:   t.hashSpace,
 		rng:         &rng,
 		stats:       t.stats,
-		pending:     slices.Clone(t.pending),
 	}
 	// As in New: a slot of a live generation, now the fork's own.
 	f.cursor.g = f.cur

@@ -267,10 +267,11 @@ func (c *CWT[P]) publish() {
 // RefillPA resolves the physical address a CWC refill fetches for a
 // queried CWT entry. A query of an existing entry already carries its
 // PA. A missing entry is the sequential first-touch point (EntryPA
-// creates it); concurrent walkers are strictly read-only, so in
-// concurrent mode a missing entry's refill reports address zero — a
-// negative-caching fetch that costs one access and caches the absence,
-// which is also what the hardware would see for a never-touched range.
+// creates it), unless no frame is free for its page; concurrent walkers
+// are strictly read-only. In those two cases it reports address zero,
+// and the walker skips the refill, so the CWC misses again next time:
+// hardware never allocates CWT storage, and a walk never fails for want
+// of memory.
 //
 //nestedlint:hotpath
 func (c *CWT[P]) RefillPA(info *Info[P]) P {

@@ -71,15 +71,6 @@ func New(cfg Config) (*Hypervisor, error) {
 	return &Hypervisor{cfg: cfg, tables: tables}, nil
 }
 
-// MustNew is New but panics on configuration errors.
-func MustNew(cfg Config) *Hypervisor {
-	h, err := New(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return h
-}
-
 // Fork returns an independent copy of the hypervisor: the same
 // mappings, 4KB-region marks and allocator state, over host page tables
 // forked from h's (paging.Tables.Fork). Mapping on either hypervisor

@@ -1,6 +1,7 @@
 package hypervisor
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -238,7 +239,11 @@ func TestResolveMatchesEnsureMappedTranslate(t *testing.T) {
 				if tc.memBytes != 0 {
 					cfg.HostMemBytes = tc.memBytes
 				}
-				return MustNew(cfg)
+				h, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return h
 			}
 			one, pair := build(), build()
 			for i, a := range tc.accesses {
@@ -274,5 +279,51 @@ func TestResolveMatchesEnsureMappedTranslate(t *testing.T) {
 				t.Fatalf("no step failed, want %q", tc.wantErr)
 			}
 		})
+	}
+}
+
+// TestExhaustionIsAnError: a 2MB host with ECPTs, mapping one 4KB
+// guest-physical page every 32KB, runs out of memory for its tables
+// before its data. The nested fault that cannot be served returns the
+// allocator's out-of-memory error for a page-table or CWT allocation,
+// and leaves every page mapped before it translating as it did, with
+// the same entries and data bytes.
+func TestExhaustionIsAnError(t *testing.T) {
+	h, err := New(Config{HostMemBytes: 2 << 20, BuildECPT: true, ECPT: ecpt.ScaledSetConfig(true, 64), Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mapped := map[addr.GPA]addr.HPA{}
+	for gpa := addr.GPA(0x1000_0000); ; gpa = addr.Add(gpa, 32<<10) {
+		entries, data := h.ECPTs().Entries(), h.Allocator().Used(memsim.PurposeData)
+		_, err := h.EnsureMapped(gpa, false)
+		if err == nil {
+			hpa, _, _ := h.Translate(gpa)
+			mapped[gpa] = hpa
+			continue
+		}
+		var oom *memsim.OutOfMemoryError
+		if !errors.As(err, &oom) || (oom.Purpose != memsim.PurposePageTable && oom.Purpose != memsim.PurposeCWT) {
+			t.Fatalf("map %d at %#x: err = %v, want a page-table or CWT out-of-memory error", len(mapped), gpa, err)
+		}
+		if got := h.ECPTs().Entries(); got != entries {
+			t.Errorf("failed fault changed the entries: %d, was %d", got, entries)
+		}
+		if got := h.Allocator().Used(memsim.PurposeData); got != data {
+			t.Errorf("failed fault kept data bytes: %d, was %d", got, data)
+		}
+		if _, _, ok := h.Translate(gpa); ok {
+			t.Errorf("failed fault left %#x mapped", gpa)
+		}
+		t.Logf("%d pages mapped, then: %v", len(mapped), err)
+		break
+	}
+	if len(mapped) == 0 {
+		t.Fatal("the first map already failed")
+	}
+	for gpa, hpa := range mapped {
+		if got, _, ok := h.Translate(gpa); !ok || got != hpa {
+			t.Fatalf("%#x translates to %#x (%v) after the failure, was %#x", gpa, got, ok, hpa)
+		}
 	}
 }

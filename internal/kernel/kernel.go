@@ -87,15 +87,6 @@ func New(cfg Config) (*Kernel, error) {
 	return &Kernel{cfg: cfg, tables: tables}, nil
 }
 
-// MustNew is New but panics on configuration errors.
-func MustNew(cfg Config) *Kernel {
-	k, err := New(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return k
-}
-
 // Fork returns an independent copy of the kernel: the same VMAs,
 // mappings, THP decisions and allocator state, over page tables forked
 // from k's (paging.Tables.Fork). Paging on either kernel never shows in

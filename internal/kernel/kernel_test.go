@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -284,7 +285,10 @@ func TestResolveMatchesTouchTranslate(t *testing.T) {
 				if tc.memBytes != 0 {
 					cfg.GuestMemBytes = tc.memBytes
 				}
-				k := MustNew(cfg)
+				k, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
 				k.DefineVMA(VMA{Base: 0x1000_0000, Size: 64 << 20, THPEligible: true})
 				k.DefineVMA(VMA{Base: 0x4000_0000, Size: 64 << 20})
 				return k
@@ -323,5 +327,51 @@ func TestResolveMatchesTouchTranslate(t *testing.T) {
 				t.Fatalf("no step failed, want %q", tc.wantErr)
 			}
 		})
+	}
+}
+
+// TestExhaustionIsAnError: a 2MB guest with ECPTs, touched one 4KB page
+// every 32KB, runs out of memory for its tables before its data. The
+// fault that cannot be served returns the allocator's out-of-memory
+// error for a page-table or CWT allocation, and leaves every page
+// resolved before it translating as it did, with the same entries and
+// data bytes.
+func TestExhaustionIsAnError(t *testing.T) {
+	k, err := New(Config{GuestMemBytes: 2 << 20, BuildECPT: true, ECPT: ecpt.ScaledSetConfig(false, 64), Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	k.DefineVMA(VMA{Base: 0x1000_0000, Size: 64 << 20})
+	resolved := map[addr.GVA]addr.GPA{}
+	for va := addr.GVA(0x1000_0000); ; va = addr.Add(va, 32<<10) {
+		entries, data := k.ECPTs().Entries(), k.Allocator().Used(memsim.PurposeData)
+		gpa, _, _, err := k.Resolve(va)
+		if err == nil {
+			resolved[va] = gpa
+			continue
+		}
+		var oom *memsim.OutOfMemoryError
+		if !errors.As(err, &oom) || (oom.Purpose != memsim.PurposePageTable && oom.Purpose != memsim.PurposeCWT) {
+			t.Fatalf("touch %d at %#x: err = %v, want a page-table or CWT out-of-memory error", len(resolved), va, err)
+		}
+		if got := k.ECPTs().Entries(); got != entries {
+			t.Errorf("failed fault changed the entries: %d, was %d", got, entries)
+		}
+		if got := k.Allocator().Used(memsim.PurposeData); got != data {
+			t.Errorf("failed fault kept data bytes: %d, was %d", got, data)
+		}
+		if _, _, ok := k.Translate(va); ok {
+			t.Errorf("failed fault left %#x mapped", va)
+		}
+		t.Logf("%d pages resolved, then: %v", len(resolved), err)
+		break
+	}
+	if len(resolved) == 0 {
+		t.Fatal("the first touch already failed")
+	}
+	for va, gpa := range resolved {
+		if got, _, ok := k.Translate(va); !ok || got != gpa {
+			t.Fatalf("%#x translates to %#x (%v) after the failure, was %#x", va, got, ok, gpa)
+		}
 	}
 }

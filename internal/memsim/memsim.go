@@ -186,23 +186,6 @@ func (a *Allocator[P]) allocMeta(bytes uint64, why Purpose) (base uint64, ok boo
 	return a.metaNext, true
 }
 
-// MustAlloc allocates like Alloc but panics on exhaustion. It is meant
-// for page-table allocations, which the simulator sizes so they cannot
-// fail; a panic indicates a configuration bug, not a runtime condition.
-func (a *Allocator[P]) MustAlloc(s addr.PageSize, why Purpose) P {
-	// Page tables are never subject to the fragmentation model: Linux
-	// and KVM allocate them in 4KB pages (§4.3), and 4KB frames never
-	// fail below capacity.
-	saved := a.hugeFail
-	a.hugeFail = 0
-	base, ok := a.Alloc(s, why)
-	a.hugeFail = saved
-	if !ok {
-		panic(fmt.Sprintf("memsim: out of physical memory allocating %s for %s (capacity %d)", s, why, a.capacity))
-	}
-	return base
-}
-
 // Free returns a frame to the allocator.
 func (a *Allocator[P]) Free(base P, s addr.PageSize, why Purpose) {
 	if why != PurposeData {
@@ -222,45 +205,76 @@ func (a *Allocator[P]) Free(base P, s addr.PageSize, why Purpose) {
 	}
 }
 
-// AllocRegion carves a physically-contiguous region of the given size
-// (rounded up to whole 4KB pages) and returns its base address. ECPT
-// ways are contiguous arrays indexed by hash, so they need regions
-// rather than individual frames. It panics on exhaustion for the same
-// reason MustAlloc does.
-func (a *Allocator[P]) AllocRegion(bytes uint64, why Purpose) P {
-	sz := (bytes + addr.Page4K.Bytes() - 1) &^ (addr.Page4K.Bytes() - 1)
-	if why != PurposeData {
-		base, ok := a.allocMeta(sz, why)
-		if !ok {
-			panic(fmt.Sprintf("memsim: out of physical memory allocating %dB region for %s", sz, why))
-		}
-		return P(base)
+// AllocRegion carves a physically-contiguous metadata region of the
+// given size (rounded up to whole 4KB pages) and returns its base
+// address. ECPT ways are contiguous arrays indexed by hash, so they
+// need regions rather than individual frames. It returns an
+// *OutOfMemoryError, having allocated nothing, when the space is
+// exhausted.
+func (a *Allocator[P]) AllocRegion(bytes uint64, why Purpose) (P, error) {
+	sz := roundPage(bytes)
+	base, ok := a.allocMeta(sz, why)
+	if !ok {
+		return 0, a.OutOfMemory(sz, why)
 	}
-	aligned := (a.next + addr.Page4K.Bytes() - 1) &^ (addr.Page4K.Bytes() - 1)
-	if aligned+sz > a.metaNext {
-		panic(fmt.Sprintf("memsim: out of physical memory allocating %dB region for %s", sz, why))
-	}
-	a.next = aligned + sz
-	a.used[why] += sz
-	return P(aligned)
+	return P(base), nil
 }
 
 // FreeRegion returns a region previously obtained from AllocRegion.
-// The space is handed back as 4KB frames.
+// The space is handed back as 4KB metadata frames.
 func (a *Allocator[P]) FreeRegion(base P, bytes uint64, why Purpose) {
-	sz := (bytes + addr.Page4K.Bytes() - 1) &^ (addr.Page4K.Bytes() - 1)
+	sz := roundPage(bytes)
 	for p := uint64(base); p < uint64(base)+sz; p += addr.Page4K.Bytes() {
-		if why != PurposeData {
-			a.metaFree = append(a.metaFree, p)
-		} else {
-			a.free[addr.Page4K] = append(a.free[addr.Page4K], p)
-		}
+		a.metaFree = append(a.metaFree, p)
 	}
 	if a.used[why] >= sz {
 		a.used[why] -= sz
 	} else {
 		a.used[why] = 0
 	}
+}
+
+// MetaFits returns nil when the allocator can hand out pages single 4KB
+// metadata frames and regions AllocRegion regions of regionBytes each,
+// in any order, and otherwise the *OutOfMemoryError of allocating all
+// those bytes for why. A caller asks before its first write, so that an
+// operation it cannot finish writes nothing.
+func (a *Allocator[P]) MetaFits(pages, regions int, regionBytes uint64, why Purpose) error {
+	sz := roundPage(regionBytes)
+	if sz == addr.Page4K.Bytes() {
+		// A one-page region takes a freed frame first, as a page does.
+		pages, regions = pages+regions, 0
+	}
+	gap := uint64(max(pages-len(a.metaFree), 0))*addr.Page4K.Bytes() + uint64(regions)*sz
+	if gap > a.metaNext-a.next {
+		return a.OutOfMemory(uint64(pages)*addr.Page4K.Bytes()+uint64(regions)*sz, why)
+	}
+	return nil
+}
+
+// roundPage rounds bytes up to whole 4KB pages.
+func roundPage(bytes uint64) uint64 {
+	return (bytes + addr.Page4K.Bytes() - 1) &^ (addr.Page4K.Bytes() - 1)
+}
+
+// OutOfMemoryError is the one error every layer returns when a
+// simulated physical address space runs out: it names the bytes the
+// failed allocation wanted, the space's capacity and what the memory
+// was for. Callers wrap it with %w, so errors.As finds it at any layer.
+type OutOfMemoryError struct {
+	Bytes    uint64
+	Capacity uint64
+	Purpose  Purpose
+}
+
+func (e *OutOfMemoryError) Error() string {
+	return fmt.Sprintf("memsim: out of memory allocating %dB for %s (capacity %d)", e.Bytes, e.Purpose, e.Capacity)
+}
+
+// OutOfMemory returns the error for an allocation of bytes for why
+// that a has no room for.
+func (a *Allocator[P]) OutOfMemory(bytes uint64, why Purpose) error {
+	return &OutOfMemoryError{Bytes: bytes, Capacity: a.capacity, Purpose: why}
 }
 
 // Used returns the bytes currently allocated for the given purpose.

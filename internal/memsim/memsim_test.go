@@ -1,6 +1,7 @@
 package memsim
 
 import (
+	"errors"
 	"testing"
 
 	"nestedecpt/internal/addr"
@@ -124,15 +125,44 @@ func TestExhaustion(t *testing.T) {
 	}
 }
 
-func TestMustAllocPanicsOnExhaustion(t *testing.T) {
-	a := NewAllocator[uint64](4096, 1)
-	a.MustAlloc(addr.Page4K, PurposePageTable)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustAlloc on full allocator did not panic")
-		}
-	}()
-	a.MustAlloc(addr.Page4K, PurposePageTable)
+// TestExhaustionIsOutOfMemoryError: a full allocator refuses frames,
+// and a region it cannot carve is one *OutOfMemoryError naming the
+// bytes, the capacity and the purpose. MetaFits says so first.
+func TestExhaustionIsOutOfMemoryError(t *testing.T) {
+	a := NewAllocator[uint64](3*4096, 1)
+	if err := a.MetaFits(1, 1, 8192, PurposePageTable); err != nil {
+		t.Fatalf("MetaFits on an empty 3-page allocator: %v", err)
+	}
+	if err := a.MetaFits(2, 1, 8192, PurposePageTable); err == nil {
+		t.Fatal("MetaFits accepted 4 pages in a 3-page allocator")
+	}
+	region, err := a.AllocRegion(8192, PurposePageTable)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = a.AllocRegion(8192, PurposePageTable)
+	var oom *OutOfMemoryError
+	if !errors.As(err, &oom) || *oom != (OutOfMemoryError{Bytes: 8192, Capacity: 3 * 4096, Purpose: PurposePageTable}) {
+		t.Fatalf("AllocRegion on a full allocator: err = %v, want an *OutOfMemoryError for 8192B of page-table", err)
+	}
+	if got := a.Used(PurposePageTable); got != 8192 {
+		t.Fatalf("Used after a failed AllocRegion = %d, want 8192", got)
+	}
+	if _, ok := a.Alloc(addr.Page4K, PurposeCWT); !ok {
+		t.Fatal("last frame refused")
+	}
+	if _, ok := a.Alloc(addr.Page4K, PurposeCWT); ok {
+		t.Fatal("Alloc on a full allocator succeeded")
+	}
+	// Freed metadata frames count toward single pages and one-page
+	// regions, never toward a longer region.
+	a.FreeRegion(region, 8192, PurposePageTable)
+	if err := a.MetaFits(1, 1, 4096, PurposeCWT); err != nil {
+		t.Fatalf("MetaFits over two freed frames: %v", err)
+	}
+	if err := a.MetaFits(0, 1, 8192, PurposePageTable); err == nil {
+		t.Fatal("MetaFits counted freed frames toward an 8KB region")
+	}
 }
 
 func TestHugePageFragmentation(t *testing.T) {
@@ -152,7 +182,10 @@ func TestHugePageFragmentation(t *testing.T) {
 
 func TestAllocRegionContiguity(t *testing.T) {
 	a := newTestAlloc(64)
-	base := a.AllocRegion(3*4096+100, PurposePageTable)
+	base, err := a.AllocRegion(3*4096+100, PurposePageTable)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if base%4096 != 0 {
 		t.Errorf("region base %#x not page aligned", base)
 	}
@@ -226,7 +259,10 @@ func TestAllocatorAt(t *testing.T) {
 	if pa < base || pa >= base+capacity {
 		t.Fatalf("data alloc %#x outside window [%#x, %#x)", pa, base, base+capacity)
 	}
-	meta := a.AllocRegion(64, PurposePageTable)
+	meta, err := a.AllocRegion(64, PurposePageTable)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if meta < base || meta >= base+capacity {
 		t.Fatalf("meta alloc %#x outside window", meta)
 	}

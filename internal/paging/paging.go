@@ -126,7 +126,7 @@ func (t *Tables[V, P]) Fault(va V, thp, huge bool) (pa P, size addr.PageSize, er
 	}
 	frame, ok := t.alloc.Alloc(addr.Page4K, memsim.PurposeData)
 	if !ok {
-		return 0, 0, fmt.Errorf("paging: out of memory at %#x", va)
+		return 0, 0, fmt.Errorf("paging: fault at %#x: %w", va, t.alloc.OutOfMemory(addr.Page4K.Bytes(), memsim.PurposeData))
 	}
 	if err := t.Map(addr.PageBase(va, addr.Page4K), addr.Page4K, frame); err != nil {
 		t.alloc.Free(frame, addr.Page4K, memsim.PurposeData)
@@ -139,10 +139,12 @@ func (t *Tables[V, P]) Fault(va V, thp, huge bool) (pa P, size addr.PageSize, er
 	return addr.Translate(frame, va, addr.Page4K), addr.Page4K, nil
 }
 
-// Map installs base → frame at size in every built structure. A radix
-// map that fails (a conflicting entry, or no memory for a table page)
-// is returned before the ECPT set is touched, so neither structure
-// holds the page.
+// Map installs base → frame at size in every built structure, or in
+// none: a radix map that fails (a conflicting entry, or no memory for a
+// table page) is returned before the ECPT set is touched, and an ECPT
+// map that fails (ecpt.Set.Map writes nothing) takes the radix entry
+// back out. The errors wrap *memsim.OutOfMemoryError when memory ran
+// out.
 func (t *Tables[V, P]) Map(base V, size addr.PageSize, frame P) error {
 	if t.radix != nil {
 		if err := t.radix.Map(base, size, frame); err != nil {
@@ -150,7 +152,13 @@ func (t *Tables[V, P]) Map(base V, size addr.PageSize, frame P) error {
 		}
 	}
 	if t.ecpts != nil {
-		t.ecpts.Map(base, size, frame)
+		if err := t.ecpts.Map(base, size, frame); err != nil {
+			if t.radix != nil {
+				// Cannot fail: the entry was mapped just above.
+				_ = t.radix.Unmap(base, size)
+			}
+			return fmt.Errorf("paging: %w", err)
+		}
 	}
 	return nil
 }
@@ -164,6 +172,8 @@ func (t *Tables[V, P]) Unmap(va V) (size addr.PageSize, ok bool) {
 	base := addr.PageBase(va, size)
 	if t.radix != nil {
 		if err := t.radix.Unmap(base, size); err != nil {
+			// Map puts a page in both structures or in neither, so
+			// they cannot disagree about it.
 			panic(fmt.Sprintf("paging: radix unmap: %v", err))
 		}
 	}

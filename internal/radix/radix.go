@@ -70,7 +70,7 @@ type Table[V, P addr.Addr] struct {
 func New[V, P addr.Addr](alloc *memsim.Allocator[P]) (*Table[V, P], error) {
 	t := &Table[V, P]{alloc: alloc}
 	if _, ok := t.newPage(); !ok {
-		return nil, fmt.Errorf("radix: out of memory for the root table page (capacity %d)", alloc.Capacity())
+		return nil, fmt.Errorf("radix: the root table page: %w", alloc.OutOfMemory(addr.Page4K.Bytes(), memsim.PurposePageTable))
 	}
 	return t, nil
 }
@@ -141,7 +141,7 @@ func (t *Table[V, P]) Map(va V, size addr.PageSize, frame P) error {
 		if e == 0 {
 			child, ok := t.newPage()
 			if !ok {
-				return fmt.Errorf("radix: out of memory for a %s table page mapping %#x (capacity %d)", l-1, va, t.alloc.Capacity())
+				return fmt.Errorf("radix: a %s table page mapping %#x: %w", l-1, va, t.alloc.OutOfMemory(addr.Page4K.Bytes(), memsim.PurposePageTable))
 			}
 			e = child<<addr.PageShift4K | tableBit
 			t.writePage(pi)[idx] = e

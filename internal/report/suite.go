@@ -383,15 +383,10 @@ func (g *setupGroup) fork(cfg sim.Config) (*sim.Machine, error) {
 }
 
 // buildSetup builds and pre-populates cfg's machine as a fork
-// template. A panic becomes the build's error: every member of the
-// group reports it, not only the one that happened to build.
-func buildSetup(cfg sim.Config) (m *sim.Machine, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			m, err = nil, fmt.Errorf("report: building the shared set-up panicked: %v", r)
-		}
-	}()
-	m, err = sim.NewMachine(cfg)
+// template. Every member of the group reports its error, not only the
+// one that happened to build.
+func buildSetup(cfg sim.Config) (*sim.Machine, error) {
+	m, err := sim.NewMachine(cfg)
 	if err == nil {
 		err = m.Prepopulate()
 	}

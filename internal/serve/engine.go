@@ -375,7 +375,9 @@ func (e *engine) applyHost(req *hostRequest) error {
 }
 
 // shardLoop is one churn mutator: it owns the guests with vm % shards
-// == s and runs churn rounds over them until stopped.
+// == s and runs churn rounds over them until stopped. A round that
+// fails (a guest out of memory) ends a wall-clock run early: Run
+// returns the shard's error once the workers stop.
 //
 //nestedlint:writer the one mutating goroutine of its guests' table sets
 func (e *engine) shardLoop(s int) {
@@ -383,6 +385,7 @@ func (e *engine) shardLoop(s int) {
 		for vm := s; vm < len(e.kerns); vm += e.shards {
 			if err := e.churnRound(s, vm); err != nil {
 				e.shardErrs[s] = err
+				e.stop.Store(true)
 				return
 			}
 		}

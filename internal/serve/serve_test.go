@@ -2,8 +2,13 @@ package serve
 
 import (
 	"context"
+	"errors"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
+
+	"nestedecpt/internal/memsim"
 )
 
 // smokeConfig returns a run small enough for unit tests: few VMs, a
@@ -135,5 +140,30 @@ func TestConfigDefaults(t *testing.T) {
 	n = (Config{OpsPerWorker: 10}).normalized()
 	if n.Duration != 0 {
 		t.Errorf("fixed-op normalization set Duration %v", n.Duration)
+	}
+}
+
+// TestChurnOutgrowingGuestEndsRun: a churn window larger than the
+// guest's memory runs the guest out of frames. Run ends cleanly: it
+// returns the allocator's out-of-memory error naming the VM, and every
+// goroutine it started has exited.
+func TestChurnOutgrowingGuestEndsRun(t *testing.T) {
+	before := runtime.NumGoroutine()
+	cfg := DefaultConfig()
+	cfg.VMs, cfg.Workers = 1, 1
+	cfg.Duration = time.Minute // the exhaustion ends the run long before
+	cfg.ChurnPagesPerRound = 4096
+	cfg.ChurnInterval = time.Microsecond
+	cfg.ChurnWindowPages, cfg.ChurnSpanPages = 1<<20, 1<<21 // 4GB, past any guest
+	_, err := Run(context.Background(), cfg)
+	var oom *memsim.OutOfMemoryError
+	if !errors.As(err, &oom) || !strings.Contains(err.Error(), "vm 0") {
+		t.Fatalf("err = %v, want a vm 0 *memsim.OutOfMemoryError", err)
+	}
+	for i := 0; runtime.NumGoroutine() > before && i < 100; i++ {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("%d goroutines after Run, %d before", n, before)
 	}
 }

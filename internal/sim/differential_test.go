@@ -172,13 +172,21 @@ func TestDifferentialOracle(t *testing.T) {
 			}
 
 			mem := flatMem{}
+			pom, err := baselines.NewPOMTLB(baselines.DefaultPOMTLBConfig(), mem, kern, hyp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			flat, err := baselines.NewFlatNested(mem, kern, hyp)
+			if err != nil {
+				t.Fatal(err)
+			}
 			nested := []core.Walker{
 				core.NewNestedRadix(core.DefaultRadixWalkConfig(), mem, kern, hyp),
 				core.NewNestedECPT(core.DefaultNestedECPTConfig(core.AdvancedTechniques()), mem, kern, hyp),
 				core.NewHybrid(core.DefaultHybridConfig(), mem, kern, hyp),
 				baselines.NewAgileIdeal(mem, kern, hyp),
-				baselines.NewPOMTLB(baselines.DefaultPOMTLBConfig(), mem, kern, hyp),
-				baselines.NewFlatNested(mem, kern, hyp),
+				pom,
+				flat,
 			}
 			native := []core.Walker{
 				core.NewNativeRadix(core.DefaultRadixWalkConfig(), mem, kern),

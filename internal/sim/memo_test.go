@@ -479,25 +479,35 @@ func bareMachine(k *kernel.Kernel, hyp *hypervisor.Hypervisor, vmas []kernel.VMA
 	return &Machine{kern: k, hyp: hyp, tlb: tlbsim.New(tlbsim.DefaultConfig()), memo: newMemo(vmas, thp)}
 }
 
-func edgeKernel(thp bool, gpaBase uint64) *kernel.Kernel {
-	return kernel.MustNew(kernel.Config{
+func edgeKernel(t *testing.T, thp bool, gpaBase uint64) *kernel.Kernel {
+	t.Helper()
+	k, err := kernel.New(kernel.Config{
 		GuestMemBytes: 1 << 30, GPABase: gpaBase, THP: thp, BuildECPT: true,
 		ECPT: ecpt.ScaledSetConfig(false, 64), Seed: 5,
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return k
 }
 
-func edgeHypervisor(thp bool) *hypervisor.Hypervisor {
-	return hypervisor.MustNew(hypervisor.Config{
+func edgeHypervisor(t *testing.T, thp bool) *hypervisor.Hypervisor {
+	t.Helper()
+	h, err := hypervisor.New(hypervisor.Config{
 		HostMemBytes: 4 << 30, THP: thp, BuildECPT: true,
 		ECPT: ecpt.ScaledSetConfig(true, 64), Seed: 9,
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h
 }
 
 // TestResolveOutsideVMAs pins that an address outside every VMA gets
 // the kernel's own segfault error, before and after the memo warmed up.
 func TestResolveOutsideVMAs(t *testing.T) {
 	vmas := []kernel.VMA{{Base: 0x1000_0000, Size: 4 << 20}}
-	m := bareMachine(edgeKernel(false, 0), edgeHypervisor(false), vmas, false)
+	m := bareMachine(edgeKernel(t, false, 0), edgeHypervisor(t, false), vmas, false)
 	for _, va := range []addr.GVA{0x1000_0000 - 1, 0x1000_0000 + 4<<20, outsideVMAs} {
 		for pass := 0; pass < 2; pass++ {
 			_, _, _, kerr := m.kern.Resolve(va)
@@ -524,7 +534,7 @@ func TestResolveUnalignedVMA(t *testing.T) {
 			{Base: 0x1000_3000, Size: 5<<20 + 0x2000, THPEligible: true}, // ends mid-granule at 0x1050_5000
 			{Base: 0x1050_5000, Size: 3<<20 + 0x1000, THPEligible: true}, // starts in the same granule
 		}
-		m := bareMachine(edgeKernel(thp, 0), edgeHypervisor(thp), vmas, thp)
+		m := bareMachine(edgeKernel(t, thp, 0), edgeHypervisor(t, thp), vmas, thp)
 		for pass := 0; pass < 2; pass++ {
 			for _, v := range vmas {
 				for off := uint64(0); off < v.Size; off += addr.Page4K.Bytes() {
@@ -561,7 +571,7 @@ func TestResolveUnalignedVMA(t *testing.T) {
 // of 2^32 and up.
 func TestResolveWideFrameUncached(t *testing.T) {
 	vmas := []kernel.VMA{{Base: 0x1000_0000, Size: 1 << 20}}
-	m := bareMachine(edgeKernel(false, 1<<44), nil, vmas, false)
+	m := bareMachine(edgeKernel(t, false, 1<<44), nil, vmas, false)
 	for pass := 0; pass < 2; pass++ {
 		for off := uint64(0); off < vmas[0].Size; off += addr.Page4K.Bytes() {
 			va := addr.Add(vmas[0].Base, off+8)

@@ -230,8 +230,8 @@ func (m *Machine) Fork(cfg Config) (*Machine, error) {
 
 // newMachine wires the per-run parts — TLB, caches, walker, co-runners,
 // scratch — around a normalized cfg's set-up.
-func newMachine(cfg Config, key SetupKey, gen workload.Generator, kern *kernel.Kernel, hyp *hypervisor.Hypervisor, mm memo) (*Machine, error) {
-	m := &Machine{cfg: cfg, key: key, gen: gen, kern: kern, hyp: hyp, memo: mm, res: new(Result)}
+func newMachine(cfg Config, key SetupKey, gen workload.Generator, kern *kernel.Kernel, hyp *hypervisor.Hypervisor, mm memo) (m *Machine, err error) {
+	m = &Machine{cfg: cfg, key: key, gen: gen, kern: kern, hyp: hyp, memo: mm, res: new(Result)}
 	m.tlb = tlbsim.New(cfg.TLB)
 	m.mem = cachesim.NewHierarchy(cfg.Hierarchy)
 
@@ -249,11 +249,14 @@ func newMachine(cfg Config, key SetupKey, gen workload.Generator, kern *kernel.K
 	case DesignAgileIdeal:
 		m.walker = baselines.NewAgileIdeal(m.mem, m.kern, m.hyp)
 	case DesignPOMTLB:
-		m.walker = baselines.NewPOMTLB(baselines.DefaultPOMTLBConfig(), m.mem, m.kern, m.hyp)
+		m.walker, err = baselines.NewPOMTLB(baselines.DefaultPOMTLBConfig(), m.mem, m.kern, m.hyp)
 	case DesignFlatNested:
-		m.walker = baselines.NewFlatNested(m.mem, m.kern, m.hyp)
+		m.walker, err = baselines.NewFlatNested(m.mem, m.kern, m.hyp)
 	default:
 		return nil, fmt.Errorf("sim: unhandled design %v", cfg.Design)
+	}
+	if err != nil {
+		return nil, err
 	}
 
 	if cfg.BatchMSHRs > 0 {
