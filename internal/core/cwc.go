@@ -68,9 +68,6 @@ func (c *CWC) SetEnabled(size addr.PageSize, on bool) {
 	}
 }
 
-// Enabled reports whether the class is currently enabled.
-func (c *CWC) Enabled(size addr.PageSize) bool { return c.Has(size) }
-
 // Lookup probes the class for a CWT entry key. A CWT entry is exactly
 // one cache line, so the CWC caches whole entries.
 func (c *CWC) Lookup(size addr.PageSize, key uint64) bool {
@@ -121,7 +118,8 @@ func (c *CWC) ResetStats() {
 type refill[P addr.Addr] struct {
 	size addr.PageSize
 	key  uint64
-	// pa is the CWT entry's address in the owning set's space.
+	// pa is the CWT entry's address in the owning set's space; 0 means
+	// there is nothing to fetch (see planWalk).
 	pa P
 }
 
@@ -132,186 +130,82 @@ type probeGroup struct {
 }
 
 // probePlan is the outcome of consulting the CWC hierarchy for one
-// address: which ECPTs/ways to probe, the paper's walk class, and any
-// CWT entries to refill.
+// address: which ECPTs/ways to probe, the paper's walk class, and the
+// CWT entry to refill, if any.
 //
-// A plan is written in place by planWalk/planPTEOnly: groups and
-// refills alias the fixed backing arrays below, so a walker that
-// reuses one plan value per consult performs no heap allocation —
-// the software analogue of the hardware's fixed walk registers. The
-// slices are valid until the next plan call on the same value. P is
-// the address space of the planned set's CWT entries (and thus of the
-// refill addresses); walkers keep one plan value per space they
-// consult.
+// A plan is written in place by planWalk: groups alias the fixed
+// backing array below, so a walker that reuses one plan value per
+// consult performs no heap allocation — the software analogue of the
+// hardware's fixed walk registers. The slice is valid until the next
+// plan call on the same value. P is the address space of the planned
+// set's CWT entries (and thus of the refill address); walkers keep one
+// plan value per space they consult.
 type probePlan[P addr.Addr] struct {
-	groups  []probeGroup
-	class   WalkClass
-	refills []refill[P]
-	// lookups counts CWC probes performed (each costs one MMU-cache
-	// round trip, but probes of different classes go in parallel in
-	// hardware; the walker charges one round trip per sequential
-	// consult level).
-	lookups int
-	fault   bool
+	groups []probeGroup
+	class  WalkClass
+	// refill is the entry the consult missed on; the descent stops at
+	// its first CWC miss, so there is at most one.
+	refill refill[P]
+	fault  bool
 
-	// Backing storage: at most one group per page size, and each plan
-	// call misses at most one CWC class before returning.
-	groupArr  [addr.NumPageSizes]probeGroup
-	refillArr [addr.NumPageSizes]refill[P]
+	// groupArr backs groups: at most one group per page size.
+	groupArr [addr.NumPageSizes]probeGroup
 	// info is the CWT answer scratch QueryInto fills per consult level,
 	// keeping the Info struct off the call-return path.
 	info ecpt.Info[P]
-}
-
-// reset readies the plan for reuse, re-aliasing the slices onto the
-// plan's own backing arrays.
-func (p *probePlan[P]) reset() {
-	p.groups = p.groupArr[:0]
-	p.refills = p.refillArr[:0]
-	p.class = WalkDirect
-	p.lookups = 0
-	p.fault = false
 }
 
 func (p *probePlan[P]) addGroup(size addr.PageSize, way int) {
 	p.groups = append(p.groups, probeGroup{size: size, way: way})
 }
 
-func (p *probePlan[P]) addRefill(size addr.PageSize, key uint64, pa P) {
-	// pa 0 means the CWT entry has no backing page to fetch: in
-	// concurrent mode, where walkers are read-only and must not
-	// first-touch CWT storage, or when no frame is free for the page
-	// (ecpt.CWT.RefillPA). Skipping the refill just lets the CWC miss
-	// again; otherwise sequential mode always has a backing page here,
-	// so its refill stream is unchanged.
-	if pa == 0 {
-		return
-	}
-	p.refills = append(p.refills, refill[P]{size: size, key: key, pa: pa})
-}
-
-// setAllGroups marks every ECPT for probing with no way information —
-// the paper's Complete walk.
-func (p *probePlan[P]) setAllGroups() {
-	p.addGroup(addr.Page1G, ecpt.AllWays)
-	p.addGroup(addr.Page2M, ecpt.AllWays)
-	p.addGroup(addr.Page4K, ecpt.AllWays)
-}
-
-// planWalk consults the CWCs top-down (1GB, then 2MB, then 4KB) and
-// prunes the parallel probe set exactly as §3.2/§4.2 describe, writing
-// the result into the caller's reusable plan. set is the ECPT set
-// being walked; cwc the walk cache guarding it; usePTE gates the PTE
+// planWalk consults the CWCs top-down, from top to 4KB (PUD, then PMD,
+// then PTE), and prunes the parallel probe set as §3.2/§4.2 describe,
+// writing the result into the caller's reusable plan. set is the ECPT
+// set being walked and cwc the walk cache guarding it. top is where
+// the descent starts: Page1G for a full walk, Page4K when the size is
+// known to be 4KB (§4.3's page-table pages). usePTE gates the PTE
 // class (the Hybrid design only consults PTE-CWT entries in its upper
 // rows, §6).
-func planWalk[V, P addr.Addr](set *ecpt.Set[V, P], cwc *CWC, va V, usePTE bool, plan *probePlan[P]) {
-	plan.reset()
-
-	// --- 1GB (PUD) level ---
-	pud := set.Table(addr.Page1G).CWT()
-	if pud == nil || !cwc.Has(addr.Page1G) {
-		// No PUD pruning possible: nothing is known.
-		plan.setAllGroups()
-		plan.class = WalkComplete
-		return
-	}
+//
+// A level with no CWT, no enabled CWC class or a CWC miss leaves that
+// size and every smaller one to be probed in all ways: the walk class
+// counts those sizes (Size, Partial, Complete). A hit on a present
+// entry is a Direct walk; a hit proving absence is a fault, as is any
+// hit at 4KB that is not present.
+func planWalk[V, P addr.Addr](set *ecpt.Set[V, P], cwc *CWC, va V, top addr.PageSize, usePTE bool, plan *probePlan[P]) {
+	plan.groups = plan.groupArr[:0]
+	plan.class = WalkDirect
+	plan.refill.pa = 0
+	plan.fault = false
 	info := &plan.info
-	pud.QueryInto(addr.VPN(va, addr.Page1G), info)
-	plan.lookups++
-	if !cwc.Lookup(addr.Page1G, info.EntryKey) {
-		plan.addRefill(addr.Page1G, info.EntryKey, pud.RefillPA(info))
-		plan.setAllGroups()
-		plan.class = WalkComplete
-		return
+	for size := top; ; size-- {
+		cwt := set.Table(size).CWT()
+		hit := false
+		if cwt != nil && cwc.Has(size) && (usePTE || size != addr.Page4K) {
+			cwt.QueryInto(addr.VPN(va, size), info)
+			if hit = cwc.Lookup(size, info.EntryKey); !hit {
+				// RefillPA is 0 when the entry has no backing page to
+				// fetch: in concurrent mode, where walkers are read-only
+				// and must not first-touch CWT storage, or when no frame
+				// is free for the page. The CWC then just misses again.
+				plan.refill = refill[P]{size: size, key: info.EntryKey, pa: cwt.RefillPA(info)}
+			}
+		}
+		if !hit {
+			for s := int(size); s >= 0; s-- {
+				plan.addGroup(addr.PageSize(s), ecpt.AllWays)
+			}
+			plan.class = WalkClass(size + 1)
+			return
+		}
+		if info.Present {
+			plan.addGroup(size, int(info.Way))
+			return
+		}
+		if size == addr.Page4K || !info.EntryExists || !info.HasSmaller {
+			plan.fault = true
+			return
+		}
 	}
-	if info.Present {
-		plan.addGroup(addr.Page1G, int(info.Way))
-		plan.class = WalkDirect
-		return
-	}
-	if !info.EntryExists || !info.HasSmaller {
-		plan.fault = true
-		return
-	}
-
-	// --- 2MB (PMD) level ---
-	pmd := set.Table(addr.Page2M).CWT()
-	if pmd == nil || !cwc.Has(addr.Page2M) {
-		plan.addGroup(addr.Page2M, ecpt.AllWays)
-		plan.addGroup(addr.Page4K, ecpt.AllWays)
-		plan.class = WalkPartial
-		return
-	}
-	pmd.QueryInto(addr.VPN(va, addr.Page2M), info)
-	plan.lookups++
-	if !cwc.Lookup(addr.Page2M, info.EntryKey) {
-		plan.addRefill(addr.Page2M, info.EntryKey, pmd.RefillPA(info))
-		plan.addGroup(addr.Page2M, ecpt.AllWays)
-		plan.addGroup(addr.Page4K, ecpt.AllWays)
-		plan.class = WalkPartial
-		return
-	}
-	if info.Present {
-		plan.addGroup(addr.Page2M, int(info.Way))
-		plan.class = WalkDirect
-		return
-	}
-	if !info.EntryExists || !info.HasSmaller {
-		plan.fault = true
-		return
-	}
-
-	// --- 4KB (PTE) level ---
-	pte := set.Table(addr.Page4K).CWT()
-	if pte == nil || !usePTE || !cwc.Has(addr.Page4K) {
-		// No PTE CWT information: probe every way of the PTE table —
-		// the paper's Size walk, the common case for the guest (§9.4).
-		plan.addGroup(addr.Page4K, ecpt.AllWays)
-		plan.class = WalkSize
-		return
-	}
-	pte.QueryInto(addr.VPN(va, addr.Page4K), info)
-	plan.lookups++
-	if !cwc.Lookup(addr.Page4K, info.EntryKey) {
-		plan.addRefill(addr.Page4K, info.EntryKey, pte.RefillPA(info))
-		plan.addGroup(addr.Page4K, ecpt.AllWays)
-		plan.class = WalkSize
-		return
-	}
-	if info.Present {
-		plan.addGroup(addr.Page4K, int(info.Way))
-		plan.class = WalkDirect
-		return
-	}
-	plan.fault = true
-}
-
-// planPTEOnly is the Step-1 plan when the 4KB page-table-page
-// optimization (§4.3) applies: guest page tables are known to be
-// 4KB-mapped in the host, so only the PTE-hECPT can hold them. When
-// the Step-1 hCWC has a PTE class (§4.2's first technique), a hit
-// turns the Size walk into a Direct one.
-func planPTEOnly[V, P addr.Addr](set *ecpt.Set[V, P], cwc *CWC, va V, plan *probePlan[P]) {
-	plan.reset()
-	pte := set.Table(addr.Page4K).CWT()
-	if pte == nil || !cwc.Has(addr.Page4K) {
-		plan.addGroup(addr.Page4K, ecpt.AllWays)
-		plan.class = WalkSize
-		return
-	}
-	info := &plan.info
-	pte.QueryInto(addr.VPN(va, addr.Page4K), info)
-	plan.lookups++
-	if !cwc.Lookup(addr.Page4K, info.EntryKey) {
-		plan.addRefill(addr.Page4K, info.EntryKey, pte.RefillPA(info))
-		plan.addGroup(addr.Page4K, ecpt.AllWays)
-		plan.class = WalkSize
-		return
-	}
-	if info.Present {
-		plan.addGroup(addr.Page4K, int(info.Way))
-		plan.class = WalkDirect
-		return
-	}
-	plan.fault = true
 }

@@ -63,7 +63,7 @@ type hostECPT struct {
 }
 
 // probe carries out the memory side of one planned host lookup of gpa.
-// It fetches plan's hCWT refills into cwc as background traffic (host
+// It fetches plan's hCWT refill into cwc as background traffic (host
 // CWT entries live at hPAs and need no translation), expands the plan's
 // groups into hECPT line probes, traces one Probe event per group
 // tagged with the caller's step (background marks work off the
@@ -73,7 +73,7 @@ type hostECPT struct {
 //
 //nestedlint:hotpath
 func (h *hostECPT) probe(now uint64, gpa addr.GPA, plan *probePlan[addr.HPA], cwc *CWC, step uint8, background bool, group []addr.HPA, res *WalkResult) (_ []addr.HPA, hpa addr.HPA, size addr.PageSize, ok bool) {
-	for _, r := range plan.refills {
+	if r := plan.refill; r.pa != 0 {
 		if h.rec != nil {
 			h.rec.Emit(trace.Event{
 				Now: now, Kind: trace.KindRefill, Walker: h.kind,

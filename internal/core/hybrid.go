@@ -110,7 +110,7 @@ func (h *hybridHost) setRecorder(r *trace.Recorder, kind trace.WalkerKind) {
 //
 //nestedlint:hotpath
 func (h *hybridHost) Translate(now uint64, gpa addr.GPA, row int, res *WalkResult) (hpa addr.HPA, size addr.PageSize, lat uint64, err error) {
-	planWalk(h.set, h.hcwc, gpa, row <= h.pteRows, &h.plan)
+	planWalk(h.set, h.hcwc, gpa, addr.Page1G, row <= h.pteRows, &h.plan)
 	lat = mmucache.LatencyRT + vhash.LatencyCycles
 	if h.plan.fault {
 		return 0, 0, lat, &ErrNotMapped{Space: "host", GPA: gpa}

@@ -128,15 +128,15 @@ func (w *NativeECPT) walkInto(now uint64, va addr.GVA, res *WalkResult) error {
 
 	w.walkBegin(now, va)
 	w.stepBegin(now, 1, trace.SpaceGuest, va, 0)
-	planWalk(w.set, w.cwc, va, true, &w.plan)
+	planWalk(w.set, w.cwc, va, addr.Page1G, true, &w.plan)
 	lat := uint64(mmucache.LatencyRT + vhash.LatencyCycles)
 	if w.plan.fault {
 		w.fault(now+lat, trace.SpaceGuest, va, 0)
 		return &ErrNotMapped{Space: "guest", GVA: va}
 	}
 	w.st.Classes.Observe(w.plan.class.String())
-	// Native CWT refills are plain physical fetches.
-	for _, r := range w.plan.refills {
+	// A native CWT refill is a plain physical fetch.
+	if r := w.plan.refill; r.pa != 0 {
 		if w.rec != nil {
 			w.rec.Emit(trace.Event{
 				Now: now + lat, Kind: trace.KindRefill, Walker: trace.WalkerNativeECPT,

@@ -143,18 +143,14 @@ type NestedECPT struct {
 	st            NestedECPTStats
 
 	// scratch buffers, reused across walks to keep the hot path
-	// allocation-free: the parallel access groups of the three steps and
-	// of a background translation, all host-physical probe targets.
+	// allocation-free: the parallel access groups of the three steps,
+	// all host-physical probe targets. A background gCWT-refill
+	// translation (§4.1) runs before Step 1's host lookups, so it
+	// borrows step1PAs and hPlan, the host plan of the current step.
 	step1PAs []addr.HPA
 	step2PAs []addr.HPA
 	step3PAs []addr.HPA
-	bgPAs    []addr.HPA
-	// hPlan holds the foreground host plan of the current step; bgPlan
-	// the nested plan of a background gCWT-refill translation (§4.1),
-	// which runs while a foreground plan's refill list is still being
-	// consumed and therefore needs its own storage.
-	hPlan  probePlan[addr.HPA]
-	bgPlan probePlan[addr.HPA]
+	hPlan    probePlan[addr.HPA]
 
 	// stageLat captures the three AccessParallel group latencies of the
 	// most recent walk — the per-step memory costs WalkBatch overlaps
@@ -285,29 +281,32 @@ func (w *NestedECPT) walkInto(now uint64, va addr.GVA, res *WalkResult) error {
 	// Consult the gCWC (all classes probed in parallel; one MMU-cache
 	// round trip) and hash the guest VPNs.
 	w.stepBegin(now, 1, trace.SpaceGuest, va, 0)
-	planWalk(w.set, w.cwc, va, true, &w.plan)
+	planWalk(w.set, w.cwc, va, addr.Page1G, true, &w.plan)
 	lat += mmucache.LatencyRT + vhash.LatencyCycles
 	if w.plan.fault {
 		return w.guestFault(now+lat, va)
 	}
 	w.st.GuestClasses.Observe(w.plan.class.String())
-	if err := w.queueGuestRefills(now+lat, w.plan.refills, res); err != nil {
-		return err
+	if w.plan.refill.pa != 0 {
+		if err := w.queueGuestRefill(now+lat, w.plan.refill, res); err != nil {
+			return err
+		}
 	}
 	w.expand(now+lat, va)
 
 	// Locate every candidate through the host ECPTs; all resulting
 	// hECPT probes form one parallel group, guarded by the Step-1 hCWC
-	// and, when enabled, the 4KB page-table-page knowledge.
+	// and, when enabled, the 4KB page-table-page knowledge, which
+	// starts the descent at the PTE level.
 	lat += mmucache.LatencyRT + vhash.LatencyCycles
 	w.step1PAs = w.step1PAs[:0]
+	top := addr.Page1G
+	if w.cfg.Tech.PageTable4KB {
+		top = addr.Page4K
+	}
 	for ci := range w.cand {
 		c := &w.cand[ci]
-		if w.cfg.Tech.PageTable4KB {
-			planPTEOnly(hset, w.hCWC1, c.probe.PA, &w.hPlan)
-		} else {
-			planWalk(hset, w.hCWC1, c.probe.PA, true, &w.hPlan)
-		}
+		planWalk(hset, w.hCWC1, c.probe.PA, top, true, &w.hPlan)
 		if w.hPlan.fault {
 			return w.hostFault(now+lat, va, c.probe.PA, true)
 		}
@@ -353,7 +352,7 @@ func (w *NestedECPT) walkInto(now uint64, va addr.GVA, res *WalkResult) error {
 
 	// ---------- Step 3: data gPA -> hPA ----------
 	w.stepBegin(now+lat, 3, trace.SpaceHost, va, dataGPA)
-	planWalk(hset, w.hCWC3, dataGPA, true, &w.hPlan)
+	planWalk(hset, w.hCWC3, dataGPA, addr.Page1G, true, &w.hPlan)
 	lat += mmucache.LatencyRT + vhash.LatencyCycles
 	if w.hPlan.fault {
 		return w.hostFault(now+lat, va, dataGPA, false)
@@ -378,68 +377,64 @@ func (w *NestedECPT) walkInto(now uint64, va addr.GVA, res *WalkResult) error {
 	return nil
 }
 
-// queueGuestRefills performs the background gCWT fetches a guest-side
+// queueGuestRefill performs the background gCWT fetch a guest-side
 // plan requested. Guest CWT entries live at gPAs and must first be
 // translated — through the STC when the technique is on (§4.1),
 // otherwise through a full host lookup, which is exactly the overhead
 // the STC removes.
-func (w *NestedECPT) queueGuestRefills(now uint64, refills []refill[addr.GPA], res *WalkResult) error {
-	for _, r := range refills {
-		if w.rec != nil {
-			w.rec.Emit(trace.Event{
-				Now: now, Kind: trace.KindRefill, Walker: trace.WalkerNestedECPT,
-				Space: trace.SpaceGuest, Size: r.size, Way: trace.WayNone,
-				GPA: r.pa, Aux: r.key, Flag: true,
-			})
-		}
-		// The STC is keyed by the gCWT entry address (§4.1 caches the
-		// translations of gCWT entries); the value is the frame of the
-		// 4KB host page holding it.
-		key := r.pa
-		var hpa addr.HPA
-		translated := false
-		if w.stc != nil {
-			res.BackgroundCycles += mmucache.LatencyRT
-			if frame, ok := w.stc.Lookup(key); ok {
-				w.st.STC.Hit()
-				hpa = addr.Translate(frame, r.pa, addr.Page4K)
-				translated = true
-			} else {
-				w.st.STC.Miss()
-			}
-		}
-		if !translated {
-			// Full background translation of the gCWT entry's gPA,
-			// "similar to Step 3" (§4.1): consult the Step-3 hCWC and
-			// probe the hECPTs, all in the background (Step 0). The
-			// foreground plan's refill list is being iterated right now,
-			// so this nested consult writes into the dedicated background
-			// plan. A fault means the gCWT page has no host mapping yet:
-			// surface the EPT violation so the hypervisor demand-maps it.
-			planWalk(w.host.set, w.hCWC3, r.pa, true, &w.bgPlan)
-			res.BackgroundCycles += mmucache.LatencyRT + vhash.LatencyCycles
-			if w.bgPlan.fault {
-				w.st.LastFaultAddr = statAddr(r.pa)
-				return &ErrNotMapped{Space: "host", GPA: r.pa, PageTable: true}
-			}
-			var ok bool
-			w.bgPAs, hpa, _, ok = w.host.probe(now, r.pa, &w.bgPlan, w.hCWC3, 0, true, w.bgPAs[:0], res)
-			res.BackgroundCycles += w.mem.AccessParallel(now, w.bgPAs, cachesim.SourceMMU)
-			res.BackgroundAccesses += len(w.bgPAs)
-			if !ok {
-				w.st.LastFaultAddr = statAddr(r.pa)
-				return &ErrNotMapped{Space: "host", GPA: r.pa, PageTable: true}
-			}
-			if w.stc != nil {
-				w.stc.Insert(key, addr.PageBase(hpa, addr.Page4K))
-			}
-		}
-		// Fetch the gCWT entry itself at its hPA.
-		lat, _ := w.mem.Access(now, hpa, cachesim.SourceMMU)
-		res.BackgroundCycles += lat
-		res.BackgroundAccesses++
-		w.cwc.Insert(r.size, r.key)
+func (w *NestedECPT) queueGuestRefill(now uint64, r refill[addr.GPA], res *WalkResult) error {
+	if w.rec != nil {
+		w.rec.Emit(trace.Event{
+			Now: now, Kind: trace.KindRefill, Walker: trace.WalkerNestedECPT,
+			Space: trace.SpaceGuest, Size: r.size, Way: trace.WayNone,
+			GPA: r.pa, Aux: r.key, Flag: true,
+		})
 	}
+	// The STC is keyed by the gCWT entry address (§4.1 caches the
+	// translations of gCWT entries); the value is the frame of the
+	// 4KB host page holding it.
+	key := r.pa
+	var hpa addr.HPA
+	translated := false
+	if w.stc != nil {
+		res.BackgroundCycles += mmucache.LatencyRT
+		if frame, ok := w.stc.Lookup(key); ok {
+			w.st.STC.Hit()
+			hpa = addr.Translate(frame, r.pa, addr.Page4K)
+			translated = true
+		} else {
+			w.st.STC.Miss()
+		}
+	}
+	if !translated {
+		// Full background translation of the gCWT entry's gPA,
+		// "similar to Step 3" (§4.1): consult the Step-3 hCWC and
+		// probe the hECPTs, all in the background (Step 0). A fault
+		// means the gCWT page has no host mapping yet: surface the EPT
+		// violation so the hypervisor demand-maps it.
+		planWalk(w.host.set, w.hCWC3, r.pa, addr.Page1G, true, &w.hPlan)
+		res.BackgroundCycles += mmucache.LatencyRT + vhash.LatencyCycles
+		if w.hPlan.fault {
+			w.st.LastFaultAddr = statAddr(r.pa)
+			return &ErrNotMapped{Space: "host", GPA: r.pa, PageTable: true}
+		}
+		var ok bool
+		w.step1PAs, hpa, _, ok = w.host.probe(now, r.pa, &w.hPlan, w.hCWC3, 0, true, w.step1PAs[:0], res)
+		res.BackgroundCycles += w.mem.AccessParallel(now, w.step1PAs, cachesim.SourceMMU)
+		res.BackgroundAccesses += len(w.step1PAs)
+		if !ok {
+			w.st.LastFaultAddr = statAddr(r.pa)
+			return &ErrNotMapped{Space: "host", GPA: r.pa, PageTable: true}
+		}
+		if w.stc != nil {
+			w.stc.Insert(key, addr.PageBase(hpa, addr.Page4K))
+		}
+	}
+	// Fetch the gCWT entry itself at its hPA.
+	lat, _ := w.mem.Access(now, hpa, cachesim.SourceMMU)
+	res.BackgroundCycles += lat
+	res.BackgroundAccesses++
+	w.cwc.Insert(r.size, r.key)
 	return nil
 }
 
@@ -471,7 +466,7 @@ func (w *NestedECPT) maybeAdapt(now uint64) {
 	if pmd.Total() > 0 {
 		w.st.PMDSeries.Append(pmd.HitRate())
 	}
-	if w.hCWC3.Enabled(addr.Page4K) {
+	if w.hCWC3.Has(addr.Page4K) {
 		if pte.Total() >= 16 && pte.HitRate() < w.cfg.AdaptDisableBelow {
 			w.hCWC3.SetEnabled(addr.Page4K, false)
 			w.traceToggle(now, false, pte)

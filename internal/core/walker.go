@@ -160,7 +160,8 @@ func minSize(a, b addr.PageSize) addr.PageSize {
 // achieved (§9.4 / Figure 14).
 type WalkClass uint8
 
-// Walk classes, cheapest first.
+// Walk classes, cheapest first: a class's value is the number of ECPTs
+// probed in all ways.
 const (
 	// WalkDirect issues a single access: table and way both known.
 	WalkDirect WalkClass = iota

@@ -12,13 +12,16 @@ import (
 )
 
 // exhaustSide is one address space of FuzzTablesExhaustion with the
-// model it must answer like: the pages it maps, by base, and the 2MB
-// regions that ever held a 4KB page (a radix table keeps their table
-// page, so they never take a 2MB map).
+// model it must answer like: the pages it maps, by base; the 2MB
+// regions any 4KB op touched (a radix table may keep a table page
+// there, so they never take an explicit 2MB map); and the regions where
+// an explicit 4KB Map succeeded, which Fault does not know to back with
+// 4KB pages, so they never take a 2MB fault either.
 type exhaustSide struct {
-	tab   *Tables[addr.GVA, addr.GPA]
-	model model
-	small map[addr.GVA]bool
+	tab      *Tables[addr.GVA, addr.GPA]
+	model    model
+	small    map[addr.GVA]bool
+	mapped4K map[addr.GVA]bool
 }
 
 // lookup returns the page of m holding va, and its base.
@@ -53,6 +56,62 @@ func (s *exhaustSide) verify(t *testing.T, what string) {
 	}
 	if n := s.tab.Allocator().Used(memsim.PurposeData); n != data {
 		t.Fatalf("%s: %d data bytes allocated, want %d", what, n, data)
+	}
+}
+
+// TestHugeFaultAfterFailedSmallFault faults 4KB pages, each in its own
+// 2MB region, into radix and ECPT tables until one runs out of memory,
+// then faults the same address again with a 2MB page allowed and a
+// freed 2MB frame to take. The failed fault's radix map succeeded and
+// was taken back out when the ECPT set refused, leaving its table page
+// under the region, so the second fault must fall back to a 4KB page:
+// it maps one or returns the typed out-of-memory error, and never the
+// radix conflict a 2MB map over that table page would meet.
+func TestHugeFaultAfterFailedSmallFault(t *testing.T) {
+	const reserve = 256
+	tried := 0
+	for meta := uint64(4); meta < 60; meta++ {
+		capacity := addr.Page2M.Bytes() + (reserve+meta)*addr.Page4K.Bytes()
+		alloc := memsim.NewAllocator[addr.GPA](capacity, 3)
+		huge, _ := alloc.Alloc(addr.Page2M, memsim.PurposeData)
+		frames := make([]addr.GPA, reserve)
+		for i := range frames {
+			frames[i], _ = alloc.Alloc(addr.Page4K, memsim.PurposeData)
+		}
+		for _, frame := range frames {
+			alloc.Free(frame, addr.Page4K, memsim.PurposeData)
+		}
+		alloc.Free(huge, addr.Page2M, memsim.PurposeData)
+		cfg := ecpt.ScaledSetConfig(true, 1)
+		for size := range cfg.PerSize {
+			cfg.PerSize[size] = ecpt.DefaultConfig(8)
+		}
+		tab, err := New[addr.GVA](alloc, true, true, cfg, 1, 3)
+		if err != nil {
+			continue // too small for the empty tables
+		}
+		var va addr.GVA
+		for i := 0; i < reserve && err == nil; i++ {
+			va = addr.GVA(1<<30 + uint64(i)*addr.Page2M.Bytes())
+			_, _, err = tab.Fault(va, true, false)
+		}
+		var oom *memsim.OutOfMemoryError
+		if !errors.As(err, &oom) {
+			t.Fatalf("%d metadata pages: 4KB faults ended with %v, want out of memory", meta, err)
+		}
+		tried++
+		pa, size, err := tab.Fault(va, true, true)
+		if err != nil && !errors.As(err, &oom) {
+			t.Fatalf("%d metadata pages: the huge fault after a failed 4KB one: %v", meta, err)
+		}
+		if err == nil {
+			if got, gotSize, ok := tab.Translate(va); size != addr.Page4K || !ok || got != pa || gotSize != size {
+				t.Fatalf("%d metadata pages: the huge fault mapped %#x at %v, translating to %#x, %v, %v", meta, pa, size, got, gotSize, ok)
+			}
+		}
+	}
+	if tried == 0 {
+		t.Fatal("no allocator was big enough for the empty tables")
 	}
 }
 
@@ -124,7 +183,7 @@ func FuzzTablesExhaustion(f *testing.F) {
 		if err != nil {
 			return // too small for the empty tables
 		}
-		cur := &exhaustSide{tab: tab, model: model{}, small: map[addr.GVA]bool{}}
+		cur := &exhaustSide{tab: tab, model: model{}, small: map[addr.GVA]bool{}, mapped4K: map[addr.GVA]bool{}}
 		var templates []exhaustSide
 		for i := 2; i+2 < len(data); i += 3 {
 			p := uint64(data[i+1]) | uint64(data[i+2]&7)<<8
@@ -150,6 +209,7 @@ func FuzzTablesExhaustion(f *testing.F) {
 				cur.small[region] = cur.small[region] || size == addr.Page4K
 				if err = cur.tab.Map(base, size, frame); err == nil {
 					cur.model[base] = mapping{frame, size}
+					cur.mapped4K[region] = cur.mapped4K[region] || size == addr.Page4K
 					continue
 				}
 				cur.tab.Allocator().Free(frame, size, memsim.PurposeData)
@@ -167,12 +227,12 @@ func FuzzTablesExhaustion(f *testing.F) {
 				if mapped {
 					continue
 				}
-				// Fault marks a region small only once it maps a 4KB page
-				// there: one Map or a failed fault put a 4KB table page in
-				// must not take a 2MB page either.
+				// Fault knows the regions it, or a failed 4KB map, left a
+				// 4KB table page in, and falls back to a 4KB page there;
+				// only an explicit 4KB Map's region is kept from it.
 				var pa addr.GPA
 				var size addr.PageSize
-				pa, size, err = cur.tab.Fault(va, thp, op <= 11 && !cur.small[region])
+				pa, size, err = cur.tab.Fault(va, thp, op <= 11 && !cur.mapped4K[region])
 				cur.small[region] = cur.small[region] || size != addr.Page2M
 				if err == nil {
 					cur.model[addr.PageBase(va, size)] = mapping{addr.PageBase(pa, size), size}
@@ -184,7 +244,7 @@ func FuzzTablesExhaustion(f *testing.F) {
 					t.Fatal(err)
 				}
 				templates = append(templates, *cur)
-				cur = &exhaustSide{tab: fork, model: maps.Clone(cur.model), small: maps.Clone(cur.small)}
+				cur = &exhaustSide{tab: fork, model: maps.Clone(cur.model), small: maps.Clone(cur.small), mapped4K: maps.Clone(cur.mapped4K)}
 				continue
 			}
 			var oom *memsim.OutOfMemoryError

@@ -33,9 +33,10 @@ type Tables[V, P addr.Addr] struct {
 	alloc *memsim.Allocator[P]
 	radix *radix.Table[V, P]
 	ecpts *ecpt.Set[V, P]
-	// small marks the 2MB regions Fault has backed with a 4KB page: a
-	// 2MB page mapped over them would shadow every one. Written only
-	// under THP, so with THP off it stays empty.
+	// small marks the 2MB regions Fault has backed with a 4KB page (a
+	// 2MB page mapped over them would shadow every one) and those where
+	// a failed 4KB Map left a radix table page. Fault writes and reads
+	// it only under THP; Map writes it only on that failure.
 	small map[V]bool
 	stats Stats
 }
@@ -102,8 +103,8 @@ func (t *Tables[V, P]) Stats() Stats { return t.stats }
 // page, when huge allows one and no 4KB page was ever faulted into the
 // region; otherwise it maps a 4KB page and, under thp, marks the region
 // so it is never re-backed by a 2MB page. A fault that finds no frame,
-// or whose Map fails, maps and marks nothing: the data frame goes back
-// to the allocator and the error is returned.
+// or whose Map fails, maps nothing and marks only what Map marks: the
+// data frame goes back to the allocator and the error is returned.
 func (t *Tables[V, P]) Fault(va V, thp, huge bool) (pa P, size addr.PageSize, err error) {
 	// Region state exists only under THP: with it off nothing reads it,
 	// so a 4KB fault costs no map access.
@@ -143,8 +144,8 @@ func (t *Tables[V, P]) Fault(va V, thp, huge bool) (pa P, size addr.PageSize, er
 // none: a radix map that fails (a conflicting entry, or no memory for a
 // table page) is returned before the ECPT set is touched, and an ECPT
 // map that fails (ecpt.Set.Map writes nothing) takes the radix entry
-// back out. The errors wrap *memsim.OutOfMemoryError when memory ran
-// out.
+// back out, marking a 4KB page's region for Fault as 4KB-backed. The
+// errors wrap *memsim.OutOfMemoryError when memory ran out.
 func (t *Tables[V, P]) Map(base V, size addr.PageSize, frame P) error {
 	if t.radix != nil {
 		if err := t.radix.Map(base, size, frame); err != nil {
@@ -156,6 +157,11 @@ func (t *Tables[V, P]) Map(base V, size addr.PageSize, frame P) error {
 			if t.radix != nil {
 				// Cannot fail: the entry was mapped just above.
 				_ = t.radix.Unmap(base, size)
+				if size == addr.Page4K {
+					// Radix keeps the table page the map built, so the
+					// region can no longer take a 2MB page.
+					t.small[addr.PageBase(base, addr.Page2M)] = true
+				}
 			}
 			return fmt.Errorf("paging: %w", err)
 		}
