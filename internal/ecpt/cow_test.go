@@ -2,6 +2,7 @@ package ecpt
 
 import (
 	"testing"
+	"unsafe"
 
 	"nestedecpt/internal/addr"
 	"nestedecpt/internal/memsim"
@@ -9,10 +10,10 @@ import (
 )
 
 // Copy-on-write costs in host bytes: one simulated 4KB table page is 64
-// key words plus 64 frame groups, and a way's page directories (keys
-// and frames) hold two pointers per page.
+// key words (512 B) plus 64 frame groups (2 KB), and a way's page
+// directories (keys and frames) hold two pointers per page.
 const (
-	cowPageBytes     = linesPerPage*8 + linesPerPage*TranslationsPerLine*8
+	cowPageBytes     = uint64(linesPerPage * (unsafe.Sizeof(uint64(0)) + unsafe.Sizeof(frameGroup{})))
 	cowDirEntryBytes = 16
 )
 

@@ -27,7 +27,9 @@ import (
 // into one tagged 64-byte line (§2.3: eight entries per cache line).
 const TranslationsPerLine = 8
 
-// LineBytes is the in-memory size of one ECPT line.
+// LineBytes is the simulated memory size of one ECPT line, which probe
+// addresses and table regions are laid out in. The host copy of a line
+// is narrower (frameGroup).
 const LineBytes = addr.CacheLineBytes
 
 // Config parameterizes one elastic cuckoo table.
@@ -97,17 +99,29 @@ func keyHolds(key, tag uint64) bool { return key&keyTagMask == tag+1 }
 func keyTag(key uint64) uint64    { return key&keyTagMask - 1 }
 func keyPresent(key uint64) uint8 { return uint8(key >> keyTagBits) }
 
-// frameGroup is the eight consecutive translations of one line: 64
-// host bytes, one simulated (and one host) cache line.
-type frameGroup[P addr.Addr] [TranslationsPerLine]P
+// A table stores each translation as a 32-bit frame number: the
+// frame's offset from its allocator's base in 4KB units. So a table maps
+// only 4KB-aligned frames in [base, base+FrameWindow), Insert refuses
+// any other, and New refuses an allocator whose window is wider, so
+// every frame the allocator can mint fits. A line is still 64 simulated
+// bytes (LineBytes, linePA); only the host copy is narrow.
+const (
+	frameShift = 12
+	// FrameWindow is the span of physical addresses one table can map:
+	// 2^32 frames of 4KB, 16 TiB.
+	FrameWindow = 1 << (32 + frameShift)
+)
 
-// line is one tagged group of eight consecutive translations mapping
-// into address space P, as a value: what a cuckoo displacement carries
-// between buckets. At rest a line is split across a way's keys and
-// frames arrays.
-type line[P addr.Addr] struct {
+// frameGroup is the eight consecutive frame numbers of one line: 32
+// host bytes, so two groups share a 64-byte host cache line.
+type frameGroup [TranslationsPerLine]uint32
+
+// line is one tagged group of eight consecutive translations, as a
+// value: what a cuckoo displacement carries between buckets, 40 host
+// bytes. At rest a line is split across a way's keys and frames arrays.
+type line struct {
 	key    uint64
-	frames frameGroup[P]
+	frames frameGroup
 }
 
 // linesPerPage is how many ECPT lines one simulated 4KB table page
@@ -126,16 +140,21 @@ type generation[P addr.Addr] struct {
 	mask uint64
 	pow2 bool
 	// keys[w] and frames[w] hold way w, one simulated 4KB table page
-	// (64 lines) a store page: line i is word i%64 of key page i/64 and
-	// group i%64 of frame page i/64. The split keeps every probe that
-	// does not match (findLine, fillProbe, tryPlace's empty-bucket
-	// test) inside the dense key pages; a match touches exactly one
-	// frame group. A way stays flat until a header writes it while
-	// another shares it (view.go).
+	// (64 lines) a store page: line i is word i%64 of key page i/64 (512
+	// B a page) and group i%64 of frame page i/64 (2 KB a page). The
+	// split keeps every probe that does not match (findLine, fillProbe,
+	// tryPlace's empty-bucket test) inside the dense key pages; a match
+	// touches exactly one frame group. A way stays flat until a header
+	// writes it while another shares it (view.go).
 	keys   []cow.Store[[linesPerPage]uint64]
-	frames []cow.Store[[linesPerPage]frameGroup[P]]
+	frames []cow.Store[[linesPerPage]frameGroup]
 	hash   []vhash.Func
 	basePA []P
+	// base is the first byte of the table's frame window: a stored frame
+	// number n is the frame base + n<<12. Every generation of a table
+	// and of its forks has the same base, so lines move between them as
+	// they are.
+	base P
 	// sealed marks a generation reachable from a published view: it
 	// must not be written, and the next write goes to a new header over
 	// its ways (view.go). Writer-private — readers never consult it.
@@ -154,9 +173,10 @@ func (t *Table[P]) newGeneration(linesPerWay int) (*generation[P], error) {
 		mask:        uint64(linesPerWay - 1),
 		pow2:        linesPerWay&(linesPerWay-1) == 0,
 		keys:        make([]cow.Store[[linesPerPage]uint64], t.cfg.Ways),
-		frames:      make([]cow.Store[[linesPerPage]frameGroup[P]], t.cfg.Ways),
+		frames:      make([]cow.Store[[linesPerPage]frameGroup], t.cfg.Ways),
 		hash:        make([]vhash.Func, t.cfg.Ways),
 		basePA:      make([]P, t.cfg.Ways),
+		base:        P(t.alloc.Base()),
 	}
 	for w := range g.basePA {
 		base, err := t.alloc.AllocRegion(bytes, memsim.PurposePageTable)
@@ -175,7 +195,7 @@ func (t *Table[P]) clear(g *generation[P]) {
 	pages := pagesPerWay(g.linesPerWay)
 	for w := range g.keys {
 		g.keys[w] = cow.Flat[[linesPerPage]uint64](pages)
-		g.frames[w] = cow.Flat[[linesPerPage]frameGroup[P]](pages)
+		g.frames[w] = cow.Flat[[linesPerPage]frameGroup](pages)
 		g.hash[w] = vhash.New(t.hashSpace+t.generations*t.cfg.Ways, w)
 	}
 	t.generations++
@@ -203,9 +223,14 @@ func (g *generation[P]) key(w, idx int) uint64 {
 // group returns the frame group of line idx of way w, for reading.
 //
 //nestedlint:hotpath
-func (g *generation[P]) group(w, idx int) *frameGroup[P] {
+func (g *generation[P]) group(w, idx int) *frameGroup {
 	return &g.frames[w].At(int(uint(idx) / linesPerPage))[uint(idx)%linesPerPage]
 }
+
+// frame decodes a stored frame number.
+//
+//nestedlint:hotpath
+func (g *generation[P]) frame(n uint32) P { return g.base + P(n)<<frameShift }
 
 func (g *generation[P]) linePA(w, idx int) P {
 	return g.basePA[w] + P(uint64(idx)*LineBytes)
@@ -255,7 +280,7 @@ type Table[P addr.Addr] struct {
 	stats       Stats
 	// kicks is tryPlace's record of the displacement chain it is
 	// following, so that a chain that fails can be put back.
-	kicks []displaced[P]
+	kicks []displaced
 	// rec receives structural trace events (resize, migration); nil
 	// (the default) disables tracing.
 	rec *trace.Recorder
@@ -286,9 +311,9 @@ type Table[P addr.Addr] struct {
 
 // displaced is one displacement of a cuckoo chain: victim was evicted
 // from line idx of way w.
-type displaced[P addr.Addr] struct {
+type displaced struct {
 	w, idx int
-	victim line[P]
+	victim line
 }
 
 // lineCursor names line idx of way w of generation g.
@@ -312,6 +337,9 @@ func (t *Table[P]) traceSpace() trace.Space { return trace.SpaceOf[P]() }
 func New[P addr.Addr](size addr.PageSize, cfg Config, alloc *memsim.Allocator[P], cwt *CWT[P], hashSpace int, seed uint64) (*Table[P], error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
+	}
+	if alloc.Capacity() > FrameWindow {
+		return nil, fmt.Errorf("ecpt: allocator window of %d bytes exceeds the %d a table can map", alloc.Capacity(), uint64(FrameWindow))
 	}
 	t := &Table[P]{
 		size:      size,
@@ -442,7 +470,8 @@ func findLineIn[P addr.Addr](cur, old *generation[P], mig []int, tag uint64) (g 
 // Insert maps vpn (a page number in this table's page size) to the
 // given frame base. Inserting an existing vpn updates its frame. An
 // insert that cannot finish writes nothing: it returns an error when
-// vpn does not fit a line key, and the allocator's
+// vpn does not fit a line key or frame is not a 4KB-aligned address in
+// the table's frame window (FrameWindow), and the allocator's
 // *memsim.OutOfMemoryError when there is no room for what it can
 // allocate: a CWT page for vpn's entry and the doubled generation of a
 // resize it starts.
@@ -456,6 +485,11 @@ func (t *Table[P]) insert(vpn uint64, frame P, pages int) error {
 	if tag >= keyTagMask {
 		return fmt.Errorf("ecpt: page number %#x does not fit a %d-bit line key", vpn, keyTagBits)
 	}
+	base := t.cur.base
+	if frame < base || frame-base >= FrameWindow || frame%(1<<frameShift) != 0 {
+		return fmt.Errorf("ecpt: frame %#x is not a 4KB frame in the table's window [%#x, %#x)", frame, base, uint64(base)+FrameWindow)
+	}
+	n := uint32((frame - base) >> frameShift)
 	if t.cwt != nil {
 		pages++
 	}
@@ -474,10 +508,10 @@ func (t *Table[P]) insert(vpn uint64, frame P, pages int) error {
 			*keyp = key | 1<<(keyTagBits+slot)
 			t.entries++
 		}
-		frames[slot] = frame
+		frames[slot] = n
 	} else {
-		ln := line[P]{key: makeKey(tag, 1<<slot)}
-		ln.frames[slot] = frame
+		ln := line{key: makeKey(tag, 1<<slot)}
+		ln.frames[slot] = n
 		if !t.tryPlace(ln) {
 			// The current generation has no room for the line even by
 			// displacement: only a resize makes room. tryPlace put the
@@ -524,7 +558,7 @@ func (t *Table[P]) fits(pages int, grow bool) error {
 // reports false: the lines, the CWT and the cuckoo RNG are as they
 // were, and ln is still the caller's. The CWT learns a chain's
 // placements only once the chain succeeds.
-func (t *Table[P]) tryPlace(ln line[P]) bool {
+func (t *Table[P]) tryPlace(ln line) bool {
 	cur := ln
 	lastWay := -1
 	var rng vhash.RNG
@@ -563,7 +597,7 @@ func (t *Table[P]) tryPlace(ln line[P]) bool {
 		idx := tcur.index(w, tag)
 		victim := tcur.load(w, idx)
 		t.store(tcur, w, idx, cur)
-		t.kicks = append(t.kicks, displaced[P]{w, idx, victim})
+		t.kicks = append(t.kicks, displaced{w, idx, victim})
 		cur = victim
 		lastWay = w
 		t.stats.Kicks++
@@ -635,7 +669,7 @@ func slotFrame[P addr.Addr](g *generation[P], key uint64, w, idx, slot int) (fra
 	if keyPresent(key)&(1<<slot) == 0 {
 		return 0, false
 	}
-	return g.group(w, idx)[slot], true
+	return g.frame(g.group(w, idx)[slot]), true
 }
 
 // startResize begins an elastic resize into a generation twice the
@@ -646,12 +680,12 @@ func slotFrame[P addr.Addr](g *generation[P], key uint64, w, idx, slot int) (fra
 // generations are ever live. Should a displacement chain fail even in
 // the new generation, it is filled again under fresh hash functions,
 // in the same regions.
-func (t *Table[P]) startResize(ln *line[P]) error {
+func (t *Table[P]) startResize(ln *line) error {
 	n, err := t.newGeneration(2 * t.cur.linesPerWay)
 	if err != nil {
 		return err
 	}
-	var moving []line[P]
+	var moving []line
 	if t.old != nil {
 		for w := range t.old.keys {
 			for idx := t.migratePtr[w]; idx < t.old.linesPerWay; idx++ {
@@ -689,7 +723,7 @@ func (t *Table[P]) startResize(ln *line[P]) error {
 
 // placeAll places lines into the current generation, reporting whether
 // every one found a bucket.
-func (t *Table[P]) placeAll(lines []line[P]) bool {
+func (t *Table[P]) placeAll(lines []line) bool {
 	for _, ln := range lines {
 		if !t.tryPlace(ln) {
 			return false
@@ -723,7 +757,7 @@ func (t *Table[P]) continueMigration() {
 				ln := old.load(w, idx)
 				// writable re-points t.old at the clone it may make.
 				old = t.writable(old)
-				t.store(old, w, idx, line[P]{})
+				t.store(old, w, idx, line{})
 				if !t.tryPlace(ln) {
 					t.store(old, w, idx, ln)
 					t.migratePtr[w] = idx

@@ -58,8 +58,13 @@ func TestLineKey(t *testing.T) {
 			t.Errorf("the empty key holds tag %#x", tag)
 		}
 	}
-	if got := unsafe.Sizeof(frameGroup[addr.HPA]{}); got != LineBytes {
-		t.Errorf("a frame group is %d bytes, want %d", got, LineBytes)
+	// A frame group is 32 bytes: two groups to one 64-byte host line,
+	// and a line value is its key word and its group.
+	if got := unsafe.Sizeof(frameGroup{}); got != LineBytes/2 {
+		t.Errorf("a frame group is %d bytes, want %d", got, LineBytes/2)
+	}
+	if got := unsafe.Sizeof(line{}); got != 8+LineBytes/2 {
+		t.Errorf("a line is %d bytes, want %d", got, 8+LineBytes/2)
 	}
 }
 

@@ -24,7 +24,8 @@ import (
 // from alloc, a fork of the set's own allocator. Mapping, unmapping and
 // growing either set never shows in the other. A set in concurrent mode
 // cannot be forked: its published views and deferred reclamation
-// belong to one epoch domain.
+// belong to one epoch domain, and alloc must start where the set's own
+// allocator does: stored frame numbers are offsets from that base.
 func (s *Set[V, P]) Fork(alloc *memsim.Allocator[P]) (*Set[V, P], error) {
 	f := &Set[V, P]{alloc: alloc}
 	for _, size := range addr.Sizes() {
@@ -41,6 +42,9 @@ func (s *Set[V, P]) Fork(alloc *memsim.Allocator[P]) (*Set[V, P], error) {
 func (t *Table[P]) fork(alloc *memsim.Allocator[P]) (*Table[P], error) {
 	if t.dom != nil {
 		return nil, fmt.Errorf("ecpt: cannot fork the %s table in concurrent mode", t.size.LevelName())
+	}
+	if alloc.Base() != t.alloc.Base() {
+		return nil, fmt.Errorf("ecpt: cannot fork the %s table onto an allocator based at %#x, not %#x", t.size.LevelName(), alloc.Base(), t.alloc.Base())
 	}
 	rng := *t.rng
 	f := &Table[P]{

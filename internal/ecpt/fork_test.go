@@ -26,7 +26,7 @@ func (s *forkSide) step(t *testing.T, live *[]uint64) {
 	switch op := s.rng.Intn(10); {
 	case op < 6 || len(*live) == 0:
 		vpn := s.rng.Uint64n(1 << 20)
-		frame := s.rng.Uint64() &^ addr.Page4K.OffsetMask()
+		frame := windowFrame(s.rng, addr.Page4K)
 		if _, ok := s.model[vpn]; !ok {
 			*live = append(*live, vpn)
 		}
@@ -43,7 +43,7 @@ func (s *forkSide) step(t *testing.T, live *[]uint64) {
 		}
 	default:
 		vpn := (*live)[s.rng.Intn(len(*live))]
-		frame := s.rng.Uint64() &^ addr.Page4K.OffsetMask()
+		frame := windowFrame(s.rng, addr.Page4K)
 		s.model[vpn] = frame
 		s.set.Map(vpn<<12, addr.Page4K, frame)
 	}
@@ -93,7 +93,7 @@ func TestSetForkOracle(t *testing.T) {
 				cfg.PerSize[size] = Config{Ways: 3, InitialLinesPerWay: 16, MaxKicks: 32, LoadFactorLimit: 0.6, MigratePerInsert: 1}
 				cfg.WithCWT[size] = true
 			}
-			alloc := memsim.NewAllocator[uint64](1<<32, seed)
+			alloc := memsim.NewAllocatorAt[uint64](windowBase, 1<<32, seed)
 			set, err := NewSet[uint64](cfg, alloc, 1, seed)
 			if err != nil {
 				t.Fatal(err)

@@ -24,7 +24,7 @@ func TestModesAnswerAlike(t *testing.T) {
 	for _, seed := range []uint64{1, 7, 0xC0FFEE} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			build := func() (*Table[uint64], *memsim.Allocator[uint64]) {
-				alloc := memsim.NewAllocator[uint64](1<<30, seed)
+				alloc := memsim.NewAllocatorAt[uint64](windowBase, 1<<30, seed)
 				tb, err := New(addr.Page4K, cfg, alloc, NewCWT(addr.Page4K, alloc), 1, seed)
 				if err != nil {
 					t.Fatal(err)
@@ -43,7 +43,7 @@ func TestModesAnswerAlike(t *testing.T) {
 			for op := 0; op < 5000; op++ {
 				if len(live) == 0 || rng.Intn(10) < 7 {
 					vpn := rng.Uint64n(vpnSpace)
-					frame := rng.Uint64() &^ addr.Page4K.OffsetMask()
+					frame := windowFrame(rng, addr.Page4K)
 					seq.Insert(vpn, frame)
 					con.Insert(vpn, frame)
 					live = append(live, vpn)

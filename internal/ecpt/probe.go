@@ -93,7 +93,7 @@ func fillProbe[P addr.Addr](p *Probe[P], g *generation[P], w, idx int, tag uint6
 		p.TagMatch = true
 		if keyPresent(key)&(1<<slot) != 0 {
 			p.Match = true
-			p.Frame = g.group(w, idx)[slot]
+			p.Frame = g.frame(g.group(w, idx)[slot])
 		}
 	}
 }

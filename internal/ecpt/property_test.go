@@ -9,6 +9,17 @@ import (
 	"nestedecpt/internal/vhash"
 )
 
+// windowBase is the allocator base of the oracle tests: non-zero and
+// high, so decoding a stored frame number adds a base no low bit hides.
+const windowBase = 1 << 46
+
+// windowFrame draws a frame of size uniformly over the whole frame
+// window at windowBase, so every bit of the stored 32-bit frame number
+// varies.
+func windowFrame(rng *vhash.RNG, size addr.PageSize) uint64 {
+	return windowBase + rng.Uint64n(FrameWindow/size.Bytes())*size.Bytes()
+}
+
 // TestPropertyRandomOps drives a table through a long random
 // insert/overwrite/remove sequence against a plain map model and checks
 // the two never disagree: no entry is ever lost (misses the lookup),
@@ -19,7 +30,7 @@ import (
 func TestPropertyRandomOps(t *testing.T) {
 	for _, seed := range []uint64{1, 7, 0xC0FFEE} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			alloc := memsim.NewAllocator[uint64](1<<30, seed)
+			alloc := memsim.NewAllocatorAt[uint64](windowBase, 1<<30, seed)
 			cwt := NewCWT(addr.Page4K, alloc)
 			tb, err := New(addr.Page4K, DefaultConfig(64), alloc, cwt, 1, seed)
 			if err != nil {
@@ -36,7 +47,7 @@ func TestPropertyRandomOps(t *testing.T) {
 				switch op := rng.Intn(10); {
 				case op < 6: // insert a fresh or colliding vpn
 					vpn := rng.Uint64n(vpnSpace)
-					frame := rng.Uint64() &^ addr.Page4K.OffsetMask()
+					frame := windowFrame(rng, addr.Page4K)
 					if _, dup := model[vpn]; !dup {
 						keys = append(keys, vpn)
 					}
@@ -59,7 +70,7 @@ func TestPropertyRandomOps(t *testing.T) {
 						continue
 					}
 					vpn := keys[rng.Intn(len(keys))]
-					frame := rng.Uint64() &^ addr.Page4K.OffsetMask()
+					frame := windowFrame(rng, addr.Page4K)
 					model[vpn] = frame
 					tb.Insert(vpn, frame)
 				default: // remove an absent key: must be a no-op
@@ -120,7 +131,7 @@ func TestPropertyRandomOps(t *testing.T) {
 					t.Fatal("migration did not complete")
 				}
 				vpn := rng.Uint64n(vpnSpace)
-				frame := rng.Uint64() &^ addr.Page4K.OffsetMask()
+				frame := windowFrame(rng, addr.Page4K)
 				model[vpn] = frame
 				tb.Insert(vpn, frame)
 			}

@@ -277,7 +277,7 @@ func testSetLookupOracle(t *testing.T, concurrent bool, seed uint64) {
 		cfg.PerSize[size] = Config{Ways: 3, InitialLinesPerWay: 8, MaxKicks: 32, LoadFactorLimit: 0.6, MigratePerInsert: 1}
 		cfg.WithCWT[size] = true
 	}
-	alloc := memsim.NewAllocator[uint64](1<<30, seed)
+	alloc := memsim.NewAllocatorAt[uint64](windowBase, 1<<30, seed)
 	set, err := NewSet[uint64](cfg, alloc, 1, seed)
 	if err != nil {
 		t.Fatal(err)
@@ -342,7 +342,7 @@ func testSetLookupOracle(t *testing.T, concurrent bool, seed uint64) {
 		}
 	}
 	mapVA := func(size addr.PageSize, va uint64) {
-		frame := rng.Uint64() &^ size.OffsetMask()
+		frame := windowFrame(rng, size)
 		set.Map(va, size, frame)
 		model[key{size, addr.VPN(va, size)}] = frame
 	}

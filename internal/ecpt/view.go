@@ -33,10 +33,11 @@ import (
 // and shares the CWT's pages; the first mutation after a publish gives
 // the writer a new generation header whose ways share the sealed one's
 // (generation.share), and each way's key and frame stores (internal/cow)
-// copy one simulated 4KB table page (64 lines: 512 B of keys, 4 KB of
-// frames) the first time the header writes it. A way nobody shares
-// stays flat — plain arrays read and written in place — which covers
-// every sequential simulation and every table before its first publish.
+// copy one simulated 4KB table page (64 lines: 512 B of keys, 2 KB of
+// 32-bit frame numbers) the first time the header writes it. A way
+// nobody shares stays flat — plain arrays read and written in place —
+// which covers every sequential simulation and every table before its
+// first publish.
 // The first write to a shared way makes it paged: the writer's header
 // gets a page directory over the same pages, copied once per header,
 // and then copies only the page being written, so a churn round costs
@@ -195,7 +196,7 @@ func (g *generation[P]) share() *generation[P] {
 // writeLine returns the key word and frame group of line idx of way w
 // of g (a generation writable returned), ready to write in place: the
 // line's page is copied first if g does not own it yet.
-func (t *Table[P]) writeLine(g *generation[P], w, idx int) (*uint64, *frameGroup[P]) {
+func (t *Table[P]) writeLine(g *generation[P], w, idx int) (*uint64, *frameGroup) {
 	p, i := int(uint(idx)/linesPerPage), uint(idx)%linesPerPage
 	keys, frames := g.keys[w].Write(p, &t.stats.COWBytes), g.frames[w].Write(p, &t.stats.COWBytes)
 	if keys == nil || frames == nil {
@@ -208,12 +209,12 @@ func (t *Table[P]) writeLine(g *generation[P], w, idx int) (*uint64, *frameGroup
 }
 
 // load returns line idx of way w as a value.
-func (g *generation[P]) load(w, idx int) line[P] {
-	return line[P]{key: g.key(w, idx), frames: *g.group(w, idx)}
+func (g *generation[P]) load(w, idx int) line {
+	return line{key: g.key(w, idx), frames: *g.group(w, idx)}
 }
 
 // store writes ln into line idx of way w of g.
-func (t *Table[P]) store(g *generation[P], w, idx int, ln line[P]) {
+func (t *Table[P]) store(g *generation[P], w, idx int, ln line) {
 	key, frames := t.writeLine(g, w, idx)
 	*key, *frames = ln.key, ln.frames
 }

@@ -409,11 +409,14 @@ func TestForkCopiesNothingUpFront(t *testing.T) {
 		} else if t.Logf("a first write allocated %d B", got); got < chunkBytes || got >= 2*chunkBytes {
 			t.Errorf("one side's first write allocated %d B, want one %d B radix chunk and a few KB", got, chunkBytes)
 		}
-		// A table page is 512 B of keys and 4 KB of frames, a CWT page
-		// more than its 4KB frame: copying both, with their page
-		// directories, costs over 8.5 KB.
-		if cow := s.side.ECPTs().Table(addr.Page4K).Stats().COWBytes; cow < 4608+4096 {
-			t.Errorf("one side's first write copied %d B of PTE table and CWT, want a page of each", cow)
+		// One PTE table page is 512 B of keys and 2 KB of 32-bit frame
+		// numbers, and its way's two page directories hold 64 pointers
+		// each: 3584 B. One PTE-CWT page is 6160 B (its frame, its live
+		// bitmap and 64 entries of 96 B), and its directory holds 128
+		// pointers: 7184 B.
+		const want = 512 + 2048 + 2*64*8 + 6160 + 128*8
+		if cow := s.side.ECPTs().Table(addr.Page4K).Stats().COWBytes; cow != want {
+			t.Errorf("one side's first write copied %d B of PTE table and CWT, want %d: a page of each", cow, want)
 		}
 	}
 	if a, b := tab.ECPTs().COWBytes(), fork.ECPTs().COWBytes(); a != b {
@@ -430,5 +433,42 @@ func TestForkCopiesNothingUpFront(t *testing.T) {
 			t.Errorf("radix Lookup(%#x) = %#x, %v; want the side's own %#x", va, f, ok, s.frame)
 		}
 		check(t, "side", s.side, m, []addr.GVA{base, base + 7*stride, base + (pages-1)*stride})
+	}
+}
+
+// TestMapRefusesFramesOutsideECPTWindow: a frame the ECPT set cannot
+// store (below the allocator's base, at base+16 TiB, or not 4KB-aligned)
+// makes Map return an error. Over radix and ECPTs, radix is left
+// without the entry, whichever structure refused it.
+func TestMapRefusesFramesOutsideECPTWindow(t *testing.T) {
+	const base = 1 << 40
+	for _, k := range kinds[1:] {
+		for what, frame := range map[string]addr.GPA{
+			"below the base":  base - 0x1000,
+			"at base+16 TiB":  base + ecpt.FrameWindow,
+			"not 4KB-aligned": base + 0x800,
+		} {
+			t.Run(k.name+"/"+what, func(t *testing.T) {
+				tab, err := New[addr.GVA](memsim.NewAllocatorAt[addr.GPA](base, 1<<30, 3), k.radix, k.ecpts, ecpt.ScaledSetConfig(false, 1024), 1, 3)
+				if err != nil {
+					t.Fatal(err)
+				}
+				m := model{}
+				mapPage(t, tab, m, 0x1000_0000, addr.Page4K)
+				const va = addr.GVA(0x1000_1000)
+				if err := tab.Map(va, addr.Page4K, frame); err == nil {
+					t.Fatalf("Map(%#x, %#x) accepted a frame outside the ECPT window", va, frame)
+				}
+				if n := tab.ECPTs().Entries(); n != 1 {
+					t.Errorf("a refused Map left %d ECPT entries, want 1", n)
+				}
+				if tab.Radix() != nil {
+					if f, _, ok := tab.Radix().Lookup(va); ok {
+						t.Errorf("a refused Map left radix mapping %#x to %#x", va, f)
+					}
+				}
+				check(t, what, tab, m, []addr.GVA{0x1000_0000, va})
+			})
+		}
 	}
 }
